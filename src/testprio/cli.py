@@ -14,8 +14,15 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import GridSpec, default_grid_spec, emit_report, run_grid, write_canonical
-from .config import load_config
+from .bench import (
+    DEFAULT_FRACTIONS,
+    GridSpec,
+    default_grid_spec,
+    emit_report,
+    run_grid,
+    write_canonical,
+)
+from .config import load_config, subkeys
 from .domain import TestHistory, average_suite_duration
 from .errors import (
     ConfigError,
@@ -171,13 +178,11 @@ def _grid_spec_from_args(args: argparse.Namespace) -> GridSpec:
 
     def fractions(key: str) -> tuple[float, ...]:
         if key not in cfg:
-            return (0.2, 0.4, 0.6, 0.8, 1.0)
+            return DEFAULT_FRACTIONS
         return tuple(float(t) for t in cfg[key].split(",") if t.strip())
 
     seed = int(cfg["seed"]) if "seed" in cfg and args.seed == DEFAULT_SEED else args.seed
-    features = FeatureConfig.from_config(
-        {k.split(".", 1)[1]: v for k, v in cfg.items() if k.startswith("features.")}
-    )
+    features = FeatureConfig.from_config(subkeys(cfg, "features"))
     return GridSpec(
         rankers=rankers,
         history_fractions=fractions("history_fractions"),

@@ -7,6 +7,13 @@ different seeded initializations; to keep that affordable, all restarts are
 trained simultaneously as one stacked tensor computation (leading axis =
 restart).  The best restart is kept: minimal final training error for the
 probability net, maximal training NDCG for the ranking net.
+
+One buffered pass, :class:`_Net`, computes every forward and backward here:
+the minibatch steps of ``fit_ann``, the per-group steps of
+``fit_lambdarank``, the final loss / NDCG selection, and the one-parameter-set
+``ann_loss_and_grads`` / ``lambdarank_cost_and_grads``.  Each caller turns
+the raw output into its own output gradient (sigmoid-MSE or lambdas), so the
+finite-difference gradient checks exercise the same code that trains.
 """
 
 from __future__ import annotations
@@ -43,46 +50,68 @@ def _init_stacked(seed: int, restarts: int, sizes: tuple[int, ...]) -> Params:
     return params
 
 
-def _forward_stacked(params: Params, X: np.ndarray) -> list[np.ndarray]:
-    """Pre-activations and activations per layer; X is (R|1, B, d).
+class _Net:
+    """The one forward/backward pass of the stacked ReLU MLP, with buffers
+    for ``R`` restarts on ``m`` rows of layer widths ``sizes``.
 
-    Returns [A0, Z1, A1, Z2, A2, Z3] where A_k = relu(Z_k) for hidden
-    layers and Z3 is the raw output (R, B, 1).
+    Training runs hundreds of thousands of tiny steps; allocating the
+    intermediate tensors fresh each step costs several times the arithmetic
+    itself, so each shape keeps its buffers across steps.  The caller owns
+    the loss: it turns the output into dLoss/dZ_out and hands that back.
     """
-    caches = [X]
-    act = X
-    last = len(params) - 1
-    for i, (W, b) in enumerate(params):
-        z = act @ W + b
-        caches.append(z)
-        if i < last:
-            act = np.maximum(z, 0.0)
-            caches.append(act)
-    return caches
+
+    def __init__(self, R: int, m: int, sizes: tuple[int, ...]):
+        hidden = sizes[1:-1]
+        self.Z = [np.empty((R, m, h)) for h in sizes[1:]]
+        self.A = [np.empty((R, m, h)) for h in hidden]
+        self.mask = [np.empty((R, m, h), dtype=bool) for h in hidden]
+        self.dA = [np.empty((R, m, h)) for h in hidden]
+        self.grads = [(np.empty((R, fan_in, fan_out)), np.empty((R, 1, fan_out)))
+                      for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+
+    def forward(self, params: Params, X: np.ndarray) -> np.ndarray:
+        """Raw output Z_out (R, m, 1) for inputs X of shape (R|1, m, d)."""
+        act = X
+        for i, (W, b) in enumerate(params):
+            z = self.Z[i]
+            np.matmul(act, W, out=z)
+            np.add(z, b, out=z)
+            if i < len(self.A):
+                act = self.A[i]
+                np.maximum(z, 0.0, out=act)
+        return self.Z[-1]
+
+    def backward(self, params: Params, X: np.ndarray, dz: np.ndarray) -> Params:
+        """Gradients of every (W, b) given dLoss/dZ_out (R, m, 1), for the
+        last ``forward`` on X; they live in this net's buffers."""
+        for i in range(len(params) - 1, -1, -1):
+            dW, db = self.grads[i]
+            act_in = self.A[i - 1] if i else X
+            np.matmul(act_in.transpose(0, 2, 1), dz, out=dW)
+            np.sum(dz, axis=1, keepdims=True, out=db)
+            if i:
+                da, mask = self.dA[i - 1], self.mask[i - 1]
+                np.matmul(dz, params[i][0].transpose(0, 2, 1), out=da)
+                np.greater(self.Z[i - 1], 0.0, out=mask)
+                np.multiply(da, mask, out=da)
+                dz = da
+        return self.grads
 
 
-def _backward_stacked(params: Params, caches: list[np.ndarray],
-                      d_out: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients w.r.t. every (W, b) given dLoss/dZ_out of shape (R, B, 1)."""
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params)  # type: ignore
-    dz = d_out
-    for i in range(len(params) - 1, -1, -1):
-        act_in = caches[2 * i]
-        W, _ = params[i]
-        dW = np.matmul(act_in.transpose(0, 2, 1), dz)
-        db = dz.sum(axis=1, keepdims=True)
-        grads[i] = (dW, db)
-        if i > 0:
-            da = np.matmul(dz, W.transpose(0, 2, 1))
-            z_in = caches[2 * i - 1]
-            dz = da * (z_in > 0)
-    return grads
-
-
-def _sgd_step(params: Params, grads, lr: float) -> None:
+def _sgd_step(params: Params, grads: Params, lr: float) -> None:
+    """params -= lr * grads in place (the gradient buffers are scaled too)."""
     for (W, b), (dW, db) in zip(params, grads):
-        W -= lr * dW
-        b -= lr * db
+        for arr, grad in ((W, dW), (b, db)):
+            np.multiply(grad, lr, out=grad)
+            np.subtract(arr, grad, out=arr)
+
+
+def _one_restart(layers, m: int) -> tuple[Params, _Net]:
+    """One unstacked parameter set as stacked params (R = 1), and a net for
+    ``m`` rows of it."""
+    params = [(W[None], b[None, None]) for W, b in layers]
+    sizes = (layers[0][0].shape[0], *(W.shape[1] for W, _ in layers))
+    return params, _Net(1, m, sizes)
 
 
 def _unstack(params: Params, r: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -97,82 +126,16 @@ def _class_weights(y: np.ndarray) -> np.ndarray:
 
 # --- probability net -----------------------------------------------------------
 
-class _BatchWorkspace:
-    """Preallocated buffers for one stacked minibatch shape.
-
-    The training loop runs hundreds of thousands of tiny steps; allocating
-    the ~dozen intermediate tensors fresh each step costs several times the
-    arithmetic itself, so every buffer is reused across steps.
-    """
-
-    def __init__(self, R: int, B: int, d: int, h1: int, h2: int):
-        self.B = B
-        self.Xb = np.empty((R, B, d))
-        self.yb = np.empty((R, B))
-        self.cb = np.empty((R, B))
-        self.Z1 = np.empty((R, B, h1))
-        self.A1 = np.empty((R, B, h1))
-        self.Z2 = np.empty((R, B, h2))
-        self.A2 = np.empty((R, B, h2))
-        self.Z3 = np.empty((R, B, 1))
-        self.out = np.empty((R, B, 1))
-        self.g = np.empty((R, B, 1))
-        self.tmp = np.empty((R, B, 1))
-        self.mask1 = np.empty((R, B, h1), dtype=bool)
-        self.mask2 = np.empty((R, B, h2), dtype=bool)
-        self.dA1 = np.empty((R, B, h1))
-        self.dA2 = np.empty((R, B, h2))
-        self.dW1 = np.empty((R, d, h1))
-        self.dW2 = np.empty((R, h1, h2))
-        self.dW3 = np.empty((R, h2, 1))
-        self.db1 = np.empty((R, 1, h1))
-        self.db2 = np.empty((R, 1, h2))
-        self.db3 = np.empty((R, 1, 1))
-
-    def step(self, params: Params, X, y, cw, cols, lr: float) -> None:
-        """One fused forward/backward/update on rows ``cols`` (R, B)."""
-        w = self
-        (W1, b1), (W2, b2), (W3, b3) = params
-        flat = cols.reshape(-1)
-        np.take(X, flat, axis=0, out=w.Xb.reshape(-1, X.shape[1]))
-        np.take(y, flat, axis=0, out=w.yb.reshape(-1))
-        np.take(cw, flat, axis=0, out=w.cb.reshape(-1))
-
-        np.matmul(w.Xb, W1, out=w.Z1)
-        np.add(w.Z1, b1, out=w.Z1)
-        np.maximum(w.Z1, 0.0, out=w.A1)
-        np.matmul(w.A1, W2, out=w.Z2)
-        np.add(w.Z2, b2, out=w.Z2)
-        np.maximum(w.Z2, 0.0, out=w.A2)
-        np.matmul(w.A2, W3, out=w.Z3)
-        np.add(w.Z3, b3, out=w.Z3)
-        _stable_sigmoid_into(w.Z3, w.out, w.tmp)
-
-        # g = (2/B) * c * (out - y) * out * (1 - out)
-        np.subtract(w.out, w.yb[..., None], out=w.g)
-        np.multiply(w.g, w.cb[..., None], out=w.g)
-        np.multiply(w.g, w.out, out=w.g)
-        np.subtract(1.0, w.out, out=w.tmp)
-        np.multiply(w.g, w.tmp, out=w.g)
-        np.multiply(w.g, 2.0 / w.B, out=w.g)
-
-        np.matmul(w.A2.transpose(0, 2, 1), w.g, out=w.dW3)
-        np.sum(w.g, axis=1, keepdims=True, out=w.db3)
-        np.matmul(w.g, W3.transpose(0, 2, 1), out=w.dA2)
-        np.greater(w.Z2, 0.0, out=w.mask2)
-        np.multiply(w.dA2, w.mask2, out=w.dA2)
-        np.matmul(w.A1.transpose(0, 2, 1), w.dA2, out=w.dW2)
-        np.sum(w.dA2, axis=1, keepdims=True, out=w.db2)
-        np.matmul(w.dA2, W2.transpose(0, 2, 1), out=w.dA1)
-        np.greater(w.Z1, 0.0, out=w.mask1)
-        np.multiply(w.dA1, w.mask1, out=w.dA1)
-        np.matmul(w.Xb.transpose(0, 2, 1), w.dA1, out=w.dW1)
-        np.sum(w.dA1, axis=1, keepdims=True, out=w.db1)
-
-        for arr, grad in ((W1, w.dW1), (b1, w.db1), (W2, w.dW2), (b2, w.db2),
-                          (W3, w.dW3), (b3, w.db3)):
-            np.multiply(grad, lr, out=grad)
-            np.subtract(arr, grad, out=arr)
+def _mse_grad(out: np.ndarray, y: np.ndarray, cw: np.ndarray,
+              g: np.ndarray, tmp: np.ndarray) -> None:
+    """g = dLoss/dZ_out of the class-weighted MSE mean over B rows:
+    (2/B) * cw * (out - y) * out * (1 - out); out is (R, B, 1), y and cw (R, B)."""
+    np.subtract(out, y[..., None], out=g)
+    np.multiply(g, cw[..., None], out=g)
+    np.multiply(g, out, out=g)
+    np.subtract(1.0, out, out=tmp)
+    np.multiply(g, tmp, out=g)
+    np.multiply(g, 2.0 / out.shape[1], out=g)
 
 
 def _stable_sigmoid_into(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -195,26 +158,33 @@ def fit_ann(ts: TrainingSet, hp: AnnParams = AnnParams()) -> Model:
     weights = _class_weights(y)
     n, d = X.shape
     R = hp.restarts
-    params = _init_stacked(hp.seed, R, (d, hp.hidden1, hp.hidden2, 1))
+    sizes = (d, hp.hidden1, hp.hidden2, 1)
+    params = _init_stacked(hp.seed, R, sizes)
     shuffles = [np.random.default_rng(mix_seed(hp.seed + r, "shuffle")) for r in range(R)]
 
+    # per minibatch width (B, and the remainder when B does not divide n):
+    # the net, the gathered X / y / class weight, and output/gradient scratch
     B = min(hp.batch_size, n)
-    work = _BatchWorkspace(R, B, d, hp.hidden1, hp.hidden2)
-    rem = n % B
-    work_rem = _BatchWorkspace(R, rem, d, hp.hidden1, hp.hidden2) if rem else None
+    work = {m: (_Net(R, m, sizes), np.empty((R, m, d)), np.empty((R, m)),
+                np.empty((R, m)), np.empty((R, m, 1)), np.empty((R, m, 1)),
+                np.empty((R, m, 1)))
+            for m in {B, n % B} - {0}}
 
     for _ in range(hp.epochs):
         orders = np.stack([rng.permutation(n) for rng in shuffles])
-        for start in range(0, n - rem, B):
-            work.step(params, X, y, weights, orders[:, start : start + B],
-                      hp.learning_rate)
-        if rem:
-            work_rem.step(params, X, y, weights, orders[:, n - rem :],
-                          hp.learning_rate)
+        for start in range(0, n, B):
+            net, Xb, yb, cb, out, g, tmp = work[min(B, n - start)]
+            flat = orders[:, start : start + B].reshape(-1)
+            np.take(X, flat, axis=0, out=Xb.reshape(-1, d))
+            np.take(y, flat, axis=0, out=yb.reshape(-1))
+            np.take(weights, flat, axis=0, out=cb.reshape(-1))
+            _stable_sigmoid_into(net.forward(params, Xb), out, tmp)
+            _mse_grad(out, yb, cb, g, tmp)
+            _sgd_step(params, net.backward(params, Xb, g), hp.learning_rate)
 
     # final weighted MSE per restart on the whole training set
-    full = _forward_stacked(params, np.broadcast_to(X, (R, n, d)))
-    out = _stable_sigmoid(full[-1][..., 0])
+    z = _Net(R, n, sizes).forward(params, X[None])
+    out = _stable_sigmoid(z[..., 0])
     losses = (weights * (out - y) ** 2).mean(axis=1)
     best = int(np.argmin(losses))
     payload = MlpPayload(layers=_unstack(params, best), sigmoid_output=True)
@@ -225,26 +195,18 @@ def ann_loss_and_grads(layers, X: np.ndarray, y: np.ndarray,
                        class_weights: np.ndarray):
     """Class-weighted MSE and parameter gradients for one parameter set
     (used directly by finite-difference checks)."""
-    params = [(W[None], b[None, None]) for W, b in layers]
-    caches = _forward_stacked(params, X[None])
-    out = _stable_sigmoid(caches[-1])
-    err = out - y[None, :, None]
-    cw = class_weights[None, :, None]
-    loss = float((cw * err ** 2).mean(axis=1).sum())
-    dz = (2.0 / len(y)) * cw * err * out * (1.0 - out)
-    grads = _backward_stacked(params, caches, dz)
+    params, net = _one_restart(layers, len(y))
+    X1 = X[None]
+    z = net.forward(params, X1)
+    out, g, tmp = np.empty_like(z), np.empty_like(z), np.empty_like(z)
+    _stable_sigmoid_into(z, out, tmp)
+    loss = float((class_weights * (out[0, :, 0] - y) ** 2).mean())
+    _mse_grad(out, y[None], class_weights[None], g, tmp)
+    grads = net.backward(params, X1, g)
     return loss, [(dW[0], db[0, 0]) for dW, db in grads]
 
 
 # --- pairwise ranking net --------------------------------------------------------
-
-def _ranks_descending(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks by descending score, ties broken by item index."""
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    ranks = np.empty(len(scores), dtype=np.int64)
-    ranks[order] = np.arange(1, len(scores) + 1)
-    return ranks
-
 
 def _ranks_matrix(s: np.ndarray) -> np.ndarray:
     """Row-wise 1-based descending ranks, ties by index (stable sort)."""
@@ -278,60 +240,6 @@ def _group_lambdas(s: np.ndarray, pos: np.ndarray, neg: np.ndarray,
     return dc, delta, sdiff
 
 
-class _GroupWorkspace:
-    """Reusable forward/backward buffers for one group size ``m``."""
-
-    def __init__(self, R: int, m: int, d: int, h1: int, h2: int):
-        self.Z1 = np.empty((R, m, h1))
-        self.A1 = np.empty((R, m, h1))
-        self.Z2 = np.empty((R, m, h2))
-        self.A2 = np.empty((R, m, h2))
-        self.Z3 = np.empty((R, m, 1))
-        self.mask1 = np.empty((R, m, h1), dtype=bool)
-        self.mask2 = np.empty((R, m, h2), dtype=bool)
-        self.dA1 = np.empty((R, m, h1))
-        self.dA2 = np.empty((R, m, h2))
-        self.dW1 = np.empty((R, d, h1))
-        self.dW2 = np.empty((R, h1, h2))
-        self.dW3 = np.empty((R, h2, 1))
-        self.db1 = np.empty((R, 1, h1))
-        self.db2 = np.empty((R, 1, h2))
-        self.db3 = np.empty((R, 1, 1))
-
-    def step(self, params: Params, Xg: np.ndarray, pos, neg, sigma: float,
-             idcg: float, lr: float) -> None:
-        w = self
-        (W1, b1), (W2, b2), (W3, b3) = params
-        np.matmul(Xg, W1, out=w.Z1)
-        np.add(w.Z1, b1, out=w.Z1)
-        np.maximum(w.Z1, 0.0, out=w.A1)
-        np.matmul(w.A1, W2, out=w.Z2)
-        np.add(w.Z2, b2, out=w.Z2)
-        np.maximum(w.Z2, 0.0, out=w.A2)
-        np.matmul(w.A2, W3, out=w.Z3)
-        np.add(w.Z3, b3, out=w.Z3)
-
-        dc, _, _ = _group_lambdas(w.Z3[..., 0], pos, neg, sigma, idcg)
-
-        np.matmul(w.A2.transpose(0, 2, 1), dc[..., None], out=w.dW3)
-        np.sum(dc[..., None], axis=1, keepdims=True, out=w.db3)
-        np.matmul(dc[..., None], W3.transpose(0, 2, 1), out=w.dA2)
-        np.greater(w.Z2, 0.0, out=w.mask2)
-        np.multiply(w.dA2, w.mask2, out=w.dA2)
-        np.matmul(w.A1.transpose(0, 2, 1), w.dA2, out=w.dW2)
-        np.sum(w.dA2, axis=1, keepdims=True, out=w.db2)
-        np.matmul(w.dA2, W2.transpose(0, 2, 1), out=w.dA1)
-        np.greater(w.Z1, 0.0, out=w.mask1)
-        np.multiply(w.dA1, w.mask1, out=w.dA1)
-        np.matmul(Xg.transpose(0, 2, 1), w.dA1, out=w.dW1)
-        np.sum(w.dA1, axis=1, keepdims=True, out=w.db1)
-
-        for arr, grad in ((W1, w.dW1), (b1, w.db1), (W2, w.dW2), (b2, w.db2),
-                          (W3, w.dW3), (b3, w.db3)):
-            np.multiply(grad, lr, out=grad)
-            np.subtract(arr, grad, out=arr)
-
-
 def fit_lambdarank(ts: TrainingSet, hp: LrnParams = LrnParams()) -> Model:
     """Linear-output net trained with pairwise lambda gradients per cycle
     group; groups lacking a failing or a passing example are skipped.
@@ -351,29 +259,27 @@ def fit_lambdarank(ts: TrainingSet, hp: LrnParams = LrnParams()) -> Model:
 
     d = X.shape[1]
     R = hp.restarts
-    params = _init_stacked(hp.seed, R, (d, hp.hidden1, hp.hidden2, 1))
+    sizes = (d, hp.hidden1, hp.hidden2, 1)
+    params = _init_stacked(hp.seed, R, sizes)
     order_rng = np.random.default_rng(mix_seed(hp.seed, "group-order"))
 
     inputs = [np.ascontiguousarray(X[sl][None]) for sl, _, _, _ in groups]
-    workspaces: dict[int, _GroupWorkspace] = {}
+    nets = {m: _Net(R, m, sizes) for m in {Xg.shape[1] for Xg in inputs}}
     for _ in range(hp.epochs):
         for g in order_rng.permutation(len(groups)):
             _, pos, neg, idcg = groups[g]
             Xg = inputs[g]
-            m = Xg.shape[1]
-            work = workspaces.get(m)
-            if work is None:
-                work = workspaces[m] = _GroupWorkspace(R, m, d, hp.hidden1, hp.hidden2)
-            work.step(params, Xg, pos, neg, hp.sigma, idcg, hp.learning_rate)
+            net = nets[Xg.shape[1]]
+            s = net.forward(params, Xg)[..., 0]
+            dc, _, _ = _group_lambdas(s, pos, neg, hp.sigma, idcg)
+            _sgd_step(params, net.backward(params, Xg, dc[..., None]),
+                      hp.learning_rate)
 
     # mean training NDCG per restart
     ndcg = np.zeros(R)
-    for (sl, pos, neg, idcg), Xg in zip(groups, inputs):
-        caches = _forward_stacked(params, Xg)
-        s = caches[-1][..., 0]
-        for r in range(R):
-            ranks = _ranks_descending(s[r])
-            ndcg[r] += (1.0 / np.log2(1.0 + ranks[pos])).sum() / idcg
+    for (_, pos, _, idcg), Xg in zip(groups, inputs):
+        ranks = _ranks_matrix(nets[Xg.shape[1]].forward(params, Xg)[..., 0])
+        ndcg += (1.0 / np.log2(1.0 + ranks[:, pos])).sum(axis=1) / idcg
     best = int(np.argmax(ndcg))
     payload = MlpPayload(layers=_unstack(params, best), sigmoid_output=False)
     return Model(kind=RankerKind.LRN, payload=payload, stats=ts.stats, config=ts.config)
@@ -396,10 +302,10 @@ def lambdarank_cost_and_grads(layers, X: np.ndarray, y: np.ndarray,
         raise NoRankableGroup("gradient check group needs both classes")
     idcg = _ideal_dcg(len(pos))
 
-    params = [(W[None], b[None, None]) for W, b in layers]
-    caches = _forward_stacked(params, X[None])
-    s = caches[-1][..., 0]
+    params, net = _one_restart(layers, len(y))
+    X1 = X[None]
+    s = net.forward(params, X1)[..., 0]
     dc, delta, sdiff = _group_lambdas(s, pos, neg, sigma, idcg, frozen_delta)
     cost = float((delta * np.logaddexp(0.0, -sigma * sdiff)).sum())
-    grads = _backward_stacked(params, caches, dc[..., None])
+    grads = net.backward(params, X1, dc[..., None])
     return cost, [(dW[0], db[0, 0]) for dW, db in grads], delta

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Cycle, HistoryWindow, TestHistory, slice_recent
+from .domain import Cycle, HistoryWindow, TestHistory, slice_recent, validate_history
 from .errors import (
     HistoryTooShort,
     NonPositiveBudget,
@@ -172,16 +172,6 @@ def _rank_units(kind: RankerKind, params: RankerParams, n_tests: int,
 
 # --- replay ---------------------------------------------------------------------
 
-def _prior_registry(cycles: tuple[Cycle, ...]) -> dict[str, float]:
-    totals: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for cyc in cycles:
-        for tid, dur in zip(cyc.test_ids, cyc.duration_s):
-            totals[tid] = totals.get(tid, 0.0) + float(dur)
-            counts[tid] = counts.get(tid, 0) + 1
-    return {tid: totals[tid] / counts[tid] for tid in totals}
-
-
 def _train_for_cycle(kind: RankerKind, params: RankerParams, window: HistoryWindow,
                      features: FeatureConfig, seed: int):
     """Fit a model on the window; degraded fits yield a flagged constant model
@@ -284,8 +274,7 @@ def replay_cycle(h: TestHistory, c: int, cfg: ReplayConfig) -> CycleOutcome:
         raise IndexError(f"cycle position {c} out of range")
     if c == 0:
         raise NoPriorHistory("cycle has no preceding history to train on")
-    prior_cycles = h.cycles[:c]
-    prior = TestHistory(cycles=prior_cycles, registry=_prior_registry(prior_cycles))
+    prior = validate_history(h.cycles[:c])
     return _replay_at(prior, h.cycles[c], cfg, [cfg.budget_s])[0]
 
 

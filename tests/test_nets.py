@@ -19,7 +19,14 @@ from testprio.rankers import (
     score_matrix,
     serialize_model,
 )
-from testprio.rankers.nets import _group_lambdas, _ideal_dcg, _ranks_descending
+from testprio.rankers.nets import (
+    _class_weights,
+    _group_lambdas,
+    _ideal_dcg,
+    _init_stacked,
+    _ranks_matrix,
+    _unstack,
+)
 from testprio.errors import NoRankableGroup
 
 from .conftest import toy_training_set
@@ -198,5 +205,45 @@ class TestLambdaTraining:
             fit_lambdarank(toy_training_set(np.zeros((4, 2)), np.zeros(4)))
 
     def test_ranks_tie_break_by_index(self):
-        ranks = _ranks_descending(np.array([0.5, 0.9, 0.5]))
-        assert ranks.tolist() == [2, 1, 3]
+        ranks = _ranks_matrix(np.array([[0.5, 0.9, 0.5]]))
+        assert ranks[0].tolist() == [2, 1, 3]
+
+
+class TestTrainingAppliesCheckedGradient:
+    """One full-batch step of a single-restart fit equals the initial layers
+    minus lr times the gradient that the finite-difference checks verify.
+    The ann batch is a permutation of the rows, so sums run in another order;
+    hence rtol rather than equality."""
+
+    @staticmethod
+    def _init(seed):
+        return _unstack(_init_stacked(seed, 1, (4, 6, 3, 1)), 0)
+
+    @staticmethod
+    def _assert_step(model, init, lr, grads):
+        for (W, b), (W0, b0), (dW, db) in zip(model.payload.layers, init, grads):
+            np.testing.assert_allclose(W, W0 - lr * dW, rtol=1e-12)
+            np.testing.assert_allclose(b, b0 - lr * db, rtol=1e-12)
+
+    def test_ann_step_is_checked_gradient(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(20, 4))
+        y = np.array([1.0, 0] * 3 + [0.0] * 14)
+        ts = toy_training_set(X, y)
+        hp = AnnParams(hidden1=6, hidden2=3, epochs=1, batch_size=32,
+                       learning_rate=0.1, restarts=1, seed=3)
+        init = self._init(hp.seed)
+        _, grads = ann_loss_and_grads(init, ts.standardized(), y, _class_weights(y))
+        self._assert_step(fit_ann(ts, hp), init, hp.learning_rate, grads)
+
+    def test_lrn_step_is_checked_gradient(self):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(7, 4))
+        y = np.array([0.0, 1, 0, 0, 1, 0, 0])
+        ts = toy_training_set(X, y)
+        hp = LrnParams(hidden1=6, hidden2=3, epochs=1, learning_rate=0.1,
+                       restarts=1, seed=5)
+        init = self._init(hp.seed)
+        _, grads, _ = lambdarank_cost_and_grads(init, ts.standardized(), y,
+                                                sigma=hp.sigma)
+        self._assert_step(fit_lambdarank(ts, hp), init, hp.learning_rate, grads)
