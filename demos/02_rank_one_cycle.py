@@ -12,8 +12,8 @@ from testprio import (
     random_rank,
     rocket_rank,
     slice_recent,
-    validate_history,
 )
+from testprio.domain import history_prefix
 from testprio.features import feature_matrix
 from testprio.rankers import FITTERS, default_params, rank_cycle, with_seed
 
@@ -25,7 +25,7 @@ history = generate_synthetic(spec, seed=7)
 # feature matrix see only prior cycles, so nothing leaks from the cycle
 # being prioritized.
 target = history.cycles[-1]
-prior = validate_history(history.cycles[:-1])
+prior = history_prefix(history, history.n_cycles - 1)
 window = slice_recent(prior, 0.6)
 cfg = FeatureConfig()
 

@@ -25,9 +25,11 @@ from .bench import (
 from .config import load_config, subkeys
 from .domain import TestHistory, average_suite_duration
 from .errors import (
+    AlphaOutOfRange,
     ConfigError,
     HistoryTooShort,
     IngestError,
+    NonPositiveBudget,
     NoPriorHistory,
     TestPrioError,
     ValidationError,
@@ -51,6 +53,7 @@ EXIT_USAGE = 2
 EXIT_DATASET = 3
 
 _USAGE_ERRORS = (IngestError, ConfigError, ValidationError, ValueError,
+                 NonPositiveBudget, AlphaOutOfRange,
                  FileNotFoundError, IsADirectoryError, PermissionError)
 _DATASET_ERRORS = (HistoryTooShort, NoPriorHistory)
 

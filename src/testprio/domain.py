@@ -6,6 +6,10 @@ in seconds.  Cycles are stored column-wise (numpy arrays) so that histories
 with millions of executions stay cheap to hold and scan; the row-oriented
 :class:`Execution` view is materialized only on demand.
 
+:func:`validate_history` codes each test id once, as its position in the
+registry (first-run order); later stages index columns by these codes
+(``TestHistory.codes``) instead of looking test ids up.
+
 All values are immutable after construction and safe to share across
 threads.
 """
@@ -99,10 +103,13 @@ class Cycle:
 @dataclass(frozen=True, eq=False)
 class TestHistory:
     """Validated CI history: cycles in strictly increasing cycle_id order plus
-    a registry mapping every test id to its mean observed duration."""
+    a registry mapping every test id to its mean observed duration.
+    ``codes[i][j]`` is the registry position of ``cycles[i].test_ids[j]``;
+    being derived, codes take no part in equality."""
 
     cycles: tuple[Cycle, ...]
     registry: dict[str, float]  # test_id -> mean duration over all its runs
+    codes: tuple[np.ndarray, ...]  # int64 per cycle, parallel to its test_ids
 
     @property
     def n_cycles(self) -> int:
@@ -151,6 +158,10 @@ class HistoryWindow:
         return self.source.cycles[self.lo : self.hi]
 
     @property
+    def codes(self) -> tuple[np.ndarray, ...]:
+        return self.source.codes[self.lo : self.hi]
+
+    @property
     def n_cycles(self) -> int:
         return self.hi - self.lo
 
@@ -175,9 +186,22 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _with_registry(cycles: Sequence[Cycle], codes: Sequence[np.ndarray],
+                   test_ids: Sequence[str]) -> TestHistory:
+    """The history of ``cycles`` with its duration registry; each test's
+    durations are summed chronologically, wherever the history was cut."""
+    totals = np.zeros(len(test_ids))
+    counts = np.zeros(len(test_ids))
+    for cyc, idx in zip(cycles, codes):
+        totals[idx] += cyc.duration_s
+        counts[idx] += 1
+    registry = dict(zip(test_ids, (totals / counts).tolist()))
+    return TestHistory(cycles=tuple(cycles), registry=registry, codes=tuple(codes))
+
+
 def validate_history(raw: TestHistory | Iterable[Cycle]) -> TestHistory:
-    """Check every history invariant and return a history with the duration
-    registry recomputed from the executions.
+    """Check every history invariant, code the test ids and return a history
+    with the duration registry recomputed from the executions.
 
     Accepts either an existing :class:`TestHistory` or any iterable of
     :class:`Cycle`.  Idempotent: validating a valid history returns an equal
@@ -187,8 +211,8 @@ def validate_history(raw: TestHistory | Iterable[Cycle]) -> TestHistory:
     if not cycles:
         raise EmptyHistory("history contains no cycles")
 
-    totals: dict[str, float] = {}
-    counts: dict[str, int] = {}
+    code_of: dict[str, int] = {}
+    codes = []
     prev_id: int | None = None
     for cyc in cycles:
         if prev_id is not None and cyc.cycle_id <= prev_id:
@@ -212,12 +236,19 @@ def validate_history(raw: TestHistory | Iterable[Cycle]) -> TestHistory:
             raise NonPositiveDuration(
                 f"cycle {cyc.cycle_id}: test {tid!r} has non-positive duration"
             )
-        for tid, d in zip(cyc.test_ids, cyc.duration_s):
-            totals[tid] = totals.get(tid, 0.0) + float(d)
-            counts[tid] = counts.get(tid, 0) + 1
+        codes.append(np.fromiter((code_of.setdefault(t, len(code_of)) for t in cyc.test_ids),
+                                 np.int64, len(cyc)))
+    return _with_registry(cycles, codes, list(code_of))
 
-    registry = {tid: totals[tid] / counts[tid] for tid in totals}
-    return TestHistory(cycles=cycles, registry=registry)
+
+def history_prefix(h: TestHistory, pos: int) -> TestHistory:
+    """The history as it stood before cycle position ``pos``: its first
+    ``pos`` cycles, with the registry of those cycles and the same codes."""
+    if not (0 < pos <= h.n_cycles):
+        raise IndexError(f"prefix length {pos} out of range for {h.n_cycles} cycles")
+    codes = h.codes[:pos]
+    n_tests = max(int(c.max()) for c in codes) + 1  # first-run order: they come first
+    return _with_registry(h.cycles[:pos], codes, list(h.registry)[:n_tests])
 
 
 def slice_recent(h: TestHistory, fraction: float) -> HistoryWindow:

@@ -127,22 +127,15 @@ def recency_failure_score(verdicts_most_recent_first: list[Verdict], alpha: floa
 
 
 class _WindowArrays:
-    """Presence/failure matrices for one window, rows = window cycles."""
+    """Presence/failure matrices for one window: rows = window cycles,
+    columns = source registry tests, indexed by test code."""
 
     def __init__(self, window: HistoryWindow):
-        self.window = window
-        cols: dict[str, int] = {}
-        for cyc in window.cycles:
-            for tid in cyc.test_ids:
-                if tid not in cols:
-                    cols[tid] = len(cols)
-        self.col_of = cols
-        k, n = window.n_cycles, len(cols)
+        registry = window.source.registry
+        k, n = window.n_cycles, len(registry)
         self.present = np.zeros((k, n), dtype=bool)
         self.failed = np.zeros((k, n), dtype=bool)
-        for j, cyc in enumerate(window.cycles):
-            idx = np.fromiter((cols[t] for t in cyc.test_ids), dtype=np.int64,
-                              count=len(cyc.test_ids))
+        for j, (cyc, idx) in enumerate(zip(window.cycles, window.codes)):
             self.present[j, idx] = True
             self.failed[j, idx] = cyc.failed
 
@@ -152,11 +145,8 @@ class _WindowArrays:
         self.cum_failed = np.vstack(
             [np.zeros(n), np.cumsum(self.failed, axis=0)]).astype(np.float64)
 
-        registry = window.source.registry
-        self.max_duration = max(registry.values())
-        self.norm_duration = np.fromiter(
-            (registry[t] / self.max_duration for t in cols), dtype=np.float64, count=n
-        )
+        durations = np.fromiter(registry.values(), np.float64, n)
+        self.norm_duration = durations / durations.max()
 
     def recency_scores(self, alpha: float) -> np.ndarray:
         """(k+1, n): row j = decayed failure score as of window offset j."""
@@ -243,14 +233,11 @@ def build_training_set(window: HistoryWindow, cfg: FeatureConfig) -> TrainingSet
     recency = arrays.recency_scores(cfg.decay)
 
     xs, ys, gids, tids = [], [], [], []
-    for offset in range(1, window.n_cycles):
-        cyc = window.cycles[offset]
+    for offset, (cyc, idx) in enumerate(zip(window.cycles[1:], window.codes[1:]), start=1):
         feats = arrays.features_as_of(offset, cfg, recency)
-        idx = np.fromiter((arrays.col_of[t] for t in cyc.test_ids), dtype=np.int64,
-                          count=len(cyc.test_ids))
         xs.append(feats[idx])
         ys.append(cyc.failed.astype(np.float64))
-        gids.append(np.full(len(idx), cyc.cycle_id, dtype=np.int64))
+        gids.append(np.full(len(cyc), cyc.cycle_id, dtype=np.int64))
         tids.extend(cyc.test_ids)
 
     X = np.vstack(xs)
@@ -290,17 +277,14 @@ def feature_matrix(window: HistoryWindow, test_ids: list[str], cfg: FeatureConfi
     recency = arrays.recency_scores(cfg.decay)
     feats = arrays.features_as_of(window.n_cycles, cfg, recency)
 
-    registry = window.source.registry
-    F = cfg.verdict_window
+    row_of = dict(zip(window.source.registry, feats))
     out = np.zeros((len(test_ids), cfg.dimension))
     for i, tid in enumerate(test_ids):
-        col = arrays.col_of.get(tid)
-        if col is not None:
-            out[i] = feats[col]
-        elif tid in registry:
-            out[i, F + 3] = registry[tid] / arrays.max_duration
+        row = row_of.get(tid)
+        if row is not None:
+            out[i] = row
         elif fallback_norm_duration is not None:
-            out[i, F + 3] = fallback_norm_duration
+            out[i, cfg.verdict_window + 3] = fallback_norm_duration
         else:
             raise UnknownTest(tid)
     return out

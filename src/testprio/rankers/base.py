@@ -197,19 +197,12 @@ def rocket_priorities(window: HistoryWindow, test_ids: Sequence[str],
     ``weight_older``."""
     if window.n_cycles == 0:
         raise EmptyWindow("cannot prioritize from an empty window")
-    priorities = {tid: 0.0 for tid in test_ids}
-    wanted = set(test_ids)
-    for age, cyc in enumerate(reversed(window.cycles), start=1):
-        if age == 1:
-            w = params.weight_most_recent
-        elif age == 2:
-            w = params.weight_second
-        else:
-            w = params.weight_older
-        for tid, failed in zip(cyc.test_ids, cyc.failed):
-            if failed and tid in wanted:
-                priorities[tid] += w
-    return priorities
+    totals = np.zeros(window.source.n_tests)
+    recent = (params.weight_most_recent, params.weight_second)
+    for age, (cyc, idx) in enumerate(zip(window.cycles[::-1], window.codes[::-1])):
+        totals[idx[cyc.failed]] += recent[age] if age < 2 else params.weight_older
+    by_test = dict(zip(window.source.registry, totals.tolist()))
+    return {tid: by_test.get(tid, 0.0) for tid in test_ids}
 
 
 def rocket_rank(window: HistoryWindow, durations: Mapping[str, float],

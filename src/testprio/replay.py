@@ -6,8 +6,9 @@ rank the cycle's tests, cut the ranking at the time budget, and replay the
 recorded verdicts of that cycle against the executed prefix.
 
 Leakage rules: training windows, feature inputs, tie-break durations and
-budget-cut durations are all derived exclusively from cycles before the
-evaluated one.  The evaluated cycle contributes only its replayed verdicts
+budget-cut durations are all derived exclusively from the prior history,
+``history_prefix(h, c)``: the cycles before the evaluated one and their
+registry.  The evaluated cycle contributes only its replayed verdicts
 (and its test list).  A test never seen before is ranked with zero history
 features and the prior mean duration as its duration estimate.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Cycle, HistoryWindow, TestHistory, slice_recent, validate_history
+from .domain import Cycle, HistoryWindow, TestHistory, history_prefix, slice_recent
 from .errors import (
     HistoryTooShort,
     NonPositiveBudget,
@@ -274,8 +275,7 @@ def replay_cycle(h: TestHistory, c: int, cfg: ReplayConfig) -> CycleOutcome:
         raise IndexError(f"cycle position {c} out of range")
     if c == 0:
         raise NoPriorHistory("cycle has no preceding history to train on")
-    prior = validate_history(h.cycles[:c])
-    return _replay_at(prior, h.cycles[c], cfg, [cfg.budget_s])[0]
+    return _replay_at(history_prefix(h, c), h.cycles[c], cfg, [cfg.budget_s])[0]
 
 
 def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig,
@@ -290,21 +290,9 @@ def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig,
     if n < 5:
         raise HistoryTooShort(f"need >= 5 cycles, history has {n}")
     n_eval = min(int(math.ceil(cfg.eval_fraction * n)), n - 1)
-    first_eval = n - n_eval
-
-    per_budget: list[list[CycleOutcome]] = [[] for _ in budgets]
-    totals: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for pos, cyc in enumerate(h.cycles):
-        if pos >= first_eval:
-            registry = {tid: totals[tid] / counts[tid] for tid in totals}
-            prior = TestHistory(cycles=h.cycles[:pos], registry=registry)
-            for b_idx, outcome in enumerate(_replay_at(prior, cyc, cfg, budgets)):
-                per_budget[b_idx].append(outcome)
-        for tid, dur in zip(cyc.test_ids, cyc.duration_s):
-            totals[tid] = totals.get(tid, 0.0) + float(dur)
-            counts[tid] = counts.get(tid, 0) + 1
-    return per_budget
+    per_cycle = [_replay_at(history_prefix(h, pos), h.cycles[pos], cfg, budgets)
+                 for pos in range(n - n_eval, n)]
+    return [list(outcomes) for outcomes in zip(*per_cycle)]
 
 
 def walk_forward(h: TestHistory, cfg: ReplayConfig) -> list[CycleOutcome]:

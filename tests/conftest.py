@@ -23,6 +23,30 @@ def history(*cycles: Cycle) -> TestHistory:
     return validate_history(cycles)
 
 
+def churn_history(seed: int, n_tests: int = 40, n_cycles: int = 60) -> TestHistory:
+    """Synthetic history whose tests churn: some first run late, some stop
+    running early, each cycle runs a random subset, and every cycle records
+    its tests in a shuffled order (so first-run order is not id order)."""
+    spec = SyntheticSpec(n_tests=n_tests, n_cycles=n_cycles, base_failure_prob=0.3,
+                         persistence=0.9, flip_prob=0.05, duration_min_s=0.5,
+                         duration_max_s=5.0)
+    full = generate_synthetic(spec, seed)
+    rng = np.random.default_rng([seed, 1])
+    first = np.where(rng.random(n_tests) < 0.3, rng.integers(0, n_cycles, n_tests), 0)
+    last = np.where(rng.random(n_tests) < 0.3, rng.integers(1, n_cycles, n_tests), n_cycles)
+    ids = np.array(full.cycles[0].test_ids, dtype=object)
+    cycles = []
+    for c, full_cyc in enumerate(full.cycles):
+        order = rng.permutation(n_tests)
+        runs = (rng.random(n_tests) < 0.7) & (first <= c) & (c < last)
+        runs[order[0]] = True  # no empty cycle
+        sel = order[runs[order]]
+        jitter = rng.uniform(0.5, 1.5, len(sel))  # durations vary run to run
+        cycles.append(Cycle(full_cyc.cycle_id, tuple(ids[sel]), full_cyc.failed[sel],
+                            full_cyc.duration_s[sel] * jitter))
+    return validate_history(cycles)
+
+
 def toy_training_set(X, y, groups=None, standardize=True) -> TrainingSet:
     """Training set straight from arrays, bypassing history construction."""
     from testprio.features import StandardizationStats

@@ -122,6 +122,13 @@ class TestReplay:
         path.write_bytes(emit_canonical(h))
         assert main(["replay", str(path), "--ranker", "random"]) == 3
 
+    @pytest.mark.parametrize("frac", ["0", "-1"])
+    def test_non_positive_budget_exit_2(self, history_file, frac, capsys):
+        path, _ = history_file
+        assert main(["replay", str(path), "--ranker", "rocket",
+                     "--budget-frac", frac]) == 2
+        assert "internal error" not in capsys.readouterr().err
+
     def test_out_files_written(self, history_file, tmp_path, capsys):
         path, _ = history_file
         out = tmp_path / "report"
@@ -186,6 +193,14 @@ class TestGrid:
                      "--out-dir", str(out)]) == 0
         lines = (out / "report.csv").read_text().splitlines()
         assert len(lines) == 1 + 6 * 1 * 5  # 30 data rows
+
+    def test_decay_out_of_range_exit_2(self, history_file, tmp_path, capsys):
+        path, _ = history_file
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("rankers = random\nfeatures.decay = 1.5\n")
+        assert main(["grid", str(path), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        assert "decay" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_an_error(history_file, capsys):

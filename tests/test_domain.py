@@ -5,6 +5,7 @@ from testprio.domain import (
     BudgetSchedule,
     average_suite_duration,
     budget_schedule,
+    history_prefix,
     round_half_up,
     slice_recent,
     validate_history,
@@ -19,7 +20,7 @@ from testprio.errors import (
     NonPositiveDuration,
 )
 
-from .conftest import cyc, history
+from .conftest import churn_history, cyc, history
 
 
 class TestValidateHistory:
@@ -62,6 +63,51 @@ class TestValidateHistory:
 
     def test_idempotent(self, small_history):
         assert validate_history(validate_history(small_history)) == small_history
+
+
+def _dict_registry(cycles):
+    """Reference: the per-execution dict accumulation the registry replaced."""
+    totals: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for c in cycles:
+        for tid, d in zip(c.test_ids, c.duration_s):
+            totals[tid] = totals.get(tid, 0.0) + float(d)
+            counts[tid] = counts.get(tid, 0) + 1
+    return {tid: totals[tid] / counts[tid] for tid in totals}
+
+
+class TestCodesAndPrefix:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_prefix_registry_equals_dict_loop_in_order(self, seed):
+        # order matters: the fallback duration is np.mean over the registry
+        h = churn_history(seed)
+        n = h.n_cycles
+        for pos in (1, 2, 7, n // 2, n - 1, n):
+            expected = list(_dict_registry(h.cycles[:pos]).items())
+            assert list(history_prefix(h, pos).registry.items()) == expected
+        assert list(h.registry.items()) == list(_dict_registry(h.cycles).items())
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_code_is_registry_position(self, seed):
+        h = churn_history(seed)
+        for prior in (h, history_prefix(h, h.n_cycles // 3)):
+            ids = list(prior.registry)
+            assert len(prior.codes) == prior.n_cycles
+            for c, codes in zip(prior.cycles, prior.codes):
+                assert [ids[code] for code in codes] == list(c.test_ids)
+
+    def test_prefix_equals_revalidated_prefix(self):
+        h = churn_history(4)
+        for pos in (1, 10, 33):
+            again = validate_history(h.cycles[:pos])
+            prefix = history_prefix(h, pos)
+            assert prefix == again
+            assert all(np.array_equal(a, b) for a, b in zip(prefix.codes, again.codes))
+
+    def test_prefix_length_out_of_range(self, small_history):
+        for pos in (0, -1, small_history.n_cycles + 1):
+            with pytest.raises(IndexError):
+                history_prefix(small_history, pos)
 
 
 class TestSliceRecent:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from testprio.domain import HistoryWindow, Verdict, slice_recent, validate_history
+from testprio.domain import (
+    HistoryWindow,
+    Verdict,
+    history_prefix,
+    slice_recent,
+    validate_history,
+)
 from testprio.errors import (
     AlphaOutOfRange,
     DimensionMismatch,
@@ -20,7 +26,7 @@ from testprio.features import (
     standardize,
 )
 
-from .conftest import cyc, history
+from .conftest import churn_history, cyc, history
 
 F = Verdict.FAIL
 P = Verdict.PASS
@@ -211,6 +217,18 @@ class TestBuildTrainingSet:
             v = build_feature_vector(w, ts.test_ids[i], cfg, as_of_cycle=pos)
             assert np.allclose(v.values, ts.X[i], atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_vectorized_matches_per_test_op_on_churn(self, seed):
+        h = churn_history(seed)
+        cfg = FeatureConfig()
+        for fraction in (0.1, 0.5):
+            w = slice_recent(history_prefix(h, h.n_cycles - 5), fraction)
+            ts = build_training_set(w, cfg)
+            for i in range(0, ts.n_examples, 7):
+                pos = h.cycle_index(int(ts.group_cycle_ids[i]))
+                v = build_feature_vector(w, ts.test_ids[i], cfg, as_of_cycle=pos)
+                assert np.array_equal(v.values, ts.X[i])
+
 
 class TestStandardize:
     def test_identity_stats(self):
@@ -247,6 +265,22 @@ class TestFeatureMatrix:
         for i, tid in enumerate(ids):
             v = build_feature_vector(w, tid, cfg, as_of_cycle=w.hi)
             assert np.allclose(rows[i], v.values, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_matches_per_test_vectors_on_churn(self, seed):
+        # includes tests that ran before the window but not inside it
+        h = churn_history(seed)
+        cfg = FeatureConfig()
+        prior = history_prefix(h, h.n_cycles - 1)
+        for fraction in (0.05, 0.3, 1.0):
+            w = slice_recent(prior, fraction)
+            ids = list(prior.registry)
+            if fraction == 0.05:
+                assert set(ids) - {t for c in w.cycles for t in c.test_ids}
+            rows = feature_matrix(w, ids, cfg)
+            for i, tid in enumerate(ids):
+                v = build_feature_vector(w, tid, cfg, as_of_cycle=w.hi)
+                assert np.array_equal(rows[i], v.values)
 
     def test_unknown_test_error_and_fallback(self):
         w = _three_cycle_window()

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from testprio.domain import slice_recent
+from testprio.domain import history_prefix, slice_recent
 from testprio.errors import EmptyTestSet, KeyMismatch
 from testprio.features import FeatureConfig, StandardizationStats
 from testprio.rankers import (
@@ -30,7 +30,7 @@ from testprio.rankers import (
     serialize_model,
 )
 
-from .conftest import cyc, history, toy_training_set
+from .conftest import churn_history, cyc, history, toy_training_set
 
 
 class TestTieBreak:
@@ -103,7 +103,40 @@ def _window_with_failures():
     ), 1.0)
 
 
+def _loop_rocket(window, test_ids, params=RocketParams()):
+    """Reference: the per-execution scan that the coded row sum replaced."""
+    priorities = {tid: 0.0 for tid in test_ids}
+    wanted = set(test_ids)
+    for age, c in enumerate(reversed(window.cycles), start=1):
+        if age == 1:
+            w = params.weight_most_recent
+        elif age == 2:
+            w = params.weight_second
+        else:
+            w = params.weight_older
+        for tid, failed in zip(c.test_ids, c.failed):
+            if failed and tid in wanted:
+                priorities[tid] += w
+    return priorities
+
+
 class TestRocket:
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_matches_per_execution_loop_on_churn(self, seed):
+        h = churn_history(seed)
+        pos = h.n_cycles - 1
+        prior = history_prefix(h, pos)
+        params = RocketParams(weight_most_recent=0.3, weight_second=0.25, weight_older=0.15)
+        for fraction in (0.05, 0.4, 1.0):
+            w = slice_recent(prior, fraction)
+            in_window = {t for c in w.cycles for t in c.test_ids}
+            ids = list(h.cycles[pos].test_ids) + ["NEVER-SEEN"]
+            ids += [t for t in prior.registry if t not in in_window][:2]
+            if fraction == 0.05:
+                assert set(ids) - in_window - {"NEVER-SEEN"}  # absent from window
+            for p in (RocketParams(), params):
+                assert rocket_priorities(w, ids, p) == _loop_rocket(w, ids, p)
+
     def test_weighted_sums(self):
         # oracle: A fails only in most recent -> 0.7
         #         B fails in 2nd and 3rd most recent -> 0.2 + 0.1 = 0.3
