@@ -46,6 +46,6 @@ for kind in RankerKind:
     else:
         model = FITTERS[kind](training, with_seed(default_params(kind), 1))
         suite = rank_cycle(model, list(target.test_ids), durations, rows)
-    top = [e.test_id for e in suite.entries[:5]]
+    top = list(suite.test_ids[:5])
     hits = sum(t in actually_failing for t in top)
     print(f"{kind.value:7s} top-5: {top}  (failing tests in top-5: {hits})")

@@ -326,14 +326,19 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def emit_report(result: GridResult, out_dir: str | Path) -> dict[str, Path]:
-    """Write report.csv, report.json and the plot data files; returns the
-    paths keyed by artifact name.  Byte-deterministic for a given result."""
+def _make_out_dir(out_dir: str | Path) -> Path:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {out}: {exc}") from exc
+    return out
+
+
+def emit_report(result: GridResult, out_dir: str | Path) -> dict[str, Path]:
+    """Write report.csv, report.json and the plot data files; returns the
+    paths keyed by artifact name.  Byte-deterministic for a given result."""
+    out = _make_out_dir(out_dir)
 
     missing = [
         (r, h, b)

@@ -140,24 +140,19 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     }
 
     if args.out:
-        from .bench import _write_atomic
+        from .bench import _fmt, _make_out_dir, _write_atomic
 
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _make_out_dir(args.out)
         _write_atomic(out / "summary.json",
                       (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
         rows = ["cycle_id,faults_present,faults_detected,executed,elapsed_s,"
                 "apfd,napfd,tdff_pct,tdlf_pct,train_s,rank_s,degenerate"]
         for o in outcomes:
             met = o.metrics
-
-            def fmt(v):
-                return "" if v is None else repr(float(v))
-
             rows.append(",".join([
                 str(o.cycle_id), str(o.faults_present), str(o.faults_detected),
-                str(o.executed), repr(o.elapsed_s), fmt(met.apfd), fmt(met.napfd),
-                fmt(met.tdff_pct), fmt(met.tdlf_pct), repr(o.train_seconds),
+                str(o.executed), repr(o.elapsed_s), _fmt(met.apfd), _fmt(met.napfd),
+                _fmt(met.tdff_pct), _fmt(met.tdlf_pct), repr(o.train_seconds),
                 repr(o.rank_seconds), str(int(o.degenerate)),
             ]))
         _write_atomic(out / "cycles.csv", ("\n".join(rows) + "\n").encode())

@@ -3,8 +3,9 @@
 APFD rewards orderings that place failing tests early; NAPFD extends it to
 budget-cut prefixes by scaling with the fraction of faults actually
 detected.  TDFF/TDLF report the simulated time to the first/last detected
-fault as a percentage of the cycle's budget.  Each failing test counts as
-one unique fault (the histories carry no fault-to-test mapping).
+fault as a percentage of the cycle's budget, from the executed prefix's
+columns.  Each failing test counts as one unique fault (the histories carry
+no fault-to-test mapping).
 
 Metrics that are undefined for a cycle (no faults present, no fault
 detected) are reported as ``None`` and excluded from aggregation, never
@@ -20,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     EmptyOutcomeList,
     NoFaults,
     NonPositiveBudget,
@@ -70,33 +72,29 @@ def napfd(detected_positions: Sequence[int], n_executed: int, total_faults: int)
     return p - sum(detected_positions) / (n_executed * total_faults) + p / (2 * n_executed)
 
 
-def tdff(executed: Sequence[tuple[float, bool]], budget: float) -> float | None:
-    """Time (as % of budget) to reach the first executed failure.
-
-    ``executed`` lists (duration_s, failed) in execution order; returns
-    ``None`` when no executed test failed.
-    """
-    return _time_to_fault(executed, budget, last=False)
+def tdff(durations: Sequence[float], failed: Sequence[bool],
+         budget: float) -> float | None:
+    """Time (as % of budget) to reach the first executed failure, or ``None``
+    when none failed; takes the executed prefix's columns in execution order."""
+    return _time_to_fault(durations, failed, budget, last=False)
 
 
-def tdlf(executed: Sequence[tuple[float, bool]], budget: float) -> float | None:
+def tdlf(durations: Sequence[float], failed: Sequence[bool],
+         budget: float) -> float | None:
     """Time (as % of budget) to reach the last executed failure."""
-    return _time_to_fault(executed, budget, last=True)
+    return _time_to_fault(durations, failed, budget, last=True)
 
 
-def _time_to_fault(executed: Sequence[tuple[float, bool]], budget: float,
-                   last: bool) -> float | None:
+def _time_to_fault(durations: Sequence[float], failed: Sequence[bool],
+                   budget: float, last: bool) -> float | None:
     if not (budget > 0 and math.isfinite(budget)):
         raise NonPositiveBudget(f"budget must be positive, got {budget}")
-    elapsed = 0.0
-    hit: float | None = None
-    for duration, failed in executed:
-        elapsed += duration
-        if failed:
-            hit = elapsed
-            if not last:
-                break
-    return None if hit is None else 100.0 * hit / budget
+    if len(durations) != len(failed):
+        raise DimensionMismatch("durations and failed flags differ in length")
+    hits = np.flatnonzero(failed)
+    if not len(hits):
+        return None
+    return 100.0 * float(np.cumsum(durations)[hits[-1] if last else hits[0]]) / budget
 
 
 @dataclass(frozen=True)

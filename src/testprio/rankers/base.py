@@ -1,10 +1,10 @@
 """Ranker kinds, the shared tie-breaking total order, the two heuristic
 rankers (random and recency-weighted), model containers and serialization.
 
-All six strategies produce a :class:`RankedSuite`: a permutation of the
-cycle's tests ordered by (score desc, duration asc, test_id asc).  The
-duration tie rule executes cheap tests first among equally suspicious ones;
-the final lexicographic leg makes the order total.
+All six strategies produce a :class:`RankedSuite` (columns in execution
+order): the cycle's tests ordered by (score desc, duration asc, test_id
+asc).  The duration tie rule executes cheap tests first among equally
+suspicious ones; the final lexicographic leg makes the order total.
 """
 
 from __future__ import annotations
@@ -152,29 +152,40 @@ class RankedTest:
     duration_s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedSuite:
-    entries: tuple[RankedTest, ...]
+    """A ranking as parallel columns in execution order; ``entries`` builds
+    the :class:`RankedTest` rows (Python floats) only when asked."""
+    test_ids: tuple[str, ...]
+    scores: np.ndarray     # float64
+    durations: np.ndarray  # float64
     ordering: str = ORDERING_KEY
 
     @property
-    def test_ids(self) -> tuple[str, ...]:
-        return tuple(e.test_id for e in self.entries)
+    def entries(self) -> tuple[RankedTest, ...]:
+        return tuple(map(RankedTest, self.test_ids, self.scores.tolist(),
+                         self.durations.tolist()))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.test_ids)
+
+    def __eq__(self, other: object) -> bool:  # same ids, scores, durations, order
+        return (isinstance(other, RankedSuite) and self.test_ids == other.test_ids
+                and np.array_equal(self.scores, other.scores)
+                and np.array_equal(self.durations, other.durations))
 
 
 def rank_with_tie_break(scores: Mapping[str, float],
                         durations: Mapping[str, float]) -> RankedSuite:
-    """Total order: score descending, then duration ascending, then test id."""
+    """Score descending, then duration ascending, then test id (stable lexsort
+    of the id-sorted columns)."""
     if set(scores) != set(durations):
         raise KeyMismatch("scores and durations must cover the same tests")
-    entries = [
-        RankedTest(tid, float(scores[tid]), float(durations[tid])) for tid in scores
-    ]
-    entries.sort(key=lambda e: (-e.score, e.duration_s, e.test_id))
-    return RankedSuite(entries=tuple(entries))
+    ids = sorted(scores)
+    s = np.array([scores[tid] for tid in ids], dtype=np.float64)
+    d = np.array([durations[tid] for tid in ids], dtype=np.float64)
+    order = np.lexsort((d, -s))
+    return RankedSuite(tuple(ids[i] for i in order.tolist()), s[order], d[order])
 
 
 def random_rank(test_ids: Sequence[str], durations: Mapping[str, float],
@@ -399,9 +410,12 @@ def serialize_model(model: Model) -> bytes:
 
 def deserialize_model(data: bytes) -> Model:
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"not a serialized model: {exc}") from exc
+        return _model_from_doc(json.loads(data.decode("utf-8")))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"not a serialized model: {exc!r}") from exc
+
+
+def _model_from_doc(doc: dict) -> Model:
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ModelFormatError(f"unsupported schema_version {doc.get('schema_version')!r}")
 

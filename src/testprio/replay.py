@@ -2,8 +2,9 @@
 
 For each evaluation cycle: slice the most recent fraction of the *prior*
 cycles into a training window, fit the configured ranker (when it trains),
-rank the cycle's tests, cut the ranking at the time budget, and replay the
-recorded verdicts of that cycle against the executed prefix.
+rank the cycle's tests, cut the ranking at the time budget (a read of the
+ranking's cumulative durations), and replay the recorded verdicts of that
+cycle against the executed prefix.
 
 Leakage rules: training windows, feature inputs, tie-break durations and
 budget-cut durations are all derived exclusively from the prior history,
@@ -108,17 +109,13 @@ class CycleOutcome:
 
 def cut_by_budget(ranking: RankedSuite, budget_s: float) -> tuple[int, float]:
     """Longest prefix whose cumulative duration fits the budget; a test that
-    would overflow is not started."""
+    would overflow is not started.  Durations are positive, so the
+    cumulative sum never decreases and one ``searchsorted`` finds the cut."""
     if not (budget_s > 0 and math.isfinite(budget_s)):
         raise NonPositiveBudget(f"budget must be positive, got {budget_s}")
-    elapsed = 0.0
-    executed = 0
-    for entry in ranking.entries:
-        if elapsed + entry.duration_s > budget_s:
-            break
-        elapsed += entry.duration_s
-        executed += 1
-    return executed, elapsed
+    elapsed = np.cumsum(ranking.durations)
+    executed = int(np.searchsorted(elapsed, budget_s, side="right"))
+    return executed, float(elapsed[executed - 1]) if executed else 0.0
 
 
 # --- deterministic cost model ---------------------------------------------------
@@ -228,26 +225,21 @@ def _replay_at(prior: TestHistory, cycle: Cycle, cfg: ReplayConfig,
     train_s = train_units / NOMINAL_OPS_PER_SECOND
     rank_s = rank_units / NOMINAL_OPS_PER_SECOND
 
-    failed_at_c = {tid: bool(f) for tid, f in zip(cycle.test_ids, cycle.failed)}
-    fault_positions = [
-        i + 1 for i, e in enumerate(ranking.entries) if failed_at_c[e.test_id]
-    ]
+    failed_at_c = dict(zip(cycle.test_ids, cycle.failed.tolist()))
+    failed = np.array([*map(failed_at_c.__getitem__, ranking.test_ids)], dtype=bool)
+    fault_positions = (np.flatnonzero(failed) + 1).tolist()
     m = len(fault_positions)
-    n = len(ranking)
+    apfd_v = apfd(fault_positions, len(ranking)) if m else None
 
     outcomes = []
     for budget in budgets:
         executed, elapsed = cut_by_budget(ranking, budget)
-        detected = tuple(p for p in fault_positions if p <= executed)
-        executed_entries = [
-            (e.duration_s, failed_at_c[e.test_id])
-            for e in ranking.entries[:executed]
-        ]
+        detected = tuple(fault_positions[:np.count_nonzero(failed[:executed])])
         metrics = CycleMetrics(
-            apfd=apfd(fault_positions, n) if m else None,
+            apfd=apfd_v,
             napfd=napfd(detected, executed, m) if m else None,
-            tdff_pct=tdff(executed_entries, budget),
-            tdlf_pct=tdlf(executed_entries, budget),
+            tdff_pct=tdff(ranking.durations[:executed], failed[:executed], budget),
+            tdlf_pct=tdlf(ranking.durations[:executed], failed[:executed], budget),
             faults_present=m,
             faults_detected=len(detected),
         )

@@ -138,6 +138,13 @@ class TestReplay:
         lines = (out / "cycles.csv").read_text().splitlines()
         assert len(lines) == 1 + 2
 
+    def test_out_path_is_a_file_exit_1(self, history_file, tmp_path, capsys):
+        path, _ = history_file
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["replay", str(path), "--ranker", "rocket", "--out", str(out)]) == 1
+        assert "cannot create" in capsys.readouterr().err
+
     def test_golden_summary(self, tmp_path, capsys):
         """Frozen summary from the first verified run of this configuration."""
         golden_path = DATA / "golden_replay_summary.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from testprio.errors import (
+    DimensionMismatch,
     EmptyOutcomeList,
     NoFaults,
     NonPositiveBudget,
@@ -125,24 +126,22 @@ class TestNapfd:
 class TestTimeToFault:
     def test_first_fault_midway(self):
         # oracle: cumulative 2+3 = 5 of budget 10 -> 50%
-        executed = [(2.0, False), (3.0, True), (4.0, False)]
-        assert tdff(executed, 10.0) == pytest.approx(50.0)
+        assert tdff([2.0, 3.0, 4.0], [False, True, False], 10.0) == pytest.approx(50.0)
 
     def test_first_test_consumes_whole_budget(self):
-        assert tdff([(10.0, True)], 10.0) == pytest.approx(100.0)
+        assert tdff([10.0], [True], 10.0) == pytest.approx(100.0)
 
     def test_undefined_without_failures(self):
-        assert tdff([(2.0, False)], 10.0) is None
-        assert tdlf([], 10.0) is None
+        assert tdff([2.0], [False], 10.0) is None
+        assert tdlf([], [], 10.0) is None
 
     def test_last_fault(self):
         # oracle: fails at positions 1 and 3 -> 2+3+4 = 9 of 10 -> 90%
-        executed = [(2.0, True), (3.0, False), (4.0, True)]
-        assert tdlf(executed, 10.0) == pytest.approx(90.0)
+        assert tdlf([2.0, 3.0, 4.0], [True, False, True], 10.0) == pytest.approx(90.0)
 
     def test_single_fault_tdff_equals_tdlf(self):
-        executed = [(1.0, False), (2.0, True), (3.0, False)]
-        assert tdff(executed, 6.0) == tdlf(executed, 6.0)
+        durations, failed = [1.0, 2.0, 3.0], [False, True, False]
+        assert tdff(durations, failed, 6.0) == tdlf(durations, failed, 6.0)
 
     def test_tdff_le_tdlf(self):
         rng = np.random.default_rng(4)
@@ -150,14 +149,47 @@ class TestTimeToFault:
             n = int(rng.integers(1, 10))
             executed = [(float(rng.uniform(0.1, 3)), bool(rng.random() < 0.4))
                         for _ in range(n)]
-            first, last = tdff(executed, 10.0), tdlf(executed, 10.0)
+            durations, failed = [d for d, _ in executed], [f for _, f in executed]
+            first, last = tdff(durations, failed, 10.0), tdlf(durations, failed, 10.0)
             assert (first is None) == (last is None)
             if first is not None:
                 assert first <= last
 
     def test_non_positive_budget(self):
         with pytest.raises(NonPositiveBudget):
-            tdff([(1.0, True)], 0.0)
+            tdff([1.0], [True], 0.0)
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            tdlf([1.0, 2.0], [True], 5.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_running_sum_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 40))
+        durations = rng.choice([0.1, 0.2, 0.3, 0.7, 1.1, 1e-9], n).tolist()
+        failed = (rng.random(n) < 0.3).tolist()
+        running = np.cumsum(durations).tolist()
+        for budget in [*running, 0.3, 10.0]:  # budgets exactly on a cumulative sum
+            for fn, last in ((tdff, False), (tdlf, True)):
+                got = fn(durations, failed, budget)
+                assert got == _loop_time_to_fault(durations, failed, budget, last)
+                assert got is None or type(got) is float
+                # replay passes numpy columns
+                assert fn(np.array(durations), np.array(failed, dtype=bool), budget) == got
+
+
+def _loop_time_to_fault(durations, failed, budget, last):
+    """Reference: the running-sum loop that the cumulative-sum read replaced."""
+    elapsed = 0.0
+    hit = None
+    for duration, f in zip(durations, failed):
+        elapsed += duration
+        if f:
+            hit = elapsed
+            if not last:
+                break
+    return None if hit is None else 100.0 * hit / budget
 
 
 class _Outcome:

@@ -1,13 +1,15 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from testprio.domain import history_prefix, slice_recent
-from testprio.errors import EmptyTestSet, KeyMismatch
+from testprio.errors import EmptyTestSet, KeyMismatch, ModelFormatError
 from testprio.features import FeatureConfig, StandardizationStats
 from testprio.rankers import (
     Model,
+    RankedTest,
     RankerKind,
     RocketParams,
     SvmParams,
@@ -59,6 +61,47 @@ class TestTieBreak:
         durations = {t: float(rng.choice([1.0, 2.0])) for t in ids}
         rs = rank_with_tie_break(scores, durations)
         assert sorted(rs.test_ids) == sorted(ids)
+
+
+def _sorted_rows(scores, durations):
+    """Reference: the row-object sort that the lexsort replaced."""
+    rows = [RankedTest(t, float(scores[t]), float(durations[t])) for t in scores]
+    rows.sort(key=lambda e: (-e.score, e.duration_s, e.test_id))
+    return tuple(rows)
+
+
+class TestTieBreakMatchesRowSort:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_heavy_ties_signed_zeros_and_insertion_order(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 120))
+        ids = [f"T{int(i):03d}" for i in rng.permutation(n)]  # inserted out of order
+        score_values = [0.0, -0.0, 0.5, -0.5, 1.0, 0.1 + 0.2, 0.3, -np.inf, np.inf]
+        scores = {t: score_values[int(rng.integers(len(score_values)))] for t in ids}
+        durations = {t: float(rng.choice([0.1, 0.2, 0.30000000000000004, 0.3, 1.0]))
+                     for t in ids}
+        rs = rank_with_tie_break(scores, durations)
+        expected = _sorted_rows(scores, durations)
+        assert rs.test_ids == tuple(e.test_id for e in expected)
+        assert rs.entries == expected
+        assert len(rs) == n
+
+    def test_numpy_scalar_scores(self):
+        values = np.array([0.25, 0.25, -0.0, 0.0, 0.75])
+        scores = dict(zip(["e", "d", "c", "b", "a"], values))  # np.float64 values
+        durations = dict(zip(["a", "b", "c", "d", "e"], [1, 2, 2, 1, 1]))  # ints
+        rs = rank_with_tie_break(scores, durations)
+        assert rs.entries == _sorted_rows(scores, durations)
+        assert all(type(e.score) is float and type(e.duration_s) is float
+                   for e in rs.entries)
+
+    def test_equality_compares_ids_scores_and_durations_in_order(self):
+        base = rank_with_tie_break({"A": 0.9, "B": 0.1}, {"A": 1.0, "B": 2.0})
+        assert base == rank_with_tie_break({"B": 0.1, "A": 0.9}, {"B": 2.0, "A": 1.0})
+        assert base != rank_with_tie_break({"A": 0.9, "B": 0.2}, {"A": 1.0, "B": 2.0})
+        assert base != rank_with_tie_break({"A": 0.9, "B": 0.1}, {"A": 1.0, "B": 3.0})
+        assert base != rank_with_tie_break({"A": 0.9, "C": 0.1}, {"A": 1.0, "C": 2.0})
+        assert base != base.entries
 
 
 class TestRandomRank:
@@ -276,6 +319,19 @@ class TestScoreAndSerialization:
         probes = rng.normal(size=(25, 4))
         assert np.array_equal(score_matrix(m, probes), score_matrix(restored, probes))
         assert serialize_model(restored) == serialize_model(m)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: [],
+        lambda doc: 3,
+        lambda doc: {k: v for k, v in doc.items() if k != "payload"},
+        lambda doc: {**doc, "kind": "xgb"},
+        lambda doc: {**doc, "stats": "none"},
+    ], ids=["list", "number", "no-payload", "unknown-kind", "stats-not-object"])
+    def test_well_formed_json_that_is_not_a_model(self, mutate):
+        doc = json.loads(serialize_model(constant_model(RankerKind.SVM, FeatureConfig())))
+        with pytest.raises(ModelFormatError) as exc:
+            deserialize_model(json.dumps(mutate(doc)).encode())
+        assert exc.value.__cause__ is not None
 
     def test_constant_model_rank_falls_back_to_tie_rule(self):
         m = constant_model(RankerKind.SVM, FeatureConfig())

@@ -3,7 +3,8 @@ import pytest
 
 from testprio.domain import Cycle, validate_history
 from testprio.errors import HistoryTooShort, NonPositiveBudget, NoPriorHistory
-from testprio.rankers import RankedSuite, RankedTest, RankerKind
+from testprio.metrics import apfd, napfd
+from testprio.rankers import RankedSuite, RankerKind
 from testprio.replay import (
     ReplayConfig,
     cut_by_budget,
@@ -12,11 +13,12 @@ from testprio.replay import (
     walk_forward_budgets,
 )
 
-from .conftest import cyc, history
+from .conftest import churn_history, cyc, history
 
 
 def _suite(*entries):
-    return RankedSuite(entries=tuple(RankedTest(t, s, d) for t, s, d in entries))
+    ids, scores, durations = zip(*entries)
+    return RankedSuite(test_ids=ids, scores=np.array(scores), durations=np.array(durations))
 
 
 class TestCutByBudget:
@@ -41,6 +43,32 @@ class TestCutByBudget:
     def test_non_positive_budget(self):
         with pytest.raises(NonPositiveBudget):
             cut_by_budget(_suite(("A", 1.0, 1.0)), 0.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_running_sum_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        durations = rng.choice([0.1, 0.2, 0.3, 0.7, 1.1, 1e-9, 3.3], n)
+        rs = _suite(*((f"T{i}", 0.0, d) for i, d in enumerate(durations)))
+        running = np.cumsum(durations)
+        budgets = [*running, *np.nextafter(running, 0.0), *np.nextafter(running, np.inf),
+                   0.3, 0.6, 1e-10, running[-1] * 2]  # exactly on, just below, just above
+        for budget in budgets:
+            got = cut_by_budget(rs, float(budget))
+            assert got == _loop_cut(durations.tolist(), float(budget))
+            assert type(got[0]) is int and type(got[1]) is float
+
+
+def _loop_cut(durations, budget_s):
+    """Reference: the running-sum loop that the cumulative-sum read replaced."""
+    elapsed = 0.0
+    executed = 0
+    for d in durations:
+        if elapsed + d > budget_s:
+            break
+        elapsed += d
+        executed += 1
+    return executed, elapsed
 
 
 def _replay_history():
@@ -224,3 +252,52 @@ class TestWalkForward:
             (outcome,) = walk_forward(h, cfg)
             assert outcome.degenerate
             assert outcome.ranking.test_ids == ("B", "C", "A")  # duration order
+
+
+class TestReplayMatchesRowLoops:
+    """The per-budget outcome fields against the per-entry loops they replaced,
+    on histories whose recorded test order differs from the ranked order."""
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("kind", [RankerKind.RANDOM, RankerKind.ROCKET])
+    def test_outcomes_match(self, seed, kind):
+        h = churn_history(seed)
+        avg = np.mean([c.duration_s.sum() for c in h.cycles])
+        budgets = [avg * f for f in (0.05, 0.2, 0.5, 1.0)]
+        cfg = ReplayConfig(ranker=kind, budget_s=budgets[-1], history_fraction=0.4,
+                           eval_fraction=0.2, base_seed=seed)
+        per_budget = walk_forward_budgets(h, cfg, budgets)
+        cycles = {c.cycle_id: c for c in h.cycles}
+        for budget, outcomes in zip(budgets, per_budget):
+            for o in outcomes:
+                cycle = cycles[o.cycle_id]
+                assert cycle.test_ids != o.ranking.test_ids or len(cycle.test_ids) < 3
+                assert _row_loop_outcome(o.ranking, cycle, budget) == (
+                    o.executed, o.elapsed_s, o.detected_positions, o.metrics.apfd,
+                    o.metrics.napfd, o.metrics.tdff_pct, o.metrics.tdlf_pct)
+
+
+def _row_loop_outcome(ranking, cycle, budget):
+    """Reference: the replay bookkeeping as per-entry loops over the rows."""
+    failed_at_c = {tid: bool(f) for tid, f in zip(cycle.test_ids, cycle.failed)}
+    faults = [i + 1 for i, e in enumerate(ranking.entries) if failed_at_c[e.test_id]]
+    executed, elapsed = _loop_cut([e.duration_s for e in ranking.entries], budget)
+    detected = tuple(p for p in faults if p <= executed)
+    run = [(e.duration_s, failed_at_c[e.test_id]) for e in ranking.entries[:executed]]
+    m = len(faults)
+    return (executed, elapsed, detected,
+            apfd(faults, len(ranking)) if m else None,
+            napfd(detected, executed, m) if m else None,
+            _loop_fault_time(run, budget, last=False),
+            _loop_fault_time(run, budget, last=True))
+
+
+def _loop_fault_time(run, budget, last):
+    elapsed, hit = 0.0, None
+    for duration, failed in run:
+        elapsed += duration
+        if failed:
+            hit = elapsed
+            if not last:
+                break
+    return None if hit is None else 100.0 * hit / budget
