@@ -10,6 +10,7 @@ suspicious ones; the final lexicographic leg makes the order total.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Mapping, Sequence
@@ -123,8 +124,17 @@ def default_params(kind: RankerKind) -> RankerParams:
     return PARAM_TYPES[kind]()
 
 
+# Smallest value each integer hyperparameter admits; below it a fit crashes
+# (zero batch, restarts or hidden width) or silently acts as the minimum.
+_INT_MINIMUM = {
+    "epochs": 0, "batch_size": 1, "restarts": 1, "hidden1": 1, "hidden2": 1,
+    "n_estimators": 0, "max_depth": 0, "min_samples_leaf": 1,
+}
+
+
 def params_from_config(kind: RankerKind, cfg: Mapping[str, str]) -> RankerParams:
-    """Build hyperparameters from dotted config keys (``svm.epochs = 20``)."""
+    """Build hyperparameters from dotted config keys (``svm.epochs = 20``);
+    a value of the wrong type or out of range raises ConfigError."""
     cls = PARAM_TYPES[kind]
     overrides = {}
     prefix = kind.value + "."
@@ -135,7 +145,17 @@ def params_from_config(kind: RankerKind, cfg: Mapping[str, str]) -> RankerParams
         spec = {f.name: f for f in fields(cls)}.get(name)
         if spec is None:
             raise cfgmod.ConfigError(f"unknown hyperparameter {key!r}")
-        overrides[name] = type(spec.default)(value)
+        try:
+            v = type(spec.default)(value)
+        except ValueError:
+            raise cfgmod.ConfigError(
+                f"key {key!r}: not {type(spec.default).__name__}: {value!r}") from None
+        if isinstance(v, float) and not math.isfinite(v):
+            raise cfgmod.ConfigError(f"key {key!r}: must be finite, got {value!r}")
+        if isinstance(v, int) and v < _INT_MINIMUM.get(name, v):
+            raise cfgmod.ConfigError(
+                f"key {key!r}: must be >= {_INT_MINIMUM[name]}, got {value!r}")
+        overrides[name] = v
     return cls(**overrides)
 
 

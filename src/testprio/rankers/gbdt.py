@@ -6,6 +6,18 @@ splits, then takes a shrunken Newton step per leaf:
 
     leaf value = sum(residual) / (sum(c * p * (1-p)) + 1e-9)
 
+Each node keeps, per feature, its rows in ascending feature order (stable,
+so ties stay in row order).  The gain is evaluated only at the admissible
+cuts: between two distinct adjacent values, with at least
+``min_samples_leaf`` rows on each side.  The residual prefix sums stay one
+sequential cumsum over the node's sorted rows, so a tree is the same as one
+that scores every sorted position.  The threshold is the midpoint of the two
+values, or the lower value when the midpoint rounds onto the upper one.
+
+The build records the leaf each training row lands in, and the training
+scores take the new tree's leaf values from there; the threshold rule makes
+that the leaf :func:`apply_tree` routes the row to.
+
 The training loss trace (weighted logloss after every stage, including the
 initial constant model) is stored in the payload so the non-increasing
 property can be checked after the fact.
@@ -23,7 +35,6 @@ from .base import (
     Model,
     RankerKind,
     _stable_sigmoid,
-    apply_tree,
     constant_model,
 )
 
@@ -31,10 +42,10 @@ _EPS_HESSIAN = 1e-9
 
 
 class _TreeBuilder:
-    def __init__(self, X: np.ndarray, presorted: list[np.ndarray],
+    def __init__(self, cols: list[np.ndarray], presorted: list[np.ndarray],
                  residual: np.ndarray, hessian: np.ndarray,
                  max_depth: int, min_leaf: int):
-        self.X = X
+        self.cols = cols            # per-feature contiguous columns, shared across trees
         self.presorted = presorted  # per-feature row order, shared across trees
         self.residual = residual
         self.hessian = hessian
@@ -45,6 +56,7 @@ class _TreeBuilder:
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
+        self.leaf_of = np.zeros(len(residual), dtype=np.int64)  # node each row reaches
 
     def _new_node(self) -> int:
         self.feature.append(-1)
@@ -58,6 +70,7 @@ class _TreeBuilder:
         num = self.residual[rows].sum()
         den = self.hessian[rows].sum() + _EPS_HESSIAN
         self.value[node] = float(num / den)
+        self.leaf_of[rows] = node
 
     def _best_split(self, sorted_rows: list[np.ndarray]):
         """Exact best (feature, threshold) by variance reduction; None when no
@@ -67,27 +80,25 @@ class _TreeBuilder:
             n = len(rows)
             if n < 2 * self.min_leaf:
                 break  # same n for every feature
-            values = self.X[rows, f]
-            r = self.residual[rows]
-            prefix = np.cumsum(r)
-            total = prefix[-1]
-            n_left = np.arange(1, n)
-            left_sum = prefix[:-1]
-            gain = left_sum**2 / n_left + (total - left_sum) ** 2 / (n - n_left)
-            ok = (
-                (n_left >= self.min_leaf)
-                & (n - n_left >= self.min_leaf)
-                & (values[:-1] < values[1:])
-            )
-            if not ok.any():
+            values = self.cols[f][rows]
+            # a cut after sorted position i is admissible between distinct
+            # values and with min_leaf rows on each side (n_left = i + 1)
+            cand = np.flatnonzero(values[:-1] < values[1:])
+            cand = cand[np.searchsorted(cand, self.min_leaf - 1):
+                        np.searchsorted(cand, n - self.min_leaf)]
+            if not len(cand):
                 continue
-            gain = np.where(ok, gain, -np.inf)
+            prefix = np.cumsum(self.residual[rows])
+            total = prefix[-1]
+            n_left = cand + 1
+            left_sum = prefix[cand]
+            gain = left_sum**2 / n_left + (total - left_sum) ** 2 / (n - n_left)
             i = int(np.argmax(gain))
             base = total**2 / n
             if gain[i] - base <= 1e-12:  # no real variance reduction
                 continue
             if best is None or gain[i] - base > best[0]:
-                best = (gain[i] - base, f, i)
+                best = (gain[i] - base, f, int(cand[i]))
         return best
 
     def build(self) -> GbdtTree:
@@ -101,9 +112,12 @@ class _TreeBuilder:
             value=np.array(self.value, dtype=np.float64),
         )
 
+    def _grows(self, n_rows: int, depth: int) -> bool:
+        return depth < self.max_depth and n_rows >= 2 * self.min_leaf
+
     def _grow(self, node: int, sorted_rows: list[np.ndarray], depth: int) -> None:
         rows = sorted_rows[0]
-        if depth >= self.max_depth or len(rows) < 2 * self.min_leaf:
+        if not self._grows(len(rows), depth):
             self._leaf(node, rows)
             return
         found = self._best_split(sorted_rows)
@@ -112,14 +126,30 @@ class _TreeBuilder:
             return
         _, f, cut = found
         split_rows = sorted_rows[f]
-        lo, hi = self.X[split_rows[cut], f], self.X[split_rows[cut + 1], f]
-        threshold = (lo + hi) / 2.0
+        lo, hi = self.cols[f][split_rows[cut]], self.cols[f][split_rows[cut + 1]]
+        mid = (lo + hi) / 2.0
+        # between adjacent doubles the midpoint can round onto hi, which
+        # apply_tree would then send left
+        threshold = mid if mid < hi else lo
 
         # children keep each feature's sort order by filtering on membership
-        in_left = np.zeros(len(self.X), dtype=bool)
-        in_left[split_rows[: cut + 1]] = True
-        left_sorted = [r[in_left[r]] for r in sorted_rows]
-        right_sorted = [r[~in_left[r]] for r in sorted_rows]
+        # (np.compress: boolean indexing is several times slower on the
+        # unpredictable masks); when both children will be leaves, they read
+        # only feature 0
+        n_left = cut + 1
+        either_grows = (self._grows(n_left, depth + 1)
+                        or self._grows(len(rows) - n_left, depth + 1))
+        in_left = np.zeros(len(self.residual), dtype=bool)
+        in_left[split_rows[:n_left]] = True
+        left_sorted, right_sorted = [], []
+        for g, r in enumerate(sorted_rows if either_grows else sorted_rows[:1]):
+            if g == f:
+                left_sorted.append(r[:n_left])
+                right_sorted.append(r[n_left:])
+            else:
+                mask = in_left[r]
+                left_sorted.append(np.compress(mask, r))
+                right_sorted.append(np.compress(~mask, r))
 
         self.feature[node] = f
         self.threshold[node] = float(threshold)
@@ -151,16 +181,18 @@ def fit_gbdt(ts: TrainingSet, hp: GbdtParams = GbdtParams()) -> Model:
     scores = np.full(len(y), base)
     trace = [_weighted_logloss(y, _stable_sigmoid(scores), c)]
 
-    presorted = [np.argsort(X[:, f], kind="stable") for f in range(X.shape[1])]
+    cols = [np.ascontiguousarray(X[:, f]) for f in range(X.shape[1])]
+    presorted = [np.argsort(col, kind="stable") for col in cols]
     trees = []
     for _ in range(hp.n_estimators):
         p = _stable_sigmoid(scores)
         residual = c * (y - p)
         hessian = c * p * (1.0 - p)
-        tree = _TreeBuilder(X, presorted, residual, hessian, hp.max_depth,
-                            hp.min_samples_leaf).build()
+        builder = _TreeBuilder(cols, presorted, residual, hessian, hp.max_depth,
+                               hp.min_samples_leaf)
+        tree = builder.build()
         trees.append(tree)
-        scores += hp.learning_rate * apply_tree(tree, X)
+        scores += hp.learning_rate * tree.value[builder.leaf_of]
         trace.append(_weighted_logloss(y, _stable_sigmoid(scores), c))
 
     payload = GbdtPayload(base_score=base, shrinkage=hp.learning_rate,

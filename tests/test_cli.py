@@ -209,6 +209,34 @@ class TestGrid:
                      "--out-dir", str(tmp_path / "r")]) == 2
         assert "decay" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("ann.batch_size", "0"),
+        ("ann.restarts", "0"),
+        ("lrn.restarts", "0"),
+        ("gbdt.min_samples_leaf", "-3"),
+        ("gbdt.max_depth", "-1"),
+        ("svm.batch_size", "0"),
+        ("lrn.hidden2", "0"),
+        ("ann.learning_rate", "nan"),
+        ("svm.epochs", "two"),
+    ])
+    def test_bad_hyperparameter_exit_2_before_any_fit(self, history_file, tmp_path,
+                                                       capsys, monkeypatch, key, value):
+        from testprio.rankers import FITTERS
+
+        def no_fit(*_):
+            raise AssertionError("a fit started")
+
+        for kind in list(FITTERS):
+            monkeypatch.setitem(FITTERS, kind, no_fit)
+        path, _ = history_file
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"rankers = {key.split('.')[0]}\n{key} = {value}\n")
+        assert main(["grid", str(path), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 
 def test_unknown_flag_is_an_error(history_file, capsys):
     path, _ = history_file

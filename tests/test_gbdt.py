@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from testprio.rankers import GbdtParams, fit_gbdt, score_matrix
+from testprio.domain import history_prefix, slice_recent
+from testprio.features import FeatureConfig, build_training_set
+from testprio.rankers import GbdtParams, apply_tree, fit_gbdt, score_matrix, serialize_model
 from testprio.rankers.base import _stable_sigmoid
+from testprio.rankers.gbdt import _TreeBuilder
 
 from .conftest import toy_training_set
+from .gbdt_reference import ReferenceTreeBuilder, reference_fit_gbdt
 
 
 def _random_set(n, d, seed, pos_rate=0.4):
@@ -14,6 +18,47 @@ def _random_set(n, d, seed, pos_rate=0.4):
     if y.min() == y.max():
         y[0] = 1.0 - y[0]
     return toy_training_set(X, y)
+
+
+def _tied_set(n, seed):
+    """Heavy ties: binary, quantized and constant columns, and two columns
+    whose few low (high) rows allow a cut with as few as ``1 + seed % 6``
+    rows on one side, so min_samples_leaf admits it on one side only."""
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n) < 0.35).astype(float)
+    y[:8] = 1.0
+    k = 1 + seed % 6
+    few_low = np.zeros(n)
+    few_low[rng.choice(np.flatnonzero(y > 0.5), k, replace=False)] = -1.0
+    few_high = np.zeros(n)
+    few_high[rng.choice(np.flatnonzero(y > 0.5), k, replace=False)] = 1.0
+    X = np.column_stack([
+        np.logical_xor(y > 0.5, rng.random(n) < 0.3).astype(float),  # binary
+        np.round(rng.normal(size=n) + y, 1),                           # quantized
+        np.full(n, 2.0),                                               # constant
+        few_low,
+        few_high,
+        rng.integers(0, 4, n).astype(float),
+        rng.normal(size=n),
+    ])
+    return toy_training_set(X, y)
+
+
+def _leaf_nodes(tree, X):
+    """Leaf node each row reaches, walked one row at a time."""
+    out = []
+    for x in X:
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = x[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        out.append(node)
+    return np.array(out)
+
+
+def _builder_inputs(X):
+    cols = [np.ascontiguousarray(X[:, f]) for f in range(X.shape[1])]
+    return cols, [np.argsort(col, kind="stable") for col in cols]
 
 
 def brute_force_best_split(X, residual, min_leaf=2):
@@ -79,14 +124,67 @@ class TestTreeFitting:
         model = fit_gbdt(ts, GbdtParams(n_estimators=3, min_samples_leaf=5))
         Xs = ts.standardized()
         for tree in model.payload.trees:
-            # count samples reaching each leaf
-            from testprio.rankers import apply_tree
+            reached = np.bincount(_leaf_nodes(tree, Xs), minlength=len(tree.feature))
+            for node in np.flatnonzero(tree.feature < 0):
+                assert reached[node] >= 5
 
-            leaf_values = apply_tree(tree, Xs)
-            for node, feat in enumerate(tree.feature):
-                if feat < 0 and not np.isclose(tree.value[node], 0):
-                    reached = np.isclose(leaf_values, tree.value[node]).sum()
-                    assert reached >= 5
+    def test_threshold_between_adjacent_doubles(self):
+        lo = np.nextafter(1.0, 2.0)
+        hi = np.nextafter(lo, 2.0)
+        assert (lo + hi) / 2.0 == hi  # the midpoint rounds onto hi
+        X = np.array([[lo], [lo], [hi], [hi]])
+        ts = toy_training_set(X, np.array([1.0, 1.0, 0.0, 0.0]), standardize=False)
+        model = fit_gbdt(ts, GbdtParams(n_estimators=1, max_depth=1, min_samples_leaf=1))
+        assert lo <= model.payload.trees[0].threshold[0] < hi
+        s = score_matrix(model, X)
+        assert s[0] == s[1] > s[2] == s[3]
+
+        residual = np.array([1.0, 1.0, -1.0, -1.0])
+        builder = _TreeBuilder(*_builder_inputs(X), residual, np.ones(4),
+                               max_depth=1, min_leaf=1)
+        tree = builder.build()
+        assert np.array_equal(builder.leaf_of, _leaf_nodes(tree, X))
+        assert np.array_equal(tree.value[builder.leaf_of], apply_tree(tree, X))
+
+
+class TestMatchesReferenceBuild:
+    """The fast build against the straightforward one in gbdt_reference."""
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5])
+    @pytest.mark.parametrize("max_depth", [0, 1, 2, 3, 4])
+    def test_fit_serializes_identically(self, min_leaf, max_depth):
+        hp = GbdtParams(n_estimators=6, max_depth=max_depth, min_samples_leaf=min_leaf)
+        for seed, n in [(0, 40), (1, 97), (4, 160), (5, 23)]:
+            ts = _tied_set(n, seed)
+            assert serialize_model(fit_gbdt(ts, hp)) == serialize_model(
+                reference_fit_gbdt(ts, hp))
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5])
+    @pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+    def test_tree_and_build_leaves_match(self, min_leaf, max_depth):
+        for seed in range(6):
+            X = _tied_set(30 + 25 * seed, seed).standardized()
+            rng = np.random.default_rng(seed)
+            residual = np.round(rng.normal(size=len(X)), 1 + seed % 2)
+            hessian = rng.random(len(X))
+            cols, presorted = _builder_inputs(X)
+            builder = _TreeBuilder(cols, presorted, residual, hessian, max_depth, min_leaf)
+            tree = builder.build()
+            ref = ReferenceTreeBuilder(X, presorted, residual, hessian, max_depth,
+                                       min_leaf).build()
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert np.array_equal(getattr(tree, name), getattr(ref, name)), name
+            assert np.array_equal(builder.leaf_of, _leaf_nodes(tree, X))
+            assert np.array_equal(tree.value[builder.leaf_of], apply_tree(tree, X))
+
+    @pytest.mark.parametrize("fixture", ["persistent_history", "regime_shift_history"])
+    def test_acceptance_windows(self, fixture, request):
+        h = request.getfixturevalue(fixture)
+        window = slice_recent(history_prefix(h, h.n_cycles - 1), 0.6)
+        ts = build_training_set(window, FeatureConfig())
+        hp = GbdtParams(n_estimators=40)
+        assert serialize_model(fit_gbdt(ts, hp)) == serialize_model(
+            reference_fit_gbdt(ts, hp))
 
 
 class TestLossTrace:
