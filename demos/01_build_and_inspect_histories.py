@@ -5,11 +5,11 @@ Run:  python demos/01_build_and_inspect_histories.py
 
 import io
 
+import numpy as np
+
 from testprio import (
     Cycle,
-    Execution,
     SyntheticSpec,
-    Verdict,
     average_suite_duration,
     budget_schedule,
     dataset_stats,
@@ -22,12 +22,12 @@ from testprio import (
 # 1. By hand: three cycles of two tests.  validate_history checks the
 #    invariants (strictly increasing cycle ids, positive durations, no
 #    duplicate test per cycle) and fills the mean-duration registry.
+#    A cycle is three parallel columns: test ids, failed flags, durations.
 cycles = []
-for cid, a_verdict in enumerate([Verdict.FAIL, Verdict.FAIL, Verdict.PASS]):
-    cycles.append(Cycle.from_executions(cid, [
-        Execution("login_test", a_verdict, duration_s=3.0 + cid),
-        Execution("search_test", Verdict.PASS, duration_s=1.5),
-    ]))
+for cid, login_failed in enumerate([True, True, False]):
+    cycles.append(Cycle(cid, ("login_test", "search_test"),
+                        failed=np.array([login_failed, False]),
+                        duration_s=np.array([3.0 + cid, 1.5])))
 history = validate_history(cycles)
 print("hand-built registry (mean durations):", history.registry)
 

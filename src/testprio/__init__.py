@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 from .domain import (
     BudgetSchedule,
     Cycle,
-    Execution,
     HistoryWindow,
     TestHistory,
-    Verdict,
     average_suite_duration,
     budget_schedule,
     slice_recent,
@@ -17,12 +15,8 @@ from .domain import (
 )
 from .features import (
     FeatureConfig,
-    FeatureVector,
     TrainingSet,
-    build_feature_vector,
     build_training_set,
-    recency_failure_score,
-    standardize,
 )
 from .ingest import (
     ColumnMapping,
@@ -46,7 +40,6 @@ from .rankers import (
     random_rank,
     rank_with_tie_break,
     rocket_rank,
-    score,
 )
 from .replay import (
     CycleOutcome,
@@ -64,9 +57,7 @@ __all__ = [
     "Cycle",
     "CycleOutcome",
     "DatasetStats",
-    "Execution",
     "FeatureConfig",
-    "FeatureVector",
     "HistoryWindow",
     "Model",
     "RankedSuite",
@@ -75,12 +66,10 @@ __all__ = [
     "SyntheticSpec",
     "TestHistory",
     "TrainingSet",
-    "Verdict",
     "aggregate",
     "apfd",
     "average_suite_duration",
     "budget_schedule",
-    "build_feature_vector",
     "build_training_set",
     "cut_by_budget",
     "dataset_stats",
@@ -95,12 +84,9 @@ __all__ = [
     "preset_mapping_path",
     "random_rank",
     "rank_with_tie_break",
-    "recency_failure_score",
     "replay_cycle",
     "rocket_rank",
-    "score",
     "slice_recent",
-    "standardize",
     "tdff",
     "tdlf",
     "validate_history",

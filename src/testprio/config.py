@@ -41,10 +41,6 @@ def load_config(path: str | Path) -> dict[str, str]:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
-def dump_config(items: dict[str, str]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in sorted(items.items()))
-
-
 def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> float:
     if key not in cfg:
         if default is None:

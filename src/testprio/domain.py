@@ -2,9 +2,9 @@
 
 A :class:`TestHistory` is a chronologically ordered sequence of CI cycles.
 Each cycle records, per test, a pass/fail verdict and an execution duration
-in seconds.  Cycles are stored column-wise (numpy arrays) so that histories
-with millions of executions stay cheap to hold and scan; the row-oriented
-:class:`Execution` view is materialized only on demand.
+in seconds.  A :class:`Cycle` holds its executions as three parallel
+columns (test ids, bool failed flags, float64 durations), so that
+histories with millions of executions stay cheap to hold and scan.
 
 :func:`validate_history` codes each test id once, as its position in the
 registry (first-run order); later stages index columns by these codes
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,27 +33,6 @@ from .errors import (
 )
 
 
-class Verdict(Enum):
-    """Outcome of one test execution.  Anything that is neither a clean pass
-    nor a clean fail must be resolved (mapped or dropped) at ingestion time."""
-
-    PASS = "pass"
-    FAIL = "fail"
-
-
-@dataclass(frozen=True)
-class Execution:
-    """One test run inside one cycle."""
-
-    test_id: str
-    verdict: Verdict
-    duration_s: float
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict is Verdict.FAIL
-
-
 @dataclass(frozen=True, eq=False)
 class Cycle:
     """One CI cycle, stored column-wise.
@@ -67,21 +45,6 @@ class Cycle:
     test_ids: tuple[str, ...]
     failed: np.ndarray      # bool, shape (n,)
     duration_s: np.ndarray  # float64, shape (n,)
-
-    @classmethod
-    def from_executions(cls, cycle_id: int, executions: Sequence[Execution]) -> "Cycle":
-        ids = tuple(e.test_id for e in executions)
-        failed = np.array([e.failed for e in executions], dtype=bool)
-        durations = np.array([e.duration_s for e in executions], dtype=np.float64)
-        return cls(cycle_id, ids, failed, durations)
-
-    @property
-    def executions(self) -> tuple[Execution, ...]:
-        return tuple(self.iter_executions())
-
-    def iter_executions(self) -> Iterator[Execution]:
-        for tid, f, d in zip(self.test_ids, self.failed, self.duration_s):
-            yield Execution(tid, Verdict.FAIL if f else Verdict.PASS, float(d))
 
     def __len__(self) -> int:
         return len(self.test_ids)
@@ -122,12 +85,6 @@ class TestHistory:
     @property
     def n_executions(self) -> int:
         return sum(len(c) for c in self.cycles)
-
-    def cycle_index(self, cycle_id: int) -> int:
-        for i, c in enumerate(self.cycles):
-            if c.cycle_id == cycle_id:
-                return i
-        raise KeyError(cycle_id)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TestHistory):

@@ -1,4 +1,4 @@
-"""Feature engineering: from a history window to per-test vectors and
+"""Feature engineering: from a history window to feature matrices and
 cycle-grouped training sets.
 
 The feature layout for verdict window ``F`` (dimension ``d = F + 4``)::
@@ -14,6 +14,14 @@ test's registry mean duration divided by the registry maximum.
 
 Features for a reference cycle are computed only from strictly earlier
 cycles, so labels never leak into their own features.
+
+There is one feature path, and it is vectorized: the window becomes
+presence/failure matrices (one row per window cycle, one column per test
+code), and each reference cycle's features are read from their cumulative
+sums for every test at once.  :func:`build_training_set` stacks the rows
+of the tests that ran in each labeled cycle; :func:`feature_matrix` gives
+the rows as of one past the window's end, for ranking.  Rows stay raw;
+a model applies its :class:`StandardizationStats` when it scores them.
 """
 
 from __future__ import annotations
@@ -23,13 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as cfgmod
-from .domain import HistoryWindow, Verdict
-from .errors import (
-    AlphaOutOfRange,
-    DimensionMismatch,
-    UnknownTest,
-    WindowTooSmall,
-)
+from .domain import HistoryWindow
+from .errors import AlphaOutOfRange, UnknownTest, WindowTooSmall
 
 
 @dataclass(frozen=True)
@@ -55,17 +58,6 @@ class FeatureConfig:
             decay=cfgmod.get_float(cfg, "decay", 0.8),
             standardize=cfgmod.get_bool(cfg, "standardize", True),
         )
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureVector:
-    test_id: str
-    values: np.ndarray  # float64, shape (d,)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureVector):
-            return NotImplemented
-        return self.test_id == other.test_id and np.array_equal(self.values, other.values)
 
 
 @dataclass(frozen=True)
@@ -115,15 +107,6 @@ class TrainingSet:
         starts = np.flatnonzero(np.diff(ids)) + 1
         bounds = np.concatenate(([0], starts, [len(ids)]))
         return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def recency_failure_score(verdicts_most_recent_first: list[Verdict], alpha: float) -> float:
-    """Sum of alpha**j over failing verdicts, j = 0 for the most recent."""
-    if not (0.0 < alpha < 1.0):
-        raise AlphaOutOfRange(f"alpha must be in (0, 1), got {alpha}")
-    return float(
-        sum(alpha ** j for j, v in enumerate(verdicts_most_recent_first) if v is Verdict.FAIL)
-    )
 
 
 class _WindowArrays:
@@ -177,51 +160,6 @@ class _WindowArrays:
         return out
 
 
-def build_feature_vector(window: HistoryWindow, test_id: str, cfg: FeatureConfig,
-                         as_of_cycle: int) -> FeatureVector:
-    """Features of one test as of position ``as_of_cycle`` in the source
-    history (must lie inside the window or one past its end); only cycles
-    strictly before it contribute.
-    """
-    if not (window.lo <= as_of_cycle <= window.hi):
-        raise ValueError(
-            f"as_of_cycle {as_of_cycle} outside window [{window.lo}, {window.hi}]"
-        )
-    registry = window.source.registry
-    if test_id not in registry:
-        raise UnknownTest(test_id)
-
-    F = cfg.verdict_window
-    values = np.zeros(cfg.dimension)
-    past = window.source.cycles[window.lo : as_of_cycle]
-
-    present = 0
-    fails = 0
-    recency = 0.0
-    # chronological Horner recurrence, bit-identical to the vectorized path
-    for j, cyc in enumerate(past):
-        failed_here = 0.0
-        try:
-            pos = cyc.test_ids.index(test_id)
-        except ValueError:
-            pos = -1
-        if pos >= 0:
-            present += 1
-            if cyc.failed[pos]:
-                failed_here = 1.0
-                fails += 1
-                dist = len(past) - 1 - j
-                if dist < F:
-                    values[dist] = 1.0
-        recency = cfg.decay * recency + failed_here
-    if past:
-        values[F] = present / len(past)
-        values[F + 1] = fails / present if present else 0.0
-        values[F + 2] = recency
-    values[F + 3] = registry[test_id] / max(registry.values())
-    return FeatureVector(test_id=test_id, values=values)
-
-
 def build_training_set(window: HistoryWindow, cfg: FeatureConfig) -> TrainingSet:
     """One example per executed test per window cycle except the first
     (which is feature-only): features as of that cycle, label = failed in it.
@@ -255,14 +193,6 @@ def compute_stats(X: np.ndarray) -> StandardizationStats:
     std = X.std(axis=0)
     std = np.where(std > 0, std, 1.0)  # zero-variance dims pass through
     return StandardizationStats(mean=mean, std=std)
-
-
-def standardize(v: FeatureVector, stats: StandardizationStats) -> FeatureVector:
-    if len(v.values) != stats.dimension:
-        raise DimensionMismatch(
-            f"vector has dimension {len(v.values)}, stats {stats.dimension}"
-        )
-    return FeatureVector(test_id=v.test_id, values=(v.values - stats.mean) / stats.std)
 
 
 def feature_matrix(window: HistoryWindow, test_ids: list[str], cfg: FeatureConfig,

@@ -35,7 +35,7 @@ logger = logging.getLogger(__name__)
 
 CANONICAL_HEADER = ("cycle_id", "test_id", "verdict", "duration_s")
 
-# Verdict roles a source token can map to.  Drop removes the row entirely:
+# Roles a source verdict token can map to.  Drop removes the row entirely:
 # coercing inconclusive runs to a pass would silently dilute failure rates.
 _ROLES = ("pass", "fail", "drop")
 

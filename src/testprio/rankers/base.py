@@ -26,11 +26,9 @@ from ..errors import (
     KeyMismatch,
     ModelFormatError,
 )
-from ..features import FeatureConfig, FeatureVector, StandardizationStats
+from ..features import FeatureConfig, StandardizationStats
 
 MODEL_SCHEMA_VERSION = 1
-
-ORDERING_KEY = "score_desc,duration_asc,test_id_asc"
 
 
 class RankerKind(Enum):
@@ -53,8 +51,36 @@ class RankerKind(Enum):
 
 # --- hyperparameters ---------------------------------------------------------
 
+# Smallest value each integer hyperparameter admits; below it a fit crashes
+# (zero batch, restarts or hidden width) or silently acts as the minimum.
+_INT_MINIMUM = {
+    "epochs": 0, "batch_size": 1, "restarts": 1, "hidden1": 1, "hidden2": 1,
+    "n_estimators": 0, "max_depth": 0, "min_samples_leaf": 1,
+}
+
+
+def _range_error(name: str, value: object) -> str | None:
+    """Why ``value`` is out of range for hyperparameter ``name``, or None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"must be finite, got {value!r}"
+    if isinstance(value, int) and value < _INT_MINIMUM.get(name, value):
+        return f"must be >= {_INT_MINIMUM[name]}, got {value!r}"
+    return None
+
+
+class _CheckedParams:
+    """Range checks run whenever a params dataclass is built (``with_seed``
+    included): every float finite, every integer at least its minimum."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            problem = _range_error(f.name, getattr(self, f.name))
+            if problem:
+                raise ValueError(f"{type(self).__name__}.{f.name} {problem}")
+
+
 @dataclass(frozen=True)
-class SvmParams:
+class SvmParams(_CheckedParams):
     l2: float = 1e-4
     epochs: int = 50
     learning_rate: float = 0.01   # decays as lr / sqrt(epoch)
@@ -63,7 +89,7 @@ class SvmParams:
 
 
 @dataclass(frozen=True)
-class AnnParams:
+class AnnParams(_CheckedParams):
     hidden1: int = 32
     hidden2: int = 16
     epochs: int = 50
@@ -74,7 +100,7 @@ class AnnParams:
 
 
 @dataclass(frozen=True)
-class GbdtParams:
+class GbdtParams(_CheckedParams):
     learning_rate: float = 0.1
     n_estimators: int = 100
     max_depth: int = 3
@@ -83,7 +109,7 @@ class GbdtParams:
 
 
 @dataclass(frozen=True)
-class LrnParams:
+class LrnParams(_CheckedParams):
     hidden1: int = 32
     hidden2: int = 16
     epochs: int = 50
@@ -94,7 +120,7 @@ class LrnParams:
 
 
 @dataclass(frozen=True)
-class RocketParams:
+class RocketParams(_CheckedParams):
     weight_most_recent: float = 0.7
     weight_second: float = 0.2
     weight_older: float = 0.1
@@ -102,7 +128,7 @@ class RocketParams:
 
 
 @dataclass(frozen=True)
-class RandomParams:
+class RandomParams(_CheckedParams):
     seed: int = 0
 
 
@@ -124,14 +150,6 @@ def default_params(kind: RankerKind) -> RankerParams:
     return PARAM_TYPES[kind]()
 
 
-# Smallest value each integer hyperparameter admits; below it a fit crashes
-# (zero batch, restarts or hidden width) or silently acts as the minimum.
-_INT_MINIMUM = {
-    "epochs": 0, "batch_size": 1, "restarts": 1, "hidden1": 1, "hidden2": 1,
-    "n_estimators": 0, "max_depth": 0, "min_samples_leaf": 1,
-}
-
-
 def params_from_config(kind: RankerKind, cfg: Mapping[str, str]) -> RankerParams:
     """Build hyperparameters from dotted config keys (``svm.epochs = 20``);
     a value of the wrong type or out of range raises ConfigError."""
@@ -150,11 +168,9 @@ def params_from_config(kind: RankerKind, cfg: Mapping[str, str]) -> RankerParams
         except ValueError:
             raise cfgmod.ConfigError(
                 f"key {key!r}: not {type(spec.default).__name__}: {value!r}") from None
-        if isinstance(v, float) and not math.isfinite(v):
-            raise cfgmod.ConfigError(f"key {key!r}: must be finite, got {value!r}")
-        if isinstance(v, int) and v < _INT_MINIMUM.get(name, v):
-            raise cfgmod.ConfigError(
-                f"key {key!r}: must be >= {_INT_MINIMUM[name]}, got {value!r}")
+        problem = _range_error(name, v)
+        if problem:
+            raise cfgmod.ConfigError(f"key {key!r}: {problem}")
         overrides[name] = v
     return cls(**overrides)
 
@@ -179,7 +195,6 @@ class RankedSuite:
     test_ids: tuple[str, ...]
     scores: np.ndarray     # float64
     durations: np.ndarray  # float64
-    ordering: str = ORDERING_KEY
 
     @property
     def entries(self) -> tuple[RankedTest, ...]:
@@ -297,12 +312,8 @@ class Model:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # never overflows
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def apply_tree(tree: GbdtTree, X: np.ndarray) -> np.ndarray:
@@ -351,11 +362,6 @@ def score_matrix(model: Model, X_raw: np.ndarray) -> np.ndarray:
             out += payload.shrinkage * apply_tree(tree, X)
         return out
     raise TypeError(f"unknown payload type {type(payload).__name__}")
-
-
-def score(model: Model, v: FeatureVector | np.ndarray) -> float:
-    values = v.values if isinstance(v, FeatureVector) else np.asarray(v, dtype=np.float64)
-    return float(score_matrix(model, values.reshape(1, -1))[0])
 
 
 def rank_cycle(model: Model, test_ids: Sequence[str], durations: Mapping[str, float],

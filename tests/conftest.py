@@ -5,18 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from testprio.domain import Cycle, Execution, TestHistory, Verdict, validate_history
+from testprio.domain import Cycle, TestHistory, validate_history
 from testprio.features import FeatureConfig, TrainingSet, compute_stats
 from testprio.ingest import SyntheticSpec, generate_synthetic
 
 
 def cyc(cycle_id: int, *rows: tuple[str, str, float]) -> Cycle:
     """Cycle from ("A", "fail", 1.5) style rows."""
-    executions = [
-        Execution(tid, Verdict.FAIL if verdict == "fail" else Verdict.PASS, dur)
-        for tid, verdict, dur in rows
-    ]
-    return Cycle.from_executions(cycle_id, executions)
+    return Cycle(cycle_id, tuple(r[0] for r in rows),
+                 np.array([r[1] == "fail" for r in rows], dtype=bool),
+                 np.array([r[2] for r in rows], dtype=np.float64))
 
 
 def history(*cycles: Cycle) -> TestHistory:

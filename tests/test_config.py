@@ -1,6 +1,6 @@
 import pytest
 
-from testprio.config import dump_config, get_bool, get_float, get_int, parse_config, subkeys
+from testprio.config import get_bool, get_float, get_int, parse_config, subkeys
 from testprio.errors import ConfigError
 
 
@@ -34,8 +34,3 @@ def test_typed_getters():
 def test_subkeys():
     cfg = parse_config("verdict_map.PASS = pass\nverdict_map.FAIL = fail\nother = 1\n")
     assert subkeys(cfg, "verdict_map") == {"PASS": "pass", "FAIL": "fail"}
-
-
-def test_dump_round_trips():
-    cfg = {"b": "2", "a": "1"}
-    assert parse_config(dump_config(cfg)) == cfg

@@ -3,7 +3,6 @@ import pytest
 
 from testprio.domain import (
     HistoryWindow,
-    Verdict,
     history_prefix,
     slice_recent,
     validate_history,
@@ -16,44 +15,58 @@ from testprio.errors import (
 )
 from testprio.features import (
     FeatureConfig,
-    FeatureVector,
     StandardizationStats,
-    build_feature_vector,
     build_training_set,
     compute_stats,
     feature_matrix,
-    recency_failure_score,
-    standardize,
 )
+from testprio.rankers import Model, RankerKind, SvmPayload, score_matrix
 
 from .conftest import churn_history, cyc, history
+from .oracles import build_feature_vector, recency_failure_score
 
-F = Verdict.FAIL
-P = Verdict.PASS
+F = True
+P = False
+
+
+def _recency_scores(failed_most_recent_first, alpha):
+    """The oracle's recency score and the program's recency feature (from
+    ``feature_matrix``) for one test with these verdicts."""
+    h = history(*(cyc(i, ("A", "fail" if f else "pass", 1.0))
+                  for i, f in enumerate(reversed(failed_most_recent_first))))
+    cfg = FeatureConfig(decay=alpha)
+    program = feature_matrix(slice_recent(h, 1.0), ["A"], cfg)[0, cfg.verdict_window + 2]
+    return recency_failure_score(failed_most_recent_first, alpha), program
 
 
 class TestRecencyScore:
     def test_single_most_recent_failure(self):
-        assert recency_failure_score([F], 0.8) == pytest.approx(1.0)
+        for s in _recency_scores([F], 0.8):
+            assert s == pytest.approx(1.0)
 
     def test_all_pass_is_zero(self):
-        assert recency_failure_score([P, P, P], 0.8) == 0.0
+        for s in _recency_scores([P, P, P], 0.8):
+            assert s == 0.0
 
     def test_direct_summation(self):
         # oracle: 1*0.8^0 + 0*0.8^1 + 1*0.8^2 = 1.64
-        assert recency_failure_score([F, P, F], 0.8) == pytest.approx(1.64)
+        for s in _recency_scores([F, P, F], 0.8):
+            assert s == pytest.approx(1.64)
 
     def test_alpha_out_of_range(self):
         for alpha in (0.0, 1.0, -0.2, 2.0):
             with pytest.raises(AlphaOutOfRange):
                 recency_failure_score([F], alpha)
+            with pytest.raises(AlphaOutOfRange):
+                FeatureConfig(decay=alpha)
 
     def test_monotone_in_added_failures(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             n = int(rng.integers(1, 12))
             verdicts = [F if rng.random() < 0.5 else P for _ in range(n)]
-            base = recency_failure_score(verdicts, 0.8)
+            base, program = _recency_scores(verdicts, 0.8)
+            assert program == pytest.approx(base)
             passes = [i for i, v in enumerate(verdicts) if v is P]
             for i in passes:
                 flipped = list(verdicts)
@@ -62,9 +75,10 @@ class TestRecencyScore:
 
     def test_bounded_by_geometric_sum(self):
         alpha = 0.8
-        score = recency_failure_score([F] * 200, alpha)
-        assert score <= 1.0 / (1.0 - alpha) + 1e-12
-        assert recency_failure_score([F] * 5, alpha) < 1.0 / (1.0 - alpha)
+        for score in _recency_scores([F] * 200, alpha):
+            assert score <= 1.0 / (1.0 - alpha) + 1e-12
+        for score in _recency_scores([F] * 5, alpha):
+            assert score < 1.0 / (1.0 - alpha)
 
 
 def _three_cycle_window():
@@ -76,6 +90,14 @@ def _three_cycle_window():
     return slice_recent(h, 1.0)
 
 
+def _vectors(w, test_id, as_of_cycle):
+    """The oracle's features of one test as of ``as_of_cycle`` and the
+    program's row for it (``feature_matrix`` on the window ending there)."""
+    cfg = FeatureConfig()
+    program = feature_matrix(HistoryWindow(w.source, w.lo, as_of_cycle), [test_id], cfg)[0]
+    return build_feature_vector(w, test_id, cfg, as_of_cycle=as_of_cycle), program
+
+
 class TestBuildFeatureVector:
     def test_never_executed_test_is_all_zero_history(self):
         h = history(
@@ -83,21 +105,21 @@ class TestBuildFeatureVector:
             cyc(1, ("A", "pass", 1.0), ("B", "fail", 2.0)),
         )
         w = slice_recent(h, 1.0)
-        v = build_feature_vector(w, "B", FeatureConfig(), as_of_cycle=1)
-        # slots, presence, rate, recency all zero; only duration is set
-        assert np.allclose(v.values[:7], 0.0)
-        assert v.values[7] == pytest.approx(1.0)  # B has the max duration
+        for v in _vectors(w, "B", 1):
+            # slots, presence, rate, recency all zero; only duration is set
+            assert np.allclose(v[:7], 0.0)
+            assert v[7] == pytest.approx(1.0)  # B has the max duration
 
     def test_fail_streak_slots_rate_and_score(self):
         # oracle: 3 prior failing cycles, F=4 -> slots [1,1,1,0],
         # rate 1.0, score 1 + 0.8 + 0.64 = 2.44
         w = _three_cycle_window()
-        v = build_feature_vector(w, "A", FeatureConfig(), as_of_cycle=3)
-        assert list(v.values[:4]) == [1.0, 1.0, 1.0, 0.0]
-        assert v.values[4] == pytest.approx(1.0)   # presence
-        assert v.values[5] == pytest.approx(1.0)   # failure rate
-        assert v.values[6] == pytest.approx(2.44)  # recency score
-        assert v.values[7] == pytest.approx(0.5)   # 2s / max 4s
+        for v in _vectors(w, "A", 3):
+            assert list(v[:4]) == [1.0, 1.0, 1.0, 0.0]
+            assert v[4] == pytest.approx(1.0)   # presence
+            assert v[5] == pytest.approx(1.0)   # failure rate
+            assert v[6] == pytest.approx(2.44)  # recency score
+            assert v[7] == pytest.approx(0.5)   # 2s / max 4s
 
     def test_duration_normalization_is_only_difference(self):
         # oracle: identical verdicts, durations 2 vs 4 (max 4) -> 0.5 vs 1.0
@@ -106,16 +128,17 @@ class TestBuildFeatureVector:
             cyc(1, ("A", "pass", 2.0), ("B", "pass", 4.0)),
         )
         w = slice_recent(h, 1.0)
-        va = build_feature_vector(w, "A", FeatureConfig(), as_of_cycle=2)
-        vb = build_feature_vector(w, "B", FeatureConfig(), as_of_cycle=2)
-        assert np.allclose(va.values[:7], vb.values[:7])
-        assert va.values[7] == pytest.approx(0.5)
-        assert vb.values[7] == pytest.approx(1.0)
+        for va, vb in zip(_vectors(w, "A", 2), _vectors(w, "B", 2)):
+            assert np.allclose(va[:7], vb[:7])
+            assert va[7] == pytest.approx(0.5)
+            assert vb[7] == pytest.approx(1.0)
 
     def test_unknown_test_raises(self):
         w = _three_cycle_window()
         with pytest.raises(UnknownTest):
             build_feature_vector(w, "ZZZ", FeatureConfig(), as_of_cycle=2)
+        with pytest.raises(UnknownTest):
+            feature_matrix(HistoryWindow(w.source, w.lo, 2), ["ZZZ"], FeatureConfig())
 
     def test_features_ignore_cycles_at_or_after_as_of(self):
         # no-leakage: verdict at the as_of cycle must not matter
@@ -131,9 +154,8 @@ class TestBuildFeatureVector:
         )
         w1 = slice_recent(h1, 1.0)
         w2 = slice_recent(h2, 1.0)
-        v1 = build_feature_vector(w1, "A", FeatureConfig(), as_of_cycle=2)
-        v2 = build_feature_vector(w2, "A", FeatureConfig(), as_of_cycle=2)
-        assert v1 == v2
+        for v1, v2 in zip(_vectors(w1, "A", 2), _vectors(w2, "A", 2)):
+            assert np.array_equal(v1, v2)
 
 
 class TestBuildTrainingSet:
@@ -205,55 +227,67 @@ class TestBuildTrainingSet:
             v = build_feature_vector(w2, ts.test_ids[i], cfg, as_of_cycle=pos)
             # duration normalization differs (registry shrinks), so compare
             # the history-derived components only
-            assert np.allclose(v.values[:7], ts.X[i, :7], atol=0, rtol=0)
+            assert np.allclose(v[:7], ts.X[i, :7], atol=0, rtol=0)
 
     def test_vectorized_matches_per_test_op(self, persistent_history):
         w = slice_recent(persistent_history, 0.2)
         cfg = FeatureConfig()
         ts = build_training_set(w, cfg)
+        positions = {c.cycle_id: i for i, c in enumerate(persistent_history.cycles)}
         for i in range(0, ts.n_examples, 211):
-            gid = int(ts.group_cycle_ids[i])
-            pos = persistent_history.cycle_index(gid)
+            pos = positions[int(ts.group_cycle_ids[i])]
             v = build_feature_vector(w, ts.test_ids[i], cfg, as_of_cycle=pos)
-            assert np.allclose(v.values, ts.X[i], atol=1e-12)
+            assert np.allclose(v, ts.X[i], atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_vectorized_matches_per_test_op_on_churn(self, seed):
         h = churn_history(seed)
         cfg = FeatureConfig()
+        positions = {c.cycle_id: i for i, c in enumerate(h.cycles)}
         for fraction in (0.1, 0.5):
             w = slice_recent(history_prefix(h, h.n_cycles - 5), fraction)
             ts = build_training_set(w, cfg)
             for i in range(0, ts.n_examples, 7):
-                pos = h.cycle_index(int(ts.group_cycle_ids[i]))
+                pos = positions[int(ts.group_cycle_ids[i])]
                 v = build_feature_vector(w, ts.test_ids[i], cfg, as_of_cycle=pos)
-                assert np.array_equal(v.values, ts.X[i])
+                assert np.array_equal(v, ts.X[i])
+
+
+def _linear_model(weights, stats):
+    return Model(kind=RankerKind.SVM, payload=SvmPayload(weights=weights, bias=0.0),
+                 stats=stats, config=FeatureConfig())
+
+
+def _standardize(values, stats):
+    """One raw row as ``score_matrix`` standardizes it, read component by
+    component through unit-weight linear models."""
+    return np.array([score_matrix(_linear_model(e, stats), values[None])[0]
+                     for e in np.eye(len(values))])
 
 
 class TestStandardize:
     def test_identity_stats(self):
-        v = FeatureVector("A", np.array([1.0, -2.0]))
+        v = np.array([1.0, -2.0])
         stats = StandardizationStats(mean=np.zeros(2), std=np.ones(2))
-        assert standardize(v, stats) == v
+        assert np.array_equal(_standardize(v, stats), v)
 
     def test_simple_arithmetic(self):
         # oracle: (4 - 2) / 2 = 1
-        v = FeatureVector("A", np.array([4.0]))
+        v = np.array([4.0])
         stats = StandardizationStats(mean=np.array([2.0]), std=np.array([2.0]))
-        assert standardize(v, stats).values[0] == pytest.approx(1.0)
+        assert _standardize(v, stats)[0] == pytest.approx(1.0)
 
     def test_zero_variance_passthrough(self):
         X = np.array([[3.0, 1.0], [3.0, 2.0]])
         stats = compute_stats(X)
         assert stats.std[0] == 1.0  # guarded
-        z = standardize(FeatureVector("A", np.array([3.0, 1.5])), stats)
-        assert z.values[0] == pytest.approx(0.0)  # value minus mean
+        z = _standardize(np.array([3.0, 1.5]), stats)
+        assert z[0] == pytest.approx(0.0)  # value minus mean
 
     def test_dimension_mismatch(self):
-        v = FeatureVector("A", np.array([1.0, 2.0]))
         stats = StandardizationStats(mean=np.zeros(3), std=np.ones(3))
         with pytest.raises(DimensionMismatch):
-            standardize(v, stats)
+            score_matrix(_linear_model(np.zeros(3), stats), np.array([[1.0, 2.0]]))
 
 
 class TestFeatureMatrix:
@@ -264,7 +298,7 @@ class TestFeatureMatrix:
         rows = feature_matrix(w, ids, cfg)
         for i, tid in enumerate(ids):
             v = build_feature_vector(w, tid, cfg, as_of_cycle=w.hi)
-            assert np.allclose(rows[i], v.values, atol=1e-12)
+            assert np.allclose(rows[i], v, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_matches_per_test_vectors_on_churn(self, seed):
@@ -280,7 +314,7 @@ class TestFeatureMatrix:
             rows = feature_matrix(w, ids, cfg)
             for i, tid in enumerate(ids):
                 v = build_feature_vector(w, tid, cfg, as_of_cycle=w.hi)
-                assert np.array_equal(rows[i], v.values)
+                assert np.array_equal(rows[i], v)
 
     def test_unknown_test_error_and_fallback(self):
         w = _three_cycle_window()

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from testprio.domain import Verdict
 from testprio.errors import (
     ConfigError,
     InvalidSpec,
@@ -32,9 +31,9 @@ class TestParseCanonical:
         h = parse_canonical(CANONICAL)
         assert h.n_cycles == 1
         assert len(h.cycles[0]) == 2
-        execs = h.cycles[0].executions
-        assert execs[0].test_id == "A" and execs[0].verdict is Verdict.FAIL
-        assert execs[1].duration_s == 2.0
+        c = h.cycles[0]
+        assert c.test_ids == ("A", "B") and c.failed.tolist() == [True, False]
+        assert c.duration_s[1] == 2.0
 
     def test_unknown_verdict_token(self):
         text = CANONICAL + "1,A,skip,1.0\n"

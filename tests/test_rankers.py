@@ -8,6 +8,10 @@ from testprio.domain import history_prefix, slice_recent
 from testprio.errors import EmptyTestSet, KeyMismatch, ModelFormatError
 from testprio.features import FeatureConfig, StandardizationStats
 from testprio.rankers import (
+    PARAM_TYPES,
+    AnnParams,
+    GbdtParams,
+    LrnParams,
     Model,
     RankedTest,
     RankerKind,
@@ -27,10 +31,11 @@ from testprio.rankers import (
     random_rank,
     rocket_priorities,
     rocket_rank,
-    score,
     score_matrix,
     serialize_model,
+    with_seed,
 )
+from testprio.rankers.base import _stable_sigmoid
 
 from .conftest import churn_history, cyc, history, toy_training_set
 
@@ -249,7 +254,7 @@ class TestSvm:
         pos_probe = ts.X[ts.y > 0.5][0]
         neg_probe = ts.X[ts.y < 0.5][0]
         for m in (m1, m2):
-            assert score(m, pos_probe) > score(m, neg_probe)
+            assert score_matrix(m, pos_probe[None])[0] > score_matrix(m, neg_probe[None])[0]
 
     def test_deterministic_given_seed(self):
         ts = _separable_set()
@@ -279,7 +284,7 @@ class TestScoreAndSerialization:
         m = Model(kind=RankerKind.SVM,
                   payload=SvmPayload(weights=np.array([1.0, 0.0]), bias=0.0),
                   stats=stats, config=FeatureConfig())
-        assert score(m, np.array([2.0, 99.0])) == pytest.approx(2.0)
+        assert score_matrix(m, np.array([[2.0, 99.0]]))[0] == pytest.approx(2.0)
 
     def test_gbdt_zero_stages_scores_base(self):
         from testprio.rankers import GbdtParams
@@ -298,7 +303,7 @@ class TestScoreAndSerialization:
         y[0] = 1.0
         X = np.random.default_rng(0).normal(size=(n, 2))
         m = fit_gbdt(toy_training_set(X, y), GbdtParams(n_estimators=0))
-        assert score(m, X[0]) == pytest.approx(-10.0)
+        assert score_matrix(m, X[0][None])[0] == pytest.approx(-10.0)
 
     def test_ann_scores_within_unit_interval(self):
         ts = _separable_set(n=40)
@@ -369,3 +374,49 @@ def test_params_from_config():
 
     with pytest.raises(ConfigError):
         params_from_config(RankerKind.SVM, {"svm.bogus": "1"})
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (GbdtParams, "min_samples_leaf", -3),
+    (GbdtParams, "max_depth", -1),
+    (AnnParams, "hidden1", 0),
+    (AnnParams, "learning_rate", float("nan")),
+    (LrnParams, "restarts", 0),
+    (SvmParams, "batch_size", 0),
+    (RocketParams, "weight_older", float("inf")),
+])
+def test_params_constructor_rejects_out_of_range(cls, field, value):
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: value})
+
+
+def test_params_accept_defaults_and_minimums():
+    for cls in PARAM_TYPES.values():
+        cls()
+    GbdtParams(n_estimators=0, max_depth=0, min_samples_leaf=1)
+    AnnParams(hidden1=1, hidden2=1, epochs=0, batch_size=1, restarts=1)
+
+
+def test_with_seed_sets_the_seed_and_rechecks():
+    assert with_seed(GbdtParams(n_estimators=5), 7) == GbdtParams(n_estimators=5, seed=7)
+    with pytest.raises(ValueError, match="seed"):
+        with_seed(SvmParams(), float("nan"))
+
+
+def _masked_sigmoid(x):
+    """The former ``_stable_sigmoid``: one boolean-mask gather per sign."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_stable_sigmoid_equals_masked_formula():
+    tiny = np.finfo(np.float64).tiny
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0,
+             36.7, -36.7, tiny, -tiny, tiny / 8, -tiny / 8, 5e-324, -5e-324]
+    rng = np.random.default_rng(0)
+    x = np.concatenate([edges, rng.normal(0, 30, 5000), rng.uniform(-800, 800, 2000)])
+    assert np.array_equal(_stable_sigmoid(x), _masked_sigmoid(x), equal_nan=True)
