@@ -8,7 +8,9 @@ histories with millions of executions stay cheap to hold and scan.
 
 :func:`validate_history` codes each test id once, as its position in the
 registry (first-run order); later stages index columns by these codes
-(``TestHistory.codes``) instead of looking test ids up.
+(``TestHistory.codes``) instead of looking test ids up.  The parsers hand it
+flat :class:`ExecutionColumns`, which it groups and codes in vectorized
+passes.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,27 +145,88 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _with_registry(cycles: Sequence[Cycle], codes: Sequence[np.ndarray],
-                   test_ids: Sequence[str]) -> TestHistory:
-    """The history of ``cycles`` with its duration registry; each test's
-    durations are summed chronologically, wherever the history was cut."""
+def _prefixes(cycles: Sequence[Cycle], codes: Sequence[np.ndarray], test_ids: Sequence[str],
+              positions: Iterable[int]) -> Iterator[TestHistory]:
+    """For each of the non-decreasing ``positions``, the history of the first
+    ``pos`` cycles with their registry and codes.  Each cycle's durations are
+    added to running per-test totals once, so every registry sums each
+    test's durations chronologically, wherever the history is cut."""
     totals = np.zeros(len(test_ids))
     counts = np.zeros(len(test_ids))
-    for cyc, idx in zip(cycles, codes):
-        totals[idx] += cyc.duration_s
-        counts[idx] += 1
-    registry = dict(zip(test_ids, (totals / counts).tolist()))
-    return TestHistory(cycles=tuple(cycles), registry=registry, codes=tuple(codes))
+    n_tests = done = 0
+    for pos in positions:
+        if not (max(done, 1) <= pos <= len(cycles)):
+            raise IndexError(f"prefix length {pos} out of range after {done} of {len(cycles)}")
+        for cyc, idx in zip(cycles[done:pos], codes[done:pos]):
+            totals[idx] += cyc.duration_s
+            counts[idx] += 1
+            n_tests = max(n_tests, int(idx.max()) + 1)  # first-run order: they come first
+        done = pos
+        means = totals[:n_tests] / counts[:n_tests]
+        yield TestHistory(cycles=tuple(cycles[:pos]), codes=tuple(codes[:pos]),
+                          registry=dict(zip(test_ids[:n_tests], means.tolist())))
 
 
-def validate_history(raw: TestHistory | Iterable[Cycle]) -> TestHistory:
+def _check_rows(cyc: Cycle, codes: np.ndarray) -> None:
+    """Raise the cycle's first row error, in row order: a test that runs
+    twice, or a duration that is not positive and finite."""
+    bad = ~(np.isfinite(cyc.duration_s) & (cyc.duration_s > 0))
+    if bad.any() or (np.diff(np.sort(codes)) == 0).any():
+        seen: set[str] = set()
+        for tid in cyc.test_ids:
+            if tid in seen:
+                raise DuplicateTestInCycle(f"cycle {cyc.cycle_id}: test {tid!r} appears twice")
+            seen.add(tid)
+        tid = cyc.test_ids[int(np.argmax(bad))]
+        raise NonPositiveDuration(f"cycle {cyc.cycle_id}: test {tid!r} has non-positive duration")
+
+
+class ExecutionColumns(NamedTuple):
+    """Every execution of a history as parallel columns, in recorded order;
+    rows of one cycle need not be adjacent."""
+
+    cycle_ids: np.ndarray  # int64
+    test_ids: Sequence[str]
+    failed: np.ndarray  # bool
+    duration_s: np.ndarray  # float64
+
+
+def _from_columns(cycle_ids: np.ndarray, test_ids: Sequence[str],
+                  failed: np.ndarray, duration_s: np.ndarray) -> TestHistory:
+    """The column constructor: rows are grouped stably by cycle id and test
+    ids are coded in first-run order, all in vectorized passes; each cycle
+    holds views of the columns and the registry's own id strings."""
+    cycle_ids = np.asarray(cycle_ids, dtype=np.int64)
+    failed, duration_s = np.asarray(failed), np.asarray(duration_s)
+    if len(cycle_ids) == 0:
+        raise EmptyHistory("history contains no cycles")
+    if (cycle_ids[1:] < cycle_ids[:-1]).any():
+        order = np.argsort(cycle_ids, kind="stable")
+        cycle_ids, test_ids = cycle_ids[order], np.asarray(test_ids, dtype=object)[order]
+        failed, duration_s = failed[order], duration_s[order]
+    code_of = {tid: code for code, tid in enumerate(dict.fromkeys(test_ids))}
+    codes = np.fromiter(map(code_of.__getitem__, test_ids), np.int64, len(test_ids))
+    starts = np.flatnonzero(cycle_ids[1:] != cycle_ids[:-1]) + 1
+    spans = list(zip([0, *starts.tolist()], [*starts.tolist(), len(codes)]))
+    ids = np.array(list(code_of), dtype=object)
+    cycles = [Cycle(int(cycle_ids[a]), tuple(ids[codes[a:b]].tolist()), failed[a:b],
+                    duration_s[a:b]) for a, b in spans]
+    cycle_codes = [codes[a:b] for a, b in spans]
+    for cyc, idx in zip(cycles, cycle_codes):
+        _check_rows(cyc, idx)
+    return next(_prefixes(cycles, cycle_codes, list(code_of), [len(cycles)]))
+
+
+def validate_history(raw: TestHistory | Iterable[Cycle] | ExecutionColumns) -> TestHistory:
     """Check every history invariant, code the test ids and return a history
     with the duration registry recomputed from the executions.
 
-    Accepts either an existing :class:`TestHistory` or any iterable of
-    :class:`Cycle`.  Idempotent: validating a valid history returns an equal
-    value.
+    Accepts an existing :class:`TestHistory`, any iterable of :class:`Cycle`
+    (kept as they are), or :class:`ExecutionColumns` (the parsers' output).
+    Idempotent: validating a valid history returns an equal value.
     """
+    if isinstance(raw, ExecutionColumns):
+        return _from_columns(*raw)
     cycles = tuple(raw.cycles if isinstance(raw, TestHistory) else raw)
     if not cycles:
         raise EmptyHistory("history contains no cycles")
@@ -179,33 +242,22 @@ def validate_history(raw: TestHistory | Iterable[Cycle]) -> TestHistory:
         prev_id = cyc.cycle_id
         if len(cyc) == 0:
             raise EmptyCycle(f"cycle {cyc.cycle_id} has no executions")
-        if len(set(cyc.test_ids)) != len(cyc.test_ids):
-            seen: set[str] = set()
-            for tid in cyc.test_ids:
-                if tid in seen:
-                    raise DuplicateTestInCycle(
-                        f"cycle {cyc.cycle_id}: test {tid!r} appears twice"
-                    )
-                seen.add(tid)
-        bad = ~(np.isfinite(cyc.duration_s) & (cyc.duration_s > 0))
-        if bad.any():
-            tid = cyc.test_ids[int(np.argmax(bad))]
-            raise NonPositiveDuration(
-                f"cycle {cyc.cycle_id}: test {tid!r} has non-positive duration"
-            )
         codes.append(np.fromiter((code_of.setdefault(t, len(code_of)) for t in cyc.test_ids),
                                  np.int64, len(cyc)))
-    return _with_registry(cycles, codes, list(code_of))
+        _check_rows(cyc, codes[-1])
+    return next(_prefixes(cycles, codes, list(code_of), [len(cycles)]))
+
+
+def history_prefixes(h: TestHistory, positions: Iterable[int]) -> Iterator[TestHistory]:
+    """:func:`history_prefix` at each of the non-decreasing ``positions``,
+    summing each cycle's durations into the registry once."""
+    return _prefixes(h.cycles, h.codes, list(h.registry), positions)
 
 
 def history_prefix(h: TestHistory, pos: int) -> TestHistory:
     """The history as it stood before cycle position ``pos``: its first
     ``pos`` cycles, with the registry of those cycles and the same codes."""
-    if not (0 < pos <= h.n_cycles):
-        raise IndexError(f"prefix length {pos} out of range for {h.n_cycles} cycles")
-    codes = h.codes[:pos]
-    n_tests = max(int(c.max()) for c in codes) + 1  # first-run order: they come first
-    return _with_registry(h.cycles[:pos], codes, list(h.registry)[:n_tests])
+    return next(history_prefixes(h, [pos]))
 
 
 def slice_recent(h: TestHistory, fraction: float) -> HistoryWindow:

@@ -13,16 +13,16 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import sys
+import re
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
 from . import config as cfgmod
-from .domain import Cycle, TestHistory, validate_history
+from .domain import Cycle, ExecutionColumns, TestHistory, validate_history
 from .errors import (
     ConfigError,
     InvalidSpec,
@@ -34,6 +34,20 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 CANONICAL_HEADER = ("cycle_id", "test_id", "verdict", "duration_s")
+_HEADER = tuple(h.encode() for h in CANONICAL_HEADER)
+_VERDICTS = {"pass": False, "fail": True}  # canonical token -> failed
+
+# One canonical row as numpy's C parser reads it.  Verdict tokens are read as
+# fixed-width bytes; a token that fills the width may have been cut short.
+_TOKEN_BYTES = 8
+_ROW = np.dtype([("cycle", np.int64), ("test", object), ("verdict", f"S{_TOKEN_BYTES}"),
+                 ("duration", np.float64)])
+# Input holding these bytes, or any non-ASCII byte, takes the row loop: numpy
+# strips trailing NULs from bytes fields and reads \x1c-\x1f (and some
+# non-ASCII characters) as blanks around a number, where int() and float()
+# reject them.
+_ROW_LOOP_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_ANY_ROW = re.compile(rb"[^\r\n]")
 
 # Roles a source verdict token can map to.  Drop removes the row entirely:
 # coercing inconclusive runs to a pass would silently dilute failure rates.
@@ -194,109 +208,94 @@ class DatasetStats:
         }
 
 
-def _as_text(stream: bytes | str | IO) -> IO[str]:
-    if isinstance(stream, bytes):
-        return io.StringIO(stream.decode("utf-8"))
-    if isinstance(stream, str):
-        return io.StringIO(stream)
-    if isinstance(stream, io.TextIOBase):
-        return stream
-    return io.TextIOWrapper(stream, encoding="utf-8")
+def _read_bytes(stream: bytes | str | IO) -> bytes:
+    """All of ``stream`` as UTF-8 bytes, line endings untouched, so every
+    input kind parses the same."""
+    data = stream if isinstance(stream, (bytes, str)) else stream.read()
+    return data.encode("utf-8") if isinstance(data, str) else data
 
 
-class _CycleBuilder:
-    """Accumulates rows into flat columns, then groups them into cycles.
-
-    Flat ``array`` storage keeps multi-million-row datasets at a few hundred
-    megabytes; grouping happens once at the end via a stable sort on the
-    cycle id column (row order within a cycle is preserved).
-    """
-
-    def __init__(self, keep_last_duplicate: bool = False):
-        self._cycle_ids = array("q")
-        self._failed = array("b")
-        self._durations = array("d")
-        self._test_ids: list[str] = []
-        self.keep_last_duplicate = keep_last_duplicate
-        self.duplicates = 0
-
-    def add(self, cycle_id: int, test_id: str, failed: bool, duration_s: float) -> None:
-        self._cycle_ids.append(cycle_id)
-        self._failed.append(failed)
-        self._durations.append(duration_s)
-        self._test_ids.append(test_id)
-
-    def build(self) -> list[Cycle]:
-        cids = np.asarray(self._cycle_ids, dtype=np.int64)
-        failed = np.asarray(self._failed, dtype=bool)
-        durations = np.asarray(self._durations, dtype=np.float64)
-        if len(cids) == 0:
-            return []
-        order = np.argsort(cids, kind="stable")
-        sorted_cids = cids[order]
-        starts = np.flatnonzero(np.diff(sorted_cids)) + 1
-        bounds = np.concatenate(([0], starts, [len(cids)]))
-
-        cycles = []
-        for k in range(len(bounds) - 1):
-            rows = order[bounds[k] : bounds[k + 1]]
-            cid = int(sorted_cids[bounds[k]])
-            if self.keep_last_duplicate:
-                last: dict[str, int] = {}
-                for r in rows:
-                    tid = self._test_ids[r]
-                    if tid in last:
-                        self.duplicates += 1
-                    last[tid] = int(r)  # insertion order keeps first position
-                keep = np.fromiter(last.values(), dtype=np.int64, count=len(last))
-                ids = tuple(last.keys())
-                cycles.append(Cycle(cid, ids, failed[keep], durations[keep]))
-            else:
-                ids = tuple(self._test_ids[r] for r in rows)
-                cycles.append(Cycle(cid, ids, failed[rows], durations[rows]))
-        return cycles
-
-
-def parse_canonical(stream: bytes | str | IO) -> TestHistory:
-    """Parse the canonical CSV format into a validated history.
-
-    Header must be exactly ``cycle_id,test_id,verdict,duration_s``; verdict
-    tokens are ``pass``/``fail`` (case-insensitive).
-    """
-    text = _as_text(stream)
-    reader = csv.reader(text)
+def _csv_records(text: str, delimiter: str = ",") -> Iterator[list[str]]:
+    """The fields of each record of ``text``; LF, CRLF and CR all end a
+    record, and a quoted field keeps its line breaks as they are.  A record
+    the csv module rejects raises :class:`MalformedRow` with its number."""
+    n = 0
     try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow(1, "empty input") from None
+        for n, row in enumerate(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter),
+                                start=1):
+            yield row
+    except csv.Error as exc:
+        raise MalformedRow(n + 1, str(exc)) from None
+
+
+def _read_columns(data: bytes) -> ExecutionColumns | None:
+    """The rows after the canonical header, read by numpy's C parser; None
+    where only the row loop can give the exact result or error (see
+    ``_ROW_LOOP_BYTES``)."""
+    head_end = data.find(b"\n")
+    if (head_end < 0 or not data.isascii() or any(b in data for b in _ROW_LOOP_BYTES)
+            or tuple(f.strip() for f in data[:head_end].split(b",")) != _HEADER
+            or not _ANY_ROW.search(data, head_end + 1)):  # no rows: numpy would warn
+        return None
+    try:
+        rows = np.loadtxt(io.BytesIO(data), dtype=_ROW, delimiter=",", comments=None,
+                          quotechar='"', skiprows=1, encoding="utf-8", ndmin=1)
+    except ValueError:
+        return None
+    tokens = rows["verdict"].copy()
+    if tokens.view(np.uint8)[_TOKEN_BYTES - 1 :: _TOKEN_BYTES].any():
+        return None  # a token may have been cut to _TOKEN_BYTES
+    failed = tokens == b"fail"
+    odd = ~(failed | (tokens == b"pass"))
+    for token in np.unique(tokens[odd]):  # spellings other than "pass"/"fail"
+        role = _VERDICTS.get(token.decode().strip().lower())
+        if role is None:
+            return None
+        failed[tokens == token] = role
+    return ExecutionColumns(rows["cycle"].copy(), rows["test"], failed, rows["duration"].copy())
+
+
+def _parse_rows(text: str) -> ExecutionColumns:
+    """The canonical rows of ``text``, read one by one; raises the first bad
+    row's error."""
+    records = _csv_records(text)
+    header = next(records, None)
+    if header is None:
+        raise MalformedRow(1, "empty input")
     if tuple(h.strip() for h in header) != CANONICAL_HEADER:
         raise MalformedRow(1, f"expected header {','.join(CANONICAL_HEADER)}")
-
-    builder = _CycleBuilder(keep_last_duplicate=False)
-    for line_no, row in enumerate(reader, start=2):
+    cycle_ids, test_ids, failed, durations = array("q"), [], array("b"), array("d")
+    for line_no, row in enumerate(records, start=2):
         if not row:
             continue
         if len(row) != 4:
             raise MalformedRow(line_no, f"expected 4 fields, got {len(row)}")
         cid_s, test_id, verdict_s, dur_s = row
         try:
-            cid = int(cid_s)
-        except ValueError:
+            cycle_ids.append(int(cid_s))
+        except (ValueError, OverflowError):  # OverflowError: beyond int64
             raise MalformedRow(line_no, f"bad cycle_id {cid_s!r}") from None
-        token = verdict_s.strip().lower()
-        if token == "fail":
-            failed = True
-        elif token == "pass":
-            failed = False
-        else:
+        role = _VERDICTS.get(verdict_s.strip().lower())
+        if role is None:
             raise UnknownVerdictToken(line_no, verdict_s.strip())
+        failed.append(role)
         try:
-            duration = float(dur_s)
+            durations.append(float(dur_s))
         except ValueError:
             raise MalformedRow(line_no, f"bad duration {dur_s!r}") from None
-        builder.add(cid, sys.intern(test_id), failed, duration)
+        test_ids.append(test_id)
+    return ExecutionColumns(cycle_ids, test_ids, np.asarray(failed, dtype=bool), durations)
 
-    return validate_history(builder.build())
+
+def parse_canonical(stream: bytes | str | IO) -> TestHistory:
+    """Parse the canonical CSV format into a validated history.
+
+    Header must be exactly ``cycle_id,test_id,verdict,duration_s``; verdict
+    tokens are ``pass``/``fail`` (case-insensitive, surrounding blanks
+    ignored).  README.md gives the full grammar.
+    """
+    data = _read_bytes(stream)
+    return validate_history(_read_columns(data) or _parse_rows(data.decode("utf-8")))
 
 
 def parse_external(stream: bytes | str | IO, mapping: ColumnMapping) -> TestHistory:
@@ -305,12 +304,11 @@ def parse_external(stream: bytes | str | IO, mapping: ColumnMapping) -> TestHist
     Rows whose verdict token maps to ``drop`` are excluded.  Duplicate
     (cycle, test) rows keep the last occurrence; the count is logged.
     """
-    text = _as_text(stream)
-    reader = csv.reader(text, delimiter=mapping.delimiter)
+    records = _csv_records(_read_bytes(stream).decode("utf-8"), mapping.delimiter)
 
     if mapping.has_header:
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(records)]
         except StopIteration:
             raise MalformedRow(1, "empty input") from None
         positions = {}
@@ -341,8 +339,8 @@ def parse_external(stream: bytes | str | IO, mapping: ColumnMapping) -> TestHist
         first_row = 1
 
     needed = max(positions.values()) + 1
-    builder = _CycleBuilder(keep_last_duplicate=True)
-    for line_no, row in enumerate(reader, start=first_row):
+    cycle_ids, test_ids, failed, durations = array("q"), [], array("b"), array("d")
+    for line_no, row in enumerate(records, start=first_row):
         if not row:
             continue
         if len(row) < needed:
@@ -354,8 +352,8 @@ def parse_external(stream: bytes | str | IO, mapping: ColumnMapping) -> TestHist
         if role == "drop":
             continue
         try:
-            cid = int(row[positions["cycle"]])
-        except ValueError:
+            cycle_ids.append(int(row[positions["cycle"]]))
+        except (ValueError, OverflowError):  # OverflowError: beyond int64
             raise MalformedRow(line_no, f"bad cycle id {row[positions['cycle']]!r}") from None
         try:
             duration = float(row[positions["duration"]]) * mapping.duration_unit_s
@@ -365,13 +363,22 @@ def parse_external(stream: bytes | str | IO, mapping: ColumnMapping) -> TestHist
             ) from None
         if mapping.clamp_min_duration_s is not None:
             duration = max(duration, mapping.clamp_min_duration_s)
-        builder.add(cid, sys.intern(row[positions["test"]]), role == "fail", duration)
+        test_ids.append(row[positions["test"]])
+        failed.append(role == "fail")
+        durations.append(duration)
 
-    cycles = builder.build()
-    if builder.duplicates:
+    cycle_ids = np.asarray(cycle_ids)
+    order = np.argsort(cycle_ids, kind="stable")
+    keep: list[int] = []
+    for rows in np.split(order, np.flatnonzero(np.diff(cycle_ids[order])) + 1):
+        # one row per test: the last one's values at the first one's place
+        keep.extend({test_ids[r]: r for r in rows.tolist()}.values())
+    if len(keep) < len(test_ids):
         logger.warning("kept last occurrence of %d duplicate (cycle, test) rows",
-                       builder.duplicates)
-    return validate_history(cycles)
+                       len(test_ids) - len(keep))
+    return validate_history(ExecutionColumns(
+        cycle_ids[keep], np.asarray(test_ids, dtype=object)[keep],
+        np.asarray(failed, dtype=bool)[keep], np.asarray(durations)[keep]))
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> TestHistory:

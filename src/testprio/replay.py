@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Cycle, HistoryWindow, TestHistory, history_prefix, slice_recent
+from .domain import (Cycle, HistoryWindow, TestHistory, history_prefix, history_prefixes,
+                     slice_recent)
 from .errors import (
     HistoryTooShort,
     NonPositiveBudget,
@@ -282,8 +283,9 @@ def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig,
     if n < 5:
         raise HistoryTooShort(f"need >= 5 cycles, history has {n}")
     n_eval = min(int(math.ceil(cfg.eval_fraction * n)), n - 1)
-    per_cycle = [_replay_at(history_prefix(h, pos), h.cycles[pos], cfg, budgets)
-                 for pos in range(n - n_eval, n)]
+    positions = range(n - n_eval, n)
+    per_cycle = [_replay_at(prior, h.cycles[pos], cfg, budgets)
+                 for pos, prior in zip(positions, history_prefixes(h, positions))]
     return [list(outcomes) for outcomes in zip(*per_cycle)]
 
 

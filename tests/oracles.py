@@ -1,17 +1,32 @@
 """Reference implementations the tests compare the program against.
 
-They compute one test's features by walking the window cycle by cycle, the
-direct reading of the feature definitions in ``testprio.features``; the
-program computes every test at once from window matrices.
+The feature oracles compute one test's features by walking the window cycle
+by cycle, the direct reading of the feature definitions in
+``testprio.features``; the program computes every test at once from window
+matrices.  The parse oracle reads the canonical CSV row by row with the csv
+module and validates cycle by cycle; the program reads the columns with
+numpy's C parser and validates them in vectorized passes.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 
-from testprio.domain import HistoryWindow
-from testprio.errors import AlphaOutOfRange, UnknownTest
+from testprio.domain import Cycle, HistoryWindow, TestHistory
+from testprio.errors import (
+    AlphaOutOfRange,
+    DuplicateTestInCycle,
+    EmptyHistory,
+    MalformedRow,
+    NonPositiveDuration,
+    UnknownTest,
+    UnknownVerdictToken,
+)
 from testprio.features import FeatureConfig
+from testprio.ingest import CANONICAL_HEADER
 
 
 def recency_failure_score(failed_most_recent_first: list[bool], alpha: float) -> float:
@@ -64,3 +79,74 @@ def build_feature_vector(window: HistoryWindow, test_id: str, cfg: FeatureConfig
         values[F + 2] = recency
     values[F + 3] = registry[test_id] / max(registry.values())
     return values
+
+
+def parse_canonical(stream) -> TestHistory:
+    """The canonical CSV parsed one row at a time: every input kind is read
+    as UTF-8 text with line endings untouched (``newline=""``), rows are
+    grouped stably by cycle, and each cycle is validated in turn."""
+    data = stream if isinstance(stream, (bytes, str)) else stream.read()
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    rows = []
+    line_no = 0
+    try:
+        header = next(reader, None)
+        line_no = 1
+        if header is None:
+            raise MalformedRow(1, "empty input")
+        if tuple(h.strip() for h in header) != CANONICAL_HEADER:
+            raise MalformedRow(1, f"expected header {','.join(CANONICAL_HEADER)}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise MalformedRow(line_no, f"expected 4 fields, got {len(row)}")
+            cid_s, test_id, verdict_s, dur_s = row
+            try:
+                cid = int(cid_s)
+            except ValueError:
+                cid = None
+            if cid is None or not -2**63 <= cid < 2**63:
+                raise MalformedRow(line_no, f"bad cycle_id {cid_s!r}")
+            token = verdict_s.strip().lower()
+            if token not in ("pass", "fail"):
+                raise UnknownVerdictToken(line_no, verdict_s.strip())
+            try:
+                duration = float(dur_s)
+            except ValueError:
+                raise MalformedRow(line_no, f"bad duration {dur_s!r}") from None
+            rows.append((cid, test_id, token == "fail", duration))
+    except csv.Error as exc:
+        raise MalformedRow(line_no + 1, str(exc)) from None
+
+    if not rows:
+        raise EmptyHistory("history contains no cycles")
+    by_cycle: dict[int, list] = {}
+    for row in sorted(rows, key=lambda r: r[0]):  # sorted() is stable
+        by_cycle.setdefault(row[0], []).append(row)
+    code_of: dict[str, int] = {}
+    cycles, codes = [], []
+    for cid, cycle_rows in by_cycle.items():
+        cyc = Cycle(cid, tuple(r[1] for r in cycle_rows),
+                    np.array([r[2] for r in cycle_rows], dtype=bool),
+                    np.array([r[3] for r in cycle_rows], dtype=np.float64))
+        seen: set[str] = set()
+        for tid in cyc.test_ids:
+            if tid in seen:
+                raise DuplicateTestInCycle(f"cycle {cid}: test {tid!r} appears twice")
+            seen.add(tid)
+        for tid, d in zip(cyc.test_ids, cyc.duration_s):
+            if not (np.isfinite(d) and d > 0):
+                raise NonPositiveDuration(f"cycle {cid}: test {tid!r} has non-positive duration")
+        cycles.append(cyc)
+        codes.append(np.array([code_of.setdefault(t, len(code_of)) for t in cyc.test_ids],
+                              dtype=np.int64))
+    totals = np.zeros(len(code_of))
+    counts = np.zeros(len(code_of))
+    for cyc, idx in zip(cycles, codes):
+        totals[idx] += cyc.duration_s
+        counts[idx] += 1
+    registry = dict(zip(code_of, (totals / counts).tolist()))
+    return TestHistory(cycles=tuple(cycles), registry=registry, codes=tuple(codes))

@@ -58,6 +58,12 @@ class TestStats:
         assert main(["stats", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_cycle_id_beyond_int64_exit_2_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("cycle_id,test_id,verdict,duration_s\n9223372036854775808,A,pass,1.0\n")
+        assert main(["stats", str(bad)]) == 2
+        assert "line 2: bad cycle_id" in capsys.readouterr().err
+
     def test_mapping_preset(self, tmp_path, capsys):
         f = tmp_path / "abb-style.csv"
         f.write_text(

@@ -6,6 +6,7 @@ from testprio.domain import (
     average_suite_duration,
     budget_schedule,
     history_prefix,
+    history_prefixes,
     round_half_up,
     slice_recent,
     validate_history,
@@ -61,6 +62,18 @@ class TestValidateHistory:
         with pytest.raises(NonPositiveDuration, match="cycle 0"):
             validate_history([cyc(0, ("A", "pass", 0.0))])
 
+    def test_errors_come_in_cycle_order(self):
+        dup = cyc(1, ("A", "pass", 1.0), ("A", "pass", 1.0))
+        with pytest.raises(DuplicateTestInCycle):
+            validate_history([dup, cyc(0, ("A", "pass", 1.0))])
+        with pytest.raises(DuplicateTestInCycle):
+            validate_history([dup, cyc(2)])
+        with pytest.raises(DuplicateCycleId):
+            validate_history([cyc(1, ("A", "pass", 1.0)), cyc(0, ("A", "pass", 0.0))])
+        with pytest.raises(NonPositiveDuration, match="test 'B'"):
+            validate_history([cyc(0, ("A", "pass", 1.0), ("B", "pass", -1.0),
+                                  ("C", "pass", 0.0)), dup])
+
     def test_idempotent(self, small_history):
         assert validate_history(validate_history(small_history)) == small_history
 
@@ -103,6 +116,21 @@ class TestCodesAndPrefix:
             prefix = history_prefix(h, pos)
             assert prefix == again
             assert all(np.array_equal(a, b) for a, b in zip(prefix.codes, again.codes))
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_running_prefixes_equal_one_shot_prefixes_bit_for_bit(self, seed):
+        h = churn_history(seed)
+        positions = [1, 1, 2, 9, 30, h.n_cycles - 1, h.n_cycles]
+        for pos, prefix in zip(positions, history_prefixes(h, positions)):
+            one_shot = history_prefix(h, pos)
+            assert prefix == one_shot
+            assert list(prefix.registry.items()) == list(one_shot.registry.items())
+            assert len(prefix.codes) == pos
+            assert all(a is b for a, b in zip(prefix.codes, h.codes))
+
+    def test_running_prefixes_do_not_go_back(self, small_history):
+        with pytest.raises(IndexError):
+            list(history_prefixes(small_history, [2, 1]))
 
     def test_prefix_length_out_of_range(self, small_history):
         for pos in (0, -1, small_history.n_cycles + 1):

@@ -1,6 +1,11 @@
+import io
+import warnings
+
 import numpy as np
 import pytest
 
+from testprio import ingest
+from testprio.bench import emit_canonical
 from testprio.errors import (
     ConfigError,
     InvalidSpec,
@@ -18,7 +23,8 @@ from testprio.ingest import (
     preset_mapping_path,
 )
 
-from .conftest import cyc, history
+from . import oracles
+from .conftest import churn_history, cyc, history
 
 CANONICAL = """cycle_id,test_id,verdict,duration_s
 0,A,fail,1.5
@@ -72,6 +78,120 @@ class TestParseCanonical:
         h = parse_canonical(text)
         assert [c.cycle_id for c in h.cycles] == [0, 1]
         assert len(h.cycles[0]) == 2
+
+
+H = "cycle_id,test_id,verdict,duration_s\n"
+
+# Inputs on which the columnar parse must give the oracle's history or error.
+PARSE_CASES = {
+    "quoted comma": H + '0,"A,1",pass,1.5\n0,B,fail,2\n',
+    "doubled quote": H + '0,"A""1",pass,1.5\n1,"A""1",fail,2\n',
+    "quoted LF": H + '0,"A\n1",pass,1.5\n1,"A\n1",fail,2\n',
+    "quoted CRLF and CR": H + '0,"T\r\n1",pass,1\n0,"T\r1",pass,1\n',
+    "quoted numbers and verdict": H + '"0",A,"fail","1.5"\n',
+    "hash and blanks in ids": H + "0,#A,pass,1\n0, A ,fail,2\n0,A ,pass,3\n",
+    "signs and blanks around numbers": H + "+1,A,pass,+1.5\n 2 ,A, FAIL ,\t2.5 \n-3,B,pass,1e3\n",
+    "verdict spellings": H + '0,A, Pass ,1\n0,B,"FAIL",1\n0,C,  fail  ,1\n0,D,pass   ,1\n',
+    "int64 bounds": H + "9223372036854775807,A,pass,1\n-9223372036854775808,A,pass,1\n",
+    "scattered cycles": H + "2,A,pass,1\n0,B,fail,2\n2,B,pass,3\n0,A,pass,4\n1,C,pass,5\n",
+    "blank lines": H + "\n0,A,pass,1\n\n\n1,A,pass,1\n\n",
+    "CRLF": (H + "0,A,pass,1\n\n1,B,fail,2\n").replace("\n", "\r\n"),
+    "bare CR": (H + "0,A,pass,1\n1,B,fail,2\n").replace("\n", "\r"),
+    "no final newline": H + "0,A,pass,1",
+    "quoted header": '"cycle_id", test_id ,verdict,duration_s\n0,A,pass,1\n',
+    "underscores in numbers": H + "1_0,A,pass,1_5\n",
+    "non-ASCII digits": H + "\u0663,A,pass,\u0663.5\n",
+    "non-ASCII id": H + "0,T\u00e9st,pass,1\n",
+    "NUL in id": H + "0,A\x00B,pass,1\n",
+    # malformed rows
+    "empty input": "",
+    "header only": H,
+    "header only, no newline": H.rstrip(),
+    "header and blank lines": H + "\n\r\n",
+    "bad header": "cycle,test,verdict,duration\n0,A,pass,1\n",
+    "whitespace-only line": H + "0,A,pass,1\n   \n",
+    "three fields": H + "0,A,pass,1\n0,B,pass\n",
+    "five fields": H + "0,A,pass,1,\n",
+    "bad cycle id": H + "0,A,pass,1\nx,A,pass,1\n",
+    "float cycle id": H + "1.0,A,pass,1\n",
+    "cycle id beyond int64": H + "9223372036854775808,A,pass,1\n",
+    "cycle id below int64": H + "-9223372036854775809,A,pass,1\n",
+    "separator byte around a number": H + "\x1c0,A,pass,1\n",
+    "bad duration": H + "0,A,pass,abc\n",
+    "empty duration": H + "0,A,pass,\n",
+    "unknown verdict": H + "0,A,pass,1\n1,A,skip,1\n",
+    "empty verdict": H + "0,A,,1\n",
+    "long verdict": H + "0,A,passpass,1\n",
+    "verdict valid in its first 8 bytes": H + "0,A,pass    x,1\n",
+    "NUL after verdict": H + "0,A,pass\x00,1\n",
+    "unterminated quote": H + '0,"A,pass,1\n',
+    "row error before history error": H + "0,A,pass,0\n1,A,skip,1\n",
+    # history errors, earliest cycle first and, within a cycle, in row order
+    "duplicate test": H + "0,A,pass,1\n1,B,pass,1\n1,B,fail,2\n",
+    "duplicate test, scattered rows": H + "0,A,pass,1\n1,A,pass,1\n0,A,fail,1\n",
+    "zero duration": H + "0,A,pass,1\n0,B,pass,0\n",
+    "negative, inf and nan durations": H + "0,A,pass,1\n1,A,pass,-1\n1,B,pass,inf\n2,A,pass,nan\n",
+    "earlier cycle's error first": H + "1,A,pass,1\n1,A,pass,1\n0,B,pass,0\n",
+    "duplicate before duration in a cycle": H + "0,B,pass,-1\n0,A,pass,1\n0,A,pass,1\n",
+}
+
+
+def _outcome(parse, stream):
+    """A parse's history as plain values (cycles, codes, registry in order),
+    or its exception type and message; any warning counts as an error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = parse(stream)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return ([(c.cycle_id, c.test_ids, c.failed.tolist(), c.duration_s.tolist())
+             for c in h.cycles], [k.tolist() for k in h.codes], list(h.registry.items()))
+
+
+def _input_kinds(text: str):
+    data = text.encode()
+    return [text, data, io.BytesIO(data), io.StringIO(text, newline="")]
+
+
+class TestParseMatchesOracle:
+    @pytest.mark.parametrize("name", PARSE_CASES)
+    def test_every_input_kind_gives_the_oracle_outcome(self, name):
+        text = PARSE_CASES[name]
+        expected = _outcome(oracles.parse_canonical, text)
+        for stream in _input_kinds(text):
+            assert _outcome(parse_canonical, stream) == expected, type(stream).__name__
+
+    def test_int64_bounds_underscores_and_quoted_line_breaks(self):
+        with pytest.raises(MalformedRow, match="line 2: bad cycle_id '9223372036854775808'"):
+            parse_canonical(PARSE_CASES["cycle id beyond int64"])
+        assert parse_canonical(PARSE_CASES["underscores in numbers"]).cycles[0].cycle_id == 10
+        h = parse_canonical(PARSE_CASES["quoted CRLF and CR"].encode())
+        assert h.cycles[0].test_ids == ("T\r\n1", "T\r1")
+
+    def test_plain_ascii_input_skips_the_row_loop(self, monkeypatch):
+        def row_loop(text):
+            raise AssertionError("row loop used")
+
+        monkeypatch.setattr(ingest, "_parse_rows", row_loop)
+        for name in ("quoted LF", "signs and blanks around numbers", "quoted numbers and verdict",
+                     "scattered cycles", "CRLF", "duplicate test"):
+            assert _outcome(parse_canonical, PARSE_CASES[name].encode())[0] is not AssertionError
+        with pytest.raises(AssertionError, match="row loop used"):
+            parse_canonical(PARSE_CASES["non-ASCII id"])
+
+    def test_csv_error_is_malformed_row_with_its_line(self):
+        text = H + "0,A,pass,1\n0,\u00e9" + "x" * 140_000 + ",pass,1\n"
+        with pytest.raises(MalformedRow, match="line 3: field larger than field limit"):
+            parse_canonical(text)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_churn_history_and_fixture(self, seed, persistent_history):
+        for h in (churn_history(seed, n_tests=300, n_cycles=30), persistent_history):
+            data = emit_canonical(h)
+            assert _outcome(parse_canonical, data) == _outcome(oracles.parse_canonical, data)
+            parsed = parse_canonical(data)
+            assert parsed == h and list(parsed.registry) == list(h.registry)
 
 
 ABB_STYLE = """Id;Name;Duration;CalcPrio;LastRun;LastResults;Verdict;Cycle
@@ -168,6 +288,17 @@ class TestParseExternal:
         with caplog.at_level(logging.WARNING, logger="testprio.ingest"):
             parse_external(text, self._mapping())
         assert "2 duplicate" in caplog.text
+
+    def test_cycle_id_beyond_int64_is_malformed(self):
+        text = ABB_STYLE + "4;TC_C;1.0;0;x;[];1;9223372036854775808\n"
+        with pytest.raises(MalformedRow, match="line 5: bad cycle id"):
+            parse_external(text, self._mapping())
+
+    def test_line_endings_parse_alike_for_every_input_kind(self):
+        expected = parse_external(ABB_STYLE, self._mapping())
+        for eol in ("\r\n", "\r"):
+            for stream in _input_kinds(ABB_STYLE.replace("\n", eol)):
+                assert parse_external(stream, self._mapping()) == expected
 
     def test_bundled_presets_load(self):
         for name in ("abb", "google"):
