@@ -146,9 +146,10 @@ def round_half_up(x: float) -> int:
 
 
 def _prefixes(cycles: Sequence[Cycle], codes: Sequence[np.ndarray], test_ids: Sequence[str],
-              positions: Iterable[int]) -> Iterator[TestHistory]:
+              positions: Iterable[int]) -> Iterator[tuple[TestHistory, np.ndarray]]:
     """For each of the non-decreasing ``positions``, the history of the first
-    ``pos`` cycles with their registry and codes.  Each cycle's durations are
+    ``pos`` cycles with their registry and codes, and the registry's mean
+    durations as a float64 array by code.  Each cycle's durations are
     added to running per-test totals once, so every registry sums each
     test's durations chronologically, wherever the history is cut."""
     totals = np.zeros(len(test_ids))
@@ -163,8 +164,8 @@ def _prefixes(cycles: Sequence[Cycle], codes: Sequence[np.ndarray], test_ids: Se
             n_tests = max(n_tests, int(idx.max()) + 1)  # first-run order: they come first
         done = pos
         means = totals[:n_tests] / counts[:n_tests]
-        yield TestHistory(cycles=tuple(cycles[:pos]), codes=tuple(codes[:pos]),
-                          registry=dict(zip(test_ids[:n_tests], means.tolist())))
+        yield (TestHistory(cycles=tuple(cycles[:pos]), codes=tuple(codes[:pos]),
+                           registry=dict(zip(test_ids[:n_tests], means.tolist()))), means)
 
 
 def _check_rows(cyc: Cycle, codes: np.ndarray) -> None:
@@ -214,7 +215,7 @@ def _from_columns(cycle_ids: np.ndarray, test_ids: Sequence[str],
     cycle_codes = [codes[a:b] for a, b in spans]
     for cyc, idx in zip(cycles, cycle_codes):
         _check_rows(cyc, idx)
-    return next(_prefixes(cycles, cycle_codes, list(code_of), [len(cycles)]))
+    return next(_prefixes(cycles, cycle_codes, list(code_of), [len(cycles)]))[0]
 
 
 def validate_history(raw: TestHistory | Iterable[Cycle] | ExecutionColumns) -> TestHistory:
@@ -245,13 +246,21 @@ def validate_history(raw: TestHistory | Iterable[Cycle] | ExecutionColumns) -> T
         codes.append(np.fromiter((code_of.setdefault(t, len(code_of)) for t in cyc.test_ids),
                                  np.int64, len(cyc)))
         _check_rows(cyc, codes[-1])
-    return next(_prefixes(cycles, codes, list(code_of), [len(cycles)]))
+    return next(_prefixes(cycles, codes, list(code_of), [len(cycles)]))[0]
+
+
+def coded_prefixes(h: TestHistory,
+                   positions: Iterable[int]) -> Iterator[tuple[TestHistory, np.ndarray]]:
+    """:func:`history_prefixes` with each prefix's registry means as a
+    float64 array indexed by test code (a prefix registry holds codes
+    ``0 .. n-1``: codes follow first-run order)."""
+    return _prefixes(h.cycles, h.codes, list(h.registry), positions)
 
 
 def history_prefixes(h: TestHistory, positions: Iterable[int]) -> Iterator[TestHistory]:
     """:func:`history_prefix` at each of the non-decreasing ``positions``,
     summing each cycle's durations into the registry once."""
-    return _prefixes(h.cycles, h.codes, list(h.registry), positions)
+    return (prior for prior, _ in coded_prefixes(h, positions))
 
 
 def history_prefix(h: TestHistory, pos: int) -> TestHistory:

@@ -5,6 +5,11 @@ All six strategies produce a :class:`RankedSuite` (columns in execution
 order): the cycle's tests ordered by (score desc, duration asc, test_id
 asc).  The duration tie rule executes cheap tests first among equally
 suspicious ones; the final lexicographic leg makes the order total.
+
+The tie-break, the random scores and the rocket sums work on columns
+(:func:`rank_columns`, :func:`random_scores`, :func:`rocket_scores`); the
+replay calls them on registry codes.  The functions that take Mappings
+keyed by test id are adapters over the same cores.
 """
 
 from __future__ import annotations
@@ -210,17 +215,43 @@ class RankedSuite:
                 and np.array_equal(self.durations, other.durations))
 
 
+def sorted_ranks(test_ids: Sequence[str]) -> np.ndarray:
+    """Each id's position in Python ``sorted()`` order, as int64."""
+    ranks = np.empty(len(test_ids), dtype=np.int64)
+    ranks[sorted(range(len(test_ids)), key=test_ids.__getitem__)] = np.arange(len(test_ids))
+    return ranks
+
+
+def rank_columns(test_ids: Sequence[str], scores: np.ndarray, durations: np.ndarray,
+                 id_ranks: np.ndarray) -> tuple[RankedSuite, np.ndarray]:
+    """The shared tie-break on parallel columns: score descending, then
+    duration ascending, then test id, where ``id_ranks`` orders the ids as
+    ``sorted()`` does (any order-preserving ranks will do).  Returns the
+    suite and its order as indices into the columns."""
+    scores = np.asarray(scores, dtype=np.float64)
+    durations = np.asarray(durations, dtype=np.float64)
+    order = np.lexsort((id_ranks, durations, -scores))
+    ids = tuple(map(test_ids.__getitem__, order.tolist()))
+    return RankedSuite(ids, scores[order], durations[order]), order
+
+
 def rank_with_tie_break(scores: Mapping[str, float],
                         durations: Mapping[str, float]) -> RankedSuite:
-    """Score descending, then duration ascending, then test id (stable lexsort
-    of the id-sorted columns)."""
+    """Score descending, then duration ascending, then test id: the
+    Mappings as columns through :func:`rank_columns`."""
     if set(scores) != set(durations):
         raise KeyMismatch("scores and durations must cover the same tests")
-    ids = sorted(scores)
-    s = np.array([scores[tid] for tid in ids], dtype=np.float64)
-    d = np.array([durations[tid] for tid in ids], dtype=np.float64)
-    order = np.lexsort((d, -s))
-    return RankedSuite(tuple(ids[i] for i in order.tolist()), s[order], d[order])
+    ids = list(scores)
+    return rank_columns(ids, [scores[tid] for tid in ids], [durations[tid] for tid in ids],
+                        sorted_ranks(ids))[0]
+
+
+def random_scores(n: int, seed: int) -> np.ndarray:
+    """Scores for ``n`` tests in a uniform random permutation ``perm``: the
+    test at ``perm[i]`` scores ``n - i``, so every score is distinct."""
+    scores = np.empty(n)
+    scores[np.random.default_rng(seed).permutation(n)] = np.arange(n, 0, -1, dtype=np.float64)
+    return scores
 
 
 def random_rank(test_ids: Sequence[str], durations: Mapping[str, float],
@@ -229,24 +260,33 @@ def random_rank(test_ids: Sequence[str], durations: Mapping[str, float],
     round-trips through the shared tie-break unchanged."""
     if not test_ids:
         raise EmptyTestSet("cannot rank an empty test set")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(test_ids))
-    n = len(test_ids)
-    scores = {test_ids[int(p)]: float(n - i) for i, p in enumerate(perm)}
-    return rank_with_tie_break(scores, durations)
+    scores = random_scores(len(test_ids), seed)
+    return rank_with_tie_break(dict(zip(test_ids, scores.tolist())), durations)
+
+
+def rocket_scores(failing: Sequence[np.ndarray], n_tests: int,
+                  params: RocketParams = RocketParams()) -> np.ndarray:
+    """Recency-weighted failure counts by test code, from the codes of each
+    window cycle's failing tests, newest cycle first: the newest cycle
+    weighs ``weight_most_recent``, the next ``weight_second``, all older
+    ones ``weight_older``.  ``np.add.at`` adds one weight at a time in that
+    order, so each total is the newest-first running sum, bit for bit."""
+    weights = [params.weight_most_recent, params.weight_second][:len(failing)]
+    weights += [params.weight_older] * (len(failing) - len(weights))
+    totals = np.zeros(n_tests)
+    if failing:
+        np.add.at(totals, np.concatenate(failing), np.repeat(weights, list(map(len, failing))))
+    return totals
 
 
 def rocket_priorities(window: HistoryWindow, test_ids: Sequence[str],
                       params: RocketParams = RocketParams()) -> dict[str, float]:
-    """Recency-weighted failure counts: the most recent window cycle weighs
-    ``weight_most_recent``, the next ``weight_second``, all older cycles
-    ``weight_older``."""
+    """:func:`rocket_scores` over the window, by test id; a test that did
+    not fail in the window scores 0.0."""
     if window.n_cycles == 0:
         raise EmptyWindow("cannot prioritize from an empty window")
-    totals = np.zeros(window.source.n_tests)
-    recent = (params.weight_most_recent, params.weight_second)
-    for age, (cyc, idx) in enumerate(zip(window.cycles[::-1], window.codes[::-1])):
-        totals[idx[cyc.failed]] += recent[age] if age < 2 else params.weight_older
+    failing = [idx[cyc.failed] for cyc, idx in zip(window.cycles[::-1], window.codes[::-1])]
+    totals = rocket_scores(failing, window.source.n_tests, params)
     by_test = dict(zip(window.source.registry, totals.tolist()))
     return {tid: by_test.get(tid, 0.0) for tid in test_ids}
 
@@ -368,8 +408,7 @@ def rank_cycle(model: Model, test_ids: Sequence[str], durations: Mapping[str, fl
                feature_rows: np.ndarray) -> RankedSuite:
     """Score each test's feature row and apply the shared tie-break."""
     values = score_matrix(model, feature_rows)
-    scores = {tid: float(s) for tid, s in zip(test_ids, values)}
-    return rank_with_tie_break(scores, durations)
+    return rank_with_tie_break(dict(zip(test_ids, values.tolist())), durations)
 
 
 def constant_model(kind: RankerKind, config: FeatureConfig,

@@ -36,6 +36,18 @@ from .base import (
 Params = list[tuple[np.ndarray, np.ndarray]]  # [(W, b), ...] stacked over restarts
 
 
+def _flatten(params: Params) -> tuple[np.ndarray, Params]:
+    """The arrays of ``params`` copied, in order, into one flat buffer, and
+    (W, b) views of it, so that an SGD step is one ufunc call per buffer."""
+    arrays = [a for layer in params for a in layer]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    views, at = [], 0
+    for a in arrays:
+        views.append(flat[at:at + a.size].reshape(a.shape))
+        at += a.size
+    return flat, list(zip(views[::2], views[1::2]))
+
+
 def _init_stacked(seed: int, restarts: int, sizes: tuple[int, ...]) -> Params:
     """He-scaled normal init; restart r draws from generator seed + r."""
     params: Params = []
@@ -66,8 +78,10 @@ class _Net:
         self.A = [np.empty((R, m, h)) for h in hidden]
         self.mask = [np.empty((R, m, h), dtype=bool) for h in hidden]
         self.dA = [np.empty((R, m, h)) for h in hidden]
-        self.grads = [(np.empty((R, fan_in, fan_out)), np.empty((R, 1, fan_out)))
-                      for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+        # laid out like the parameters' flat buffer, for _sgd_step
+        self.flat_grads, self.grads = _flatten(
+            [(np.empty((R, fan_in, fan_out)), np.empty((R, 1, fan_out)))
+             for fan_in, fan_out in zip(sizes[:-1], sizes[1:])])
 
     def forward(self, params: Params, X: np.ndarray) -> np.ndarray:
         """Raw output Z_out (R, m, 1) for inputs X of shape (R|1, m, d)."""
@@ -88,7 +102,7 @@ class _Net:
             dW, db = self.grads[i]
             act_in = self.A[i - 1] if i else X
             np.matmul(act_in.transpose(0, 2, 1), dz, out=dW)
-            np.sum(dz, axis=1, keepdims=True, out=db)
+            np.add.reduce(dz, axis=1, keepdims=True, out=db)
             if i:
                 da, mask = self.dA[i - 1], self.mask[i - 1]
                 np.matmul(dz, params[i][0].transpose(0, 2, 1), out=da)
@@ -98,12 +112,11 @@ class _Net:
         return self.grads
 
 
-def _sgd_step(params: Params, grads: Params, lr: float) -> None:
-    """params -= lr * grads in place (the gradient buffers are scaled too)."""
-    for (W, b), (dW, db) in zip(params, grads):
-        for arr, grad in ((W, dW), (b, db)):
-            np.multiply(grad, lr, out=grad)
-            np.subtract(arr, grad, out=arr)
+def _sgd_step(flat: np.ndarray, flat_grads: np.ndarray, lr: float) -> None:
+    """params -= lr * grads in place on the flat buffers (the gradient
+    buffer is scaled too)."""
+    np.multiply(flat_grads, lr, out=flat_grads)
+    np.subtract(flat, flat_grads, out=flat)
 
 
 def _one_restart(layers, m: int) -> tuple[Params, _Net]:
@@ -159,7 +172,7 @@ def fit_ann(ts: TrainingSet, hp: AnnParams = AnnParams()) -> Model:
     n, d = X.shape
     R = hp.restarts
     sizes = (d, hp.hidden1, hp.hidden2, 1)
-    params = _init_stacked(hp.seed, R, sizes)
+    flat, params = _flatten(_init_stacked(hp.seed, R, sizes))
     shuffles = [np.random.default_rng(mix_seed(hp.seed + r, "shuffle")) for r in range(R)]
 
     # per minibatch width (B, and the remainder when B does not divide n):
@@ -174,13 +187,14 @@ def fit_ann(ts: TrainingSet, hp: AnnParams = AnnParams()) -> Model:
         orders = np.stack([rng.permutation(n) for rng in shuffles])
         for start in range(0, n, B):
             net, Xb, yb, cb, out, g, tmp = work[min(B, n - start)]
-            flat = orders[:, start : start + B].reshape(-1)
-            np.take(X, flat, axis=0, out=Xb.reshape(-1, d))
-            np.take(y, flat, axis=0, out=yb.reshape(-1))
-            np.take(weights, flat, axis=0, out=cb.reshape(-1))
+            rows = orders[:, start : start + B].reshape(-1)
+            X.take(rows, axis=0, out=Xb.reshape(-1, d))
+            y.take(rows, axis=0, out=yb.reshape(-1))
+            weights.take(rows, axis=0, out=cb.reshape(-1))
             _stable_sigmoid_into(net.forward(params, Xb), out, tmp)
             _mse_grad(out, yb, cb, g, tmp)
-            _sgd_step(params, net.backward(params, Xb, g), hp.learning_rate)
+            net.backward(params, Xb, g)
+            _sgd_step(flat, net.flat_grads, hp.learning_rate)
 
     # final weighted MSE per restart on the whole training set
     z = _Net(R, n, sizes).forward(params, X[None])
@@ -210,33 +224,35 @@ def ann_loss_and_grads(layers, X: np.ndarray, y: np.ndarray,
 
 def _ranks_matrix(s: np.ndarray) -> np.ndarray:
     """Row-wise 1-based descending ranks, ties by index (stable sort)."""
-    R, m = s.shape
-    order = np.argsort(-s, axis=1, kind="stable")
-    ranks = np.empty((R, m), dtype=np.int64)
-    np.put_along_axis(ranks, order,
-                      np.broadcast_to(np.arange(1, m + 1), (R, m)), axis=1)
-    return ranks
+    return np.argsort(np.argsort(-s, axis=1, kind="stable"), axis=1) + 1
+
+
+def _gains(m: int) -> np.ndarray:
+    """DCG gain ``1 / log2(1 + rank)`` of ranks 1..m, indexed by rank - 1."""
+    return 1.0 / np.log2(1.0 + np.arange(1, m + 1))
 
 
 def _ideal_dcg(n_pos: int) -> float:
-    return float((1.0 / np.log2(1.0 + np.arange(1, n_pos + 1))).sum())
+    return float(_gains(n_pos).sum())
 
 
 def _group_lambdas(s: np.ndarray, pos: np.ndarray, neg: np.ndarray,
                    sigma: float, idcg: float,
-                   frozen_delta: np.ndarray | None = None):
-    """dCost/dscore (R, m) for one group with stacked scores s (R, m)."""
+                   frozen_delta: np.ndarray | None = None,
+                   gains: np.ndarray | None = None):
+    """dCost/dscore (R, m) for one group with stacked scores s (R, m);
+    ``gains`` is ``_gains(m)``.  Callers ignore overflow in ``exp``: a
+    lambda whose exponent overflows is -0.0, as it should be."""
     if frozen_delta is None:
-        gains = 1.0 / np.log2(1.0 + _ranks_matrix(s))
-        delta = np.abs(gains[:, pos][:, :, None] - gains[:, neg][:, None, :]) / idcg
+        g = (_gains(s.shape[1]) if gains is None else gains)[_ranks_matrix(s) - 1]
+        delta = np.abs(g[:, pos][:, :, None] - g[:, neg][:, None, :]) / idcg
     else:
         delta = frozen_delta
     sdiff = s[:, pos][:, :, None] - s[:, neg][:, None, :]
-    with np.errstate(over="ignore"):
-        lam = -sigma * delta / (1.0 + np.exp(sigma * sdiff))
+    lam = -sigma * delta / (1.0 + np.exp(sigma * sdiff))
     dc = np.zeros_like(s)
-    dc[:, pos] = lam.sum(axis=2)
-    dc[:, neg] = -lam.sum(axis=1)
+    dc[:, pos] = np.add.reduce(lam, axis=2)
+    dc[:, neg] = -np.add.reduce(lam, axis=1)
     return dc, delta, sdiff
 
 
@@ -260,26 +276,30 @@ def fit_lambdarank(ts: TrainingSet, hp: LrnParams = LrnParams()) -> Model:
     d = X.shape[1]
     R = hp.restarts
     sizes = (d, hp.hidden1, hp.hidden2, 1)
-    params = _init_stacked(hp.seed, R, sizes)
+    flat, params = _flatten(_init_stacked(hp.seed, R, sizes))
     order_rng = np.random.default_rng(mix_seed(hp.seed, "group-order"))
 
     inputs = [np.ascontiguousarray(X[sl][None]) for sl, _, _, _ in groups]
-    nets = {m: _Net(R, m, sizes) for m in {Xg.shape[1] for Xg in inputs}}
-    for _ in range(hp.epochs):
-        for g in order_rng.permutation(len(groups)):
-            _, pos, neg, idcg = groups[g]
-            Xg = inputs[g]
-            net = nets[Xg.shape[1]]
-            s = net.forward(params, Xg)[..., 0]
-            dc, _, _ = _group_lambdas(s, pos, neg, hp.sigma, idcg)
-            _sgd_step(params, net.backward(params, Xg, dc[..., None]),
-                      hp.learning_rate)
+    widths = {Xg.shape[1] for Xg in inputs}
+    nets = {m: _Net(R, m, sizes) for m in widths}
+    gains = {m: _gains(m) for m in widths}
+    with np.errstate(over="ignore"):
+        for _ in range(hp.epochs):
+            for g in order_rng.permutation(len(groups)):
+                _, pos, neg, idcg = groups[g]
+                Xg = inputs[g]
+                m = Xg.shape[1]
+                s = nets[m].forward(params, Xg)[..., 0]
+                dc, _, _ = _group_lambdas(s, pos, neg, hp.sigma, idcg, gains=gains[m])
+                nets[m].backward(params, Xg, dc[..., None])
+                _sgd_step(flat, nets[m].flat_grads, hp.learning_rate)
 
     # mean training NDCG per restart
     ndcg = np.zeros(R)
     for (_, pos, _, idcg), Xg in zip(groups, inputs):
-        ranks = _ranks_matrix(nets[Xg.shape[1]].forward(params, Xg)[..., 0])
-        ndcg += (1.0 / np.log2(1.0 + ranks[:, pos])).sum(axis=1) / idcg
+        m = Xg.shape[1]
+        ranks = _ranks_matrix(nets[m].forward(params, Xg)[..., 0])
+        ndcg += gains[m][ranks[:, pos] - 1].sum(axis=1) / idcg
     best = int(np.argmax(ndcg))
     payload = MlpPayload(layers=_unstack(params, best), sigmoid_output=False)
     return Model(kind=RankerKind.LRN, payload=payload, stats=ts.stats, config=ts.config)
@@ -305,7 +325,8 @@ def lambdarank_cost_and_grads(layers, X: np.ndarray, y: np.ndarray,
     params, net = _one_restart(layers, len(y))
     X1 = X[None]
     s = net.forward(params, X1)[..., 0]
-    dc, delta, sdiff = _group_lambdas(s, pos, neg, sigma, idcg, frozen_delta)
+    with np.errstate(over="ignore"):
+        dc, delta, sdiff = _group_lambdas(s, pos, neg, sigma, idcg, frozen_delta)
     cost = float((delta * np.logaddexp(0.0, -sigma * sdiff)).sum())
     grads = net.backward(params, X1, dc[..., None])
     return cost, [(dW[0], db[0, 0]) for dW, db in grads], delta

@@ -6,6 +6,17 @@ rank the cycle's tests, cut the ranking at the time budget (a read of the
 ranking's cumulative durations), and replay the recorded verdicts of that
 cycle against the executed prefix.
 
+Ranking runs on registry codes (``TestHistory.codes``), not on dicts keyed
+by test id: each prefix hands over its registry means as an array by code,
+and each replay call ranks the ids once in ``sorted()`` order and, for
+rocket, takes each cycle's failing codes once.  An evaluated cycle's
+durations, scores and tie-break keys are then columns read through its
+codes, rocket adds its weights newest cycle first as the per-cycle loop
+did, and one lexsort (``rank_columns``) orders every ranker's columns.
+``rank_with_tie_break``, ``random_rank``, ``rocket_rank``,
+``rocket_priorities`` and ``rank_cycle`` are Mapping adapters over the same
+cores.
+
 Leakage rules: training windows, feature inputs, tie-break durations and
 budget-cut durations are all derived exclusively from the prior history,
 ``history_prefix(h, c)``: the cycles before the evaluated one and their
@@ -26,11 +37,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .domain import (Cycle, HistoryWindow, TestHistory, history_prefix, history_prefixes,
-                     slice_recent)
+from .domain import Cycle, HistoryWindow, TestHistory, coded_prefixes, slice_recent
 from .errors import (
     HistoryTooShort,
     NonPositiveBudget,
@@ -49,9 +60,11 @@ from .rankers import (
     RankerParams,
     constant_model,
     default_params,
-    random_rank,
-    rank_cycle,
-    rocket_rank,
+    random_scores,
+    rank_columns,
+    rocket_scores,
+    score_matrix,
+    sorted_ranks,
     with_seed,
 )
 from .seeding import mix_seed
@@ -184,8 +197,26 @@ def _train_for_cycle(kind: RankerKind, params: RankerParams, window: HistoryWind
     return model, ts
 
 
-def _replay_at(prior: TestHistory, cycle: Cycle, cfg: ReplayConfig,
-               budgets: list[float]) -> list[CycleOutcome]:
+class _Coded(NamedTuple):
+    """What one replay call ranks on besides the prefixes, by registry code
+    of the whole history."""
+
+    id_ranks: np.ndarray        # each code's test id's place in sorted() order
+    failing: list[np.ndarray]   # per cycle position: codes of its failing tests
+
+
+def _coded(h: TestHistory, kind: RankerKind, end: int) -> _Coded:
+    """The tie-break's id ranks and, for rocket, the failing codes of the
+    cycles before position ``end``."""
+    failing = ([idx[cyc.failed] for cyc, idx in zip(h.cycles[:end], h.codes[:end])]
+               if kind is RankerKind.ROCKET else [])
+    return _Coded(sorted_ranks(list(h.registry)), failing)
+
+
+def _replay_at(prior: TestHistory, means: np.ndarray, cycle: Cycle, codes: np.ndarray,
+               coded: _Coded, cfg: ReplayConfig, budgets: list[float]) -> list[CycleOutcome]:
+    """Rank ``cycle`` (its tests' registry ``codes``) from ``prior``, whose
+    registry means by code are ``means``, and replay it at each budget."""
     window = slice_recent(prior, cfg.history_fraction)
     kind = cfg.ranker
     params = cfg.params
@@ -203,22 +234,21 @@ def _replay_at(prior: TestHistory, cycle: Cycle, cfg: ReplayConfig,
     degenerate = bool(model is not None and model.degenerate)
     train_units = _train_units(kind, params, ts, degenerate) if kind.trains else 0
 
-    registry = prior.registry
-    mean_duration = float(np.mean(list(registry.values())))
-    durations = {
-        tid: registry.get(tid, mean_duration) for tid in cycle.test_ids
-    }
+    # a test the prior never ran has a code past its registry
+    mean_duration = float(np.mean(means))
+    durations = np.where(codes < len(means), means.take(codes, mode="clip"), mean_duration)
 
     t0 = time.perf_counter()
     if kind is RankerKind.RANDOM:
-        ranking = random_rank(list(cycle.test_ids), durations, rank_seed)
+        scores = random_scores(len(codes), rank_seed)
     elif kind is RankerKind.ROCKET:
-        ranking = rocket_rank(window, durations, params)
+        failing = coded.failing[window.lo:window.hi][::-1]
+        scores = rocket_scores(failing, len(coded.id_ranks), params)[codes]
     else:
-        max_dur = max(registry.values())
         rows = feature_matrix(window, list(cycle.test_ids), cfg.features,
-                              fallback_norm_duration=mean_duration / max_dur)
-        ranking = rank_cycle(model, list(cycle.test_ids), durations, rows)
+                              fallback_norm_duration=mean_duration / float(means.max()))
+        scores = score_matrix(model, rows)
+    ranking, order = rank_columns(cycle.test_ids, scores, durations, coded.id_ranks[codes])
     wall_rank = time.perf_counter() - t0
 
     rank_units = _rank_units(kind, params, len(cycle.test_ids), window.n_cycles,
@@ -226,8 +256,7 @@ def _replay_at(prior: TestHistory, cycle: Cycle, cfg: ReplayConfig,
     train_s = train_units / NOMINAL_OPS_PER_SECOND
     rank_s = rank_units / NOMINAL_OPS_PER_SECOND
 
-    failed_at_c = dict(zip(cycle.test_ids, cycle.failed.tolist()))
-    failed = np.array([*map(failed_at_c.__getitem__, ranking.test_ids)], dtype=bool)
+    failed = cycle.failed[order]
     fault_positions = (np.flatnonzero(failed) + 1).tolist()
     m = len(fault_positions)
     apfd_v = apfd(fault_positions, len(ranking)) if m else None
@@ -268,7 +297,9 @@ def replay_cycle(h: TestHistory, c: int, cfg: ReplayConfig) -> CycleOutcome:
         raise IndexError(f"cycle position {c} out of range")
     if c == 0:
         raise NoPriorHistory("cycle has no preceding history to train on")
-    return _replay_at(history_prefix(h, c), h.cycles[c], cfg, [cfg.budget_s])[0]
+    prior, means = next(coded_prefixes(h, [c]))
+    return _replay_at(prior, means, h.cycles[c], h.codes[c], _coded(h, cfg.ranker, c), cfg,
+                      [cfg.budget_s])[0]
 
 
 def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig,
@@ -284,8 +315,9 @@ def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig,
         raise HistoryTooShort(f"need >= 5 cycles, history has {n}")
     n_eval = min(int(math.ceil(cfg.eval_fraction * n)), n - 1)
     positions = range(n - n_eval, n)
-    per_cycle = [_replay_at(prior, h.cycles[pos], cfg, budgets)
-                 for pos, prior in zip(positions, history_prefixes(h, positions))]
+    coded = _coded(h, cfg.ranker, n - 1)
+    per_cycle = [_replay_at(prior, means, h.cycles[pos], h.codes[pos], coded, cfg, budgets)
+                 for pos, (prior, means) in zip(positions, coded_prefixes(h, positions))]
     return [list(outcomes) for outcomes in zip(*per_cycle)]
 
 

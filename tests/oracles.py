@@ -5,7 +5,10 @@ by cycle, the direct reading of the feature definitions in
 ``testprio.features``; the program computes every test at once from window
 matrices.  The parse oracle reads the canonical CSV row by row with the csv
 module and validates cycle by cycle; the program reads the columns with
-numpy's C parser and validates them in vectorized passes.
+numpy's C parser and validates them in vectorized passes.  The replay
+oracle ranks an evaluated cycle test by test, from dicts keyed by test id,
+and replays it with running-sum loops; the program ranks on registry codes
+and reads cumulative sums.
 """
 
 from __future__ import annotations
@@ -15,18 +18,24 @@ import io
 
 import numpy as np
 
-from testprio.domain import Cycle, HistoryWindow, TestHistory
+from testprio.domain import Cycle, HistoryWindow, TestHistory, slice_recent
 from testprio.errors import (
     AlphaOutOfRange,
     DuplicateTestInCycle,
     EmptyHistory,
     MalformedRow,
     NonPositiveDuration,
+    NoRankableGroup,
     UnknownTest,
     UnknownVerdictToken,
+    WindowTooSmall,
 )
-from testprio.features import FeatureConfig
+from testprio.features import FeatureConfig, build_training_set
 from testprio.ingest import CANONICAL_HEADER
+from testprio.metrics import CycleMetrics, apfd, napfd
+from testprio.rankers import (FITTERS, RankedTest, RankerKind, constant_model, score_matrix,
+                              with_seed)
+from testprio.seeding import mix_seed
 
 
 def recency_failure_score(failed_most_recent_first: list[bool], alpha: float) -> float:
@@ -150,3 +159,102 @@ def parse_canonical(stream) -> TestHistory:
         counts[idx] += 1
     registry = dict(zip(code_of, (totals / counts).tolist()))
     return TestHistory(cycles=tuple(cycles), registry=registry, codes=tuple(codes))
+
+
+def rocket_loop(window: HistoryWindow, test_ids, params) -> dict[str, float]:
+    """Rocket scores by walking the window's cycles from the newest, adding
+    each failing test's weight for that age to its running total."""
+    priorities = {tid: 0.0 for tid in test_ids}
+    recent = (params.weight_most_recent, params.weight_second)
+    for age, c in enumerate(reversed(window.cycles)):
+        w = recent[age] if age < 2 else params.weight_older
+        for tid, failed in zip(c.test_ids, c.failed):
+            if failed and tid in priorities:
+                priorities[tid] += w
+    return priorities
+
+
+def key_sort(scores, durations) -> tuple[RankedTest, ...]:
+    """The shared tie-break as a key-function sort on (-score, duration, id)."""
+    rows = [RankedTest(t, float(scores[t]), float(durations[t])) for t in scores]
+    return tuple(sorted(rows, key=lambda e: (-e.score, e.duration_s, e.test_id)))
+
+
+def replay_ranking(prior: TestHistory, cycle: Cycle, cfg) -> tuple[RankedTest, ...]:
+    """The ranking the replay gives ``cycle`` after ``prior`` under ``cfg``
+    (a ``ReplayConfig``), test by test: durations from a dict that falls back
+    to the prior mean, random scores from the rank seed's permutation, rocket
+    scores from :func:`rocket_loop`, model scores from per-test feature rows
+    (:func:`build_feature_vector`), then :func:`key_sort`."""
+    window = slice_recent(prior, cfg.history_fraction)
+    registry = prior.registry
+    mean = float(np.mean(list(registry.values())))
+    durations = {tid: registry.get(tid, mean) for tid in cycle.test_ids}
+    ids = cycle.test_ids
+    if cfg.ranker is RankerKind.RANDOM:
+        perm = np.random.default_rng(mix_seed(cfg.base_seed, "rank", cycle.cycle_id)).permutation(
+            len(ids))
+        scores = {ids[p]: float(len(ids) - i) for i, p in enumerate(perm.tolist())}
+    elif cfg.ranker is RankerKind.ROCKET:
+        scores = rocket_loop(window, ids, cfg.params)
+    else:
+        try:
+            model = FITTERS[cfg.ranker](build_training_set(window, cfg.features), with_seed(
+                cfg.params, mix_seed(cfg.base_seed, "fit", cycle.cycle_id)))
+        except (WindowTooSmall, NoRankableGroup):
+            model = constant_model(cfg.ranker, cfg.features)
+        rows = np.zeros((len(ids), cfg.features.dimension))
+        for i, tid in enumerate(ids):
+            if tid in registry:
+                rows[i] = build_feature_vector(window, tid, cfg.features, window.hi)
+            else:
+                rows[i, -1] = mean / max(registry.values())
+        scores = dict(zip(ids, score_matrix(model, rows).tolist()))
+    return key_sort(scores, durations)
+
+
+def loop_cut(durations, budget_s: float) -> tuple[int, float]:
+    """The budget cut as a running-sum loop: a test that would overflow is
+    not started."""
+    elapsed = 0.0
+    executed = 0
+    for d in durations:
+        if elapsed + d > budget_s:
+            break
+        elapsed += d
+        executed += 1
+    return executed, elapsed
+
+
+def loop_fault_time(run, budget: float, last: bool) -> float | None:
+    """TDFF (``last`` False) or TDLF of an executed prefix of (duration,
+    failed) rows, as a running-sum loop."""
+    elapsed, hit = 0.0, None
+    for duration, failed in run:
+        elapsed += duration
+        if failed:
+            hit = elapsed
+            if not last:
+                break
+    return None if hit is None else 100.0 * hit / budget
+
+
+def replay_budget(entries, cycle: Cycle, budget: float):
+    """(executed, elapsed, detected positions, metrics) of replaying
+    ``cycle``'s verdicts against ranked ``entries`` at ``budget``, by loops
+    over the rows."""
+    failed_at_c = {tid: bool(f) for tid, f in zip(cycle.test_ids, cycle.failed)}
+    faults = [i + 1 for i, e in enumerate(entries) if failed_at_c[e.test_id]]
+    executed, elapsed = loop_cut([e.duration_s for e in entries], budget)
+    detected = tuple(p for p in faults if p <= executed)
+    run = [(e.duration_s, failed_at_c[e.test_id]) for e in entries[:executed]]
+    m = len(faults)
+    metrics = CycleMetrics(
+        apfd=apfd(faults, len(entries)) if m else None,
+        napfd=napfd(detected, executed, m) if m else None,
+        tdff_pct=loop_fault_time(run, budget, last=False),
+        tdlf_pct=loop_fault_time(run, budget, last=True),
+        faults_present=m,
+        faults_detected=len(detected),
+    )
+    return executed, elapsed, detected, metrics

@@ -13,6 +13,7 @@ from testprio.rankers import (
     GbdtParams,
     LrnParams,
     Model,
+    RankedSuite,
     RankedTest,
     RankerKind,
     RocketParams,
@@ -26,17 +27,22 @@ from testprio.rankers import (
     fit_lambdarank,
     fit_svm,
     params_from_config,
+    rank_columns,
     rank_cycle,
     rank_with_tie_break,
     random_rank,
+    random_scores,
     rocket_priorities,
     rocket_rank,
+    rocket_scores,
     score_matrix,
     serialize_model,
+    sorted_ranks,
     with_seed,
 )
 from testprio.rankers.base import _stable_sigmoid
 
+from . import oracles
 from .conftest import churn_history, cyc, history, toy_training_set
 
 
@@ -68,13 +74,6 @@ class TestTieBreak:
         assert sorted(rs.test_ids) == sorted(ids)
 
 
-def _sorted_rows(scores, durations):
-    """Reference: the row-object sort that the lexsort replaced."""
-    rows = [RankedTest(t, float(scores[t]), float(durations[t])) for t in scores]
-    rows.sort(key=lambda e: (-e.score, e.duration_s, e.test_id))
-    return tuple(rows)
-
-
 class TestTieBreakMatchesRowSort:
     @pytest.mark.parametrize("seed", range(8))
     def test_heavy_ties_signed_zeros_and_insertion_order(self, seed):
@@ -86,7 +85,7 @@ class TestTieBreakMatchesRowSort:
         durations = {t: float(rng.choice([0.1, 0.2, 0.30000000000000004, 0.3, 1.0]))
                      for t in ids}
         rs = rank_with_tie_break(scores, durations)
-        expected = _sorted_rows(scores, durations)
+        expected = oracles.key_sort(scores, durations)
         assert rs.test_ids == tuple(e.test_id for e in expected)
         assert rs.entries == expected
         assert len(rs) == n
@@ -96,7 +95,7 @@ class TestTieBreakMatchesRowSort:
         scores = dict(zip(["e", "d", "c", "b", "a"], values))  # np.float64 values
         durations = dict(zip(["a", "b", "c", "d", "e"], [1, 2, 2, 1, 1]))  # ints
         rs = rank_with_tie_break(scores, durations)
-        assert rs.entries == _sorted_rows(scores, durations)
+        assert rs.entries == oracles.key_sort(scores, durations)
         assert all(type(e.score) is float and type(e.duration_s) is float
                    for e in rs.entries)
 
@@ -107,6 +106,57 @@ class TestTieBreakMatchesRowSort:
         assert base != rank_with_tie_break({"A": 0.9, "B": 0.1}, {"A": 1.0, "B": 3.0})
         assert base != rank_with_tie_break({"A": 0.9, "C": 0.1}, {"A": 1.0, "C": 2.0})
         assert base != base.entries
+
+
+class TestColumnCore:
+    """``rank_columns`` and the Mapping adapters over it on the cases where
+    codes, ids and float keys disagree, against the key-function sort."""
+
+    IDS = ["b", "t9", "a", "t10"]  # first-run (code) order, not string order
+
+    def test_id_order_breaks_full_ties(self):
+        ids = self.IDS
+        rs, order = rank_columns(ids, np.zeros(4), np.ones(4), sorted_ranks(ids))
+        assert rs.test_ids == ("a", "b", "t10", "t9")
+        assert [ids[i] for i in order] == list(rs.test_ids)
+        assert rank_with_tie_break(dict.fromkeys(ids, 0.5), dict.fromkeys(ids, 2.0)) == \
+            RankedSuite(("a", "b", "t10", "t9"), np.full(4, 0.5), np.full(4, 2.0))
+
+    def test_sorted_ranks(self):
+        assert sorted_ranks(self.IDS).tolist() == [1, 3, 0, 2]
+        assert sorted_ranks([]).tolist() == []
+
+    @pytest.mark.parametrize("durations", [[1.0, 1.0, 1.0, 1.0], [2.0, 1.0, 2.0, 1.0]])
+    def test_signed_zero_scores_tie(self, durations):
+        ids = self.IDS
+        scores = [0.0, -0.0, -0.0, 0.0]
+        rs, _ = rank_columns(ids, np.array(scores), np.array(durations), sorted_ranks(ids))
+        expected = oracles.key_sort(dict(zip(ids, scores)), dict(zip(ids, durations)))
+        assert rs.entries == expected
+        by_id = dict(zip(ids, scores))
+        assert np.signbit(rs.scores).tolist() == [np.signbit(by_id[t]) for t in rs.test_ids]
+        assert rank_with_tie_break(dict(zip(ids, scores)), dict(zip(ids, durations))) == rs
+
+    def test_rank_cycle_adapter(self):
+        ids = self.IDS
+        model = constant_model(RankerKind.SVM, FeatureConfig())
+        durations = dict(zip(ids, [1.0, 3.0, 1.0, 3.0]))
+        rs = rank_cycle(model, ids, durations, np.zeros((4, FeatureConfig().dimension)))
+        assert rs.test_ids == ("a", "b", "t10", "t9")
+
+    def test_random_rank_adapter(self):
+        ids = self.IDS
+        rs = random_rank(ids, dict.fromkeys(ids, 1.0), 5)
+        scores = random_scores(4, 5)
+        assert rs.test_ids == tuple(ids[i] for i in np.argsort(-scores))
+        assert sorted(scores.tolist()) == [1.0, 2.0, 3.0, 4.0]
+
+    def test_adapters_reject_key_mismatch(self):
+        with pytest.raises(KeyMismatch):
+            random_rank(["a", "b"], {"a": 1.0}, 0)
+        with pytest.raises(KeyMismatch):
+            rank_cycle(constant_model(RankerKind.SVM, FeatureConfig()), ["a"],
+                       {"b": 1.0}, np.zeros((1, FeatureConfig().dimension)))
 
 
 class TestRandomRank:
@@ -151,23 +201,6 @@ def _window_with_failures():
     ), 1.0)
 
 
-def _loop_rocket(window, test_ids, params=RocketParams()):
-    """Reference: the per-execution scan that the coded row sum replaced."""
-    priorities = {tid: 0.0 for tid in test_ids}
-    wanted = set(test_ids)
-    for age, c in enumerate(reversed(window.cycles), start=1):
-        if age == 1:
-            w = params.weight_most_recent
-        elif age == 2:
-            w = params.weight_second
-        else:
-            w = params.weight_older
-        for tid, failed in zip(c.test_ids, c.failed):
-            if failed and tid in wanted:
-                priorities[tid] += w
-    return priorities
-
-
 class TestRocket:
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_matches_per_execution_loop_on_churn(self, seed):
@@ -183,7 +216,7 @@ class TestRocket:
             if fraction == 0.05:
                 assert set(ids) - in_window - {"NEVER-SEEN"}  # absent from window
             for p in (RocketParams(), params):
-                assert rocket_priorities(w, ids, p) == _loop_rocket(w, ids, p)
+                assert rocket_priorities(w, ids, p) == oracles.rocket_loop(w, ids, p)
 
     def test_weighted_sums(self):
         # oracle: A fails only in most recent -> 0.7
@@ -218,6 +251,23 @@ class TestRocket:
         for tid, p in priorities.items():
             assert 0.0 <= p <= upper + 1e-12
             assert (p == 0.0) == (tid not in failed_ever)
+
+    def test_older_failures_add_one_at_a_time(self):
+        # X fails in all 8 window cycles: 0.7, 0.2, then 0.1 six times added
+        # in turn, which differs from 0.7 + 0.2 + 6 * 0.1 in the last bit
+        cycles = [cyc(i, ("X", "fail", 1.0), ("Y", "pass", 1.0)) for i in range(8)]
+        w = slice_recent(history(*cycles), 1.0)
+        expected = 0.0
+        for weight in [0.7, 0.2] + [0.1] * 6:
+            expected += weight
+        assert expected != 0.7 + 0.2 + 0.1 * 6
+        assert rocket_priorities(w, ["X", "Y", "Z"]) == {"X": expected, "Y": 0.0, "Z": 0.0}
+        failing = [idx[c.failed] for c, idx in zip(w.cycles[::-1], w.codes[::-1])]
+        assert rocket_scores(failing, 2).tolist() == [expected, 0.0]
+        assert rocket_rank(w, {"Y": 1.0, "X": 1.0}).entries[0] == RankedTest("X", expected, 1.0)
+
+    def test_scores_of_an_empty_window_list(self):
+        assert rocket_scores([], 3).tolist() == [0.0, 0.0, 0.0]
 
     def test_custom_weights(self):
         w = _window_with_failures()

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from testprio.domain import Cycle, validate_history
+from testprio.domain import Cycle, history_prefixes, validate_history
 from testprio.errors import HistoryTooShort, NonPositiveBudget, NoPriorHistory
-from testprio.metrics import apfd, napfd
-from testprio.rankers import RankedSuite, RankerKind
+from testprio.rankers import RankedSuite, RankedTest, RankerKind, params_from_config
 from testprio.replay import (
     ReplayConfig,
     cut_by_budget,
@@ -14,6 +13,7 @@ from testprio.replay import (
 )
 
 from .conftest import churn_history, cyc, history
+from .oracles import loop_cut, replay_budget, replay_ranking
 
 
 def _suite(*entries):
@@ -55,20 +55,8 @@ class TestCutByBudget:
                    0.3, 0.6, 1e-10, running[-1] * 2]  # exactly on, just below, just above
         for budget in budgets:
             got = cut_by_budget(rs, float(budget))
-            assert got == _loop_cut(durations.tolist(), float(budget))
+            assert got == loop_cut(durations.tolist(), float(budget))
             assert type(got[0]) is int and type(got[1]) is float
-
-
-def _loop_cut(durations, budget_s):
-    """Reference: the running-sum loop that the cumulative-sum read replaced."""
-    elapsed = 0.0
-    executed = 0
-    for d in durations:
-        if elapsed + d > budget_s:
-            break
-        elapsed += d
-        executed += 1
-    return executed, elapsed
 
 
 def _replay_history():
@@ -228,6 +216,43 @@ class TestWalkForward:
         assert durations["NEW"] == pytest.approx(3.0)  # prior registry mean
         assert sorted(outcome.ranking.test_ids) == ["A", "B", "NEW"]
 
+    def test_ranks_on_codes_whose_order_is_not_id_order(self):
+        # "b" and "t9" run first, so their codes come before "a" and "t10"
+        rows = [("b", "pass", 1.0), ("t9", "pass", 1.0), ("a", "pass", 1.0), ("t10", "pass", 1.0)]
+        h = validate_history([cyc(i, *rows) for i in range(5)])
+        for kind in (RankerKind.ROCKET, RankerKind.SVM):
+            cfg = ReplayConfig(ranker=kind, budget_s=2.5, history_fraction=1.0,
+                               eval_fraction=0.2)
+            (outcome,) = walk_forward(h, cfg)
+            assert outcome.ranking.test_ids == ("a", "b", "t10", "t9")
+            assert outcome.executed == 2
+
+    def test_new_test_gets_prior_mean_and_no_rocket_score(self):
+        cycles = [cyc(i, ("A", "fail", 2.0), ("B", "pass", 5.0)) for i in range(9)]
+        cycles.append(cyc(9, ("NEW", "fail", 9.0), ("A", "fail", 2.0), ("B", "pass", 5.0)))
+        h = validate_history(cycles)
+        for kind in (RankerKind.ROCKET, RankerKind.RANDOM):
+            cfg = ReplayConfig(ranker=kind, budget_s=100.0, history_fraction=0.5,
+                               eval_fraction=0.1)
+            (outcome,) = walk_forward(h, cfg)
+            new = {e.test_id: e for e in outcome.ranking.entries}["NEW"]
+            assert new.duration_s == 3.5  # mean of the prior registry {A: 2, B: 5}
+            if kind is RankerKind.ROCKET:
+                assert new.score == 0.0
+                assert outcome.ranking.test_ids == ("A", "NEW", "B")
+
+    def test_rocket_adds_older_weights_one_at_a_time(self):
+        cycles = [cyc(i, ("B", "pass", 1.0), ("A", "fail", 1.0)) for i in range(8)]
+        h = validate_history(cycles)
+        cfg = ReplayConfig(ranker=RankerKind.ROCKET, budget_s=5.0, history_fraction=1.0,
+                           eval_fraction=0.125)
+        (outcome,) = walk_forward(h, cfg)
+        expected = 0.0
+        for weight in [0.7, 0.2] + [0.1] * 5:  # seven prior cycles, newest first
+            expected += weight
+        assert expected != 0.7 + 0.2 + 0.1 * 5
+        assert outcome.ranking.entries[0] == RankedTest("A", expected, 1.0)
+
     def test_timing_structure(self, persistent_history):
         for kind in (RankerKind.SVM, RankerKind.GBDT):
             cfg = ReplayConfig(ranker=kind, budget_s=40.0, history_fraction=0.4,
@@ -272,32 +297,39 @@ class TestReplayMatchesRowLoops:
             for o in outcomes:
                 cycle = cycles[o.cycle_id]
                 assert cycle.test_ids != o.ranking.test_ids or len(cycle.test_ids) < 3
-                assert _row_loop_outcome(o.ranking, cycle, budget) == (
-                    o.executed, o.elapsed_s, o.detected_positions, o.metrics.apfd,
-                    o.metrics.napfd, o.metrics.tdff_pct, o.metrics.tdlf_pct)
+                assert replay_budget(o.ranking.entries, cycle, budget) == (
+                    o.executed, o.elapsed_s, o.detected_positions, o.metrics)
 
 
-def _row_loop_outcome(ranking, cycle, budget):
-    """Reference: the replay bookkeeping as per-entry loops over the rows."""
-    failed_at_c = {tid: bool(f) for tid, f in zip(cycle.test_ids, cycle.failed)}
-    faults = [i + 1 for i, e in enumerate(ranking.entries) if failed_at_c[e.test_id]]
-    executed, elapsed = _loop_cut([e.duration_s for e in ranking.entries], budget)
-    detected = tuple(p for p in faults if p <= executed)
-    run = [(e.duration_s, failed_at_c[e.test_id]) for e in ranking.entries[:executed]]
-    m = len(faults)
-    return (executed, elapsed, detected,
-            apfd(faults, len(ranking)) if m else None,
-            napfd(detected, executed, m) if m else None,
-            _loop_fault_time(run, budget, last=False),
-            _loop_fault_time(run, budget, last=True))
+# reduced training effort, so that every fitted kind runs in the oracle too
+_EFFORT = {"svm.epochs": "5", "ann.epochs": "3", "ann.restarts": "2", "lrn.epochs": "3",
+           "lrn.restarts": "2", "gbdt.n_estimators": "8"}
 
 
-def _loop_fault_time(run, budget, last):
-    elapsed, hit = 0.0, None
-    for duration, failed in run:
-        elapsed += duration
-        if failed:
-            hit = elapsed
-            if not last:
-                break
-    return None if hit is None else 100.0 * hit / budget
+class TestReplayMatchesPerTestOracle:
+    """Walk-forward outcomes, field by field, against the replay ranked test
+    by test from dicts keyed by test id (``oracles.replay_ranking``)."""
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.4, 1.0])
+    @pytest.mark.parametrize("kind", list(RankerKind))
+    def test_walk_forward_equals_oracle(self, kind, fraction):
+        h = churn_history(4)  # two evaluated cycles each run a test new to them
+        avg = np.mean([c.duration_s.sum() for c in h.cycles])
+        budgets = [avg * f for f in (0.05, 0.3, 1.0)]
+        cfg = ReplayConfig(ranker=kind, budget_s=budgets[-1], history_fraction=fraction,
+                           eval_fraction=0.1, base_seed=11,
+                           params=params_from_config(kind, _EFFORT))
+        per_budget = walk_forward_budgets(h, cfg, budgets)
+        positions = range(h.n_cycles - len(per_budget[0]), h.n_cycles)
+        unseen = 0
+        for j, (pos, prior) in enumerate(zip(positions, history_prefixes(h, positions))):
+            cycle = h.cycles[pos]
+            unseen += len(set(cycle.test_ids) - set(prior.registry))
+            entries = replay_ranking(prior, cycle, cfg)
+            for budget, outcomes in zip(budgets, per_budget):
+                o = outcomes[j]
+                assert o.cycle_id == cycle.cycle_id
+                assert o.ranking.entries == entries
+                assert (o.executed, o.elapsed_s, o.detected_positions, o.metrics) == \
+                    replay_budget(entries, cycle, budget)
+        assert unseen  # some evaluated test has no prior run
