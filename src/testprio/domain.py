@@ -12,6 +12,11 @@ registry (first-run order); later stages index columns by these codes
 flat :class:`ExecutionColumns`, which it groups and codes in vectorized
 passes.
 
+A history carries its registry (each test's mean duration) as arrays by
+code: the ids in code order (``TestHistory.test_ids``) and their means
+(``TestHistory.means``).  The ``registry`` dict is derived from them on
+first read and cached; the replay reads the arrays only.
+
 All values are immutable after construction and safe to share across
 threads.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -68,13 +74,19 @@ class Cycle:
 @dataclass(frozen=True, eq=False)
 class TestHistory:
     """Validated CI history: cycles in strictly increasing cycle_id order plus
-    a registry mapping every test id to its mean observed duration.
+    the registry of every test's mean observed duration, as arrays by code.
     ``codes[i][j]`` is the registry position of ``cycles[i].test_ids[j]``;
     being derived, codes take no part in equality."""
 
     cycles: tuple[Cycle, ...]
-    registry: dict[str, float]  # test_id -> mean duration over all its runs
     codes: tuple[np.ndarray, ...]  # int64 per cycle, parallel to its test_ids
+    test_ids: tuple[str, ...]  # registry ids by code (first-run order)
+    means: np.ndarray  # float64 by code: mean duration over all the test's runs
+
+    @cached_property
+    def registry(self) -> dict[str, float]:
+        """test_id -> mean duration, in code order; built on first read."""
+        return dict(zip(self.test_ids, self.means.tolist()))
 
     @property
     def n_cycles(self) -> int:
@@ -82,7 +94,7 @@ class TestHistory:
 
     @property
     def n_tests(self) -> int:
-        return len(self.registry)
+        return len(self.test_ids)
 
     @property
     def n_executions(self) -> int:
@@ -145,27 +157,36 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _prefixes(cycles: Sequence[Cycle], codes: Sequence[np.ndarray], test_ids: Sequence[str],
-              positions: Iterable[int]) -> Iterator[tuple[TestHistory, np.ndarray]]:
+def _prefixes(cycles: Sequence[Cycle], codes: Sequence[np.ndarray], test_ids: tuple[str, ...],
+              positions: Iterable[int],
+              flat: tuple[np.ndarray, np.ndarray] | None = None) -> Iterator[TestHistory]:
     """For each of the non-decreasing ``positions``, the history of the first
-    ``pos`` cycles with their registry and codes, and the registry's mean
-    durations as a float64 array by code.  Each cycle's durations are
-    added to running per-test totals once, so every registry sums each
-    test's durations chronologically, wherever the history is cut."""
-    totals = np.zeros(len(test_ids))
-    counts = np.zeros(len(test_ids))
-    n_tests = done = 0
+    ``pos`` cycles with their codes and registry.  The first prefix is
+    summed by ``np.bincount`` over its codes (``flat``: its codes and
+    durations as flat columns, when the caller holds them); each later
+    cycle is added to the running per-test totals once.  Both add every
+    test's durations to 0.0 in chronological order, so a registry is the
+    same chronological sum bit for bit, wherever the history is cut."""
+    n = len(test_ids)
+    done = n_tests = 0
     for pos in positions:
         if not (max(done, 1) <= pos <= len(cycles)):
             raise IndexError(f"prefix length {pos} out of range after {done} of {len(cycles)}")
-        for cyc, idx in zip(cycles[done:pos], codes[done:pos]):
-            totals[idx] += cyc.duration_s
-            counts[idx] += 1
-            n_tests = max(n_tests, int(idx.max()) + 1)  # first-run order: they come first
+        if done:
+            for cyc, idx in zip(cycles[done:pos], codes[done:pos]):
+                totals[idx] += cyc.duration_s
+                counts[idx] += 1
+                n_tests = max(n_tests, int(idx.max()) + 1)
+        else:
+            idx, dur = flat if flat is not None else (
+                np.concatenate(codes[:pos]), np.concatenate([c.duration_s for c in cycles[:pos]]))
+            totals = np.bincount(idx, weights=dur, minlength=n)
+            counts = np.bincount(idx, minlength=n).astype(np.float64)
+            n_tests = int(idx.max()) + 1  # first-run order: seen tests come first
         done = pos
-        means = totals[:n_tests] / counts[:n_tests]
-        yield (TestHistory(cycles=tuple(cycles[:pos]), codes=tuple(codes[:pos]),
-                           registry=dict(zip(test_ids[:n_tests], means.tolist()))), means)
+        yield TestHistory(cycles=tuple(cycles[:pos]), codes=tuple(codes[:pos]),
+                          test_ids=test_ids[:n_tests],
+                          means=totals[:n_tests] / counts[:n_tests])
 
 
 def _check_rows(cyc: Cycle, codes: np.ndarray) -> None:
@@ -215,7 +236,8 @@ def _from_columns(cycle_ids: np.ndarray, test_ids: Sequence[str],
     cycle_codes = [codes[a:b] for a, b in spans]
     for cyc, idx in zip(cycles, cycle_codes):
         _check_rows(cyc, idx)
-    return next(_prefixes(cycles, cycle_codes, list(code_of), [len(cycles)]))[0]
+    return next(_prefixes(cycles, cycle_codes, tuple(code_of), [len(cycles)],
+                          flat=(codes, duration_s)))
 
 
 def validate_history(raw: TestHistory | Iterable[Cycle] | ExecutionColumns) -> TestHistory:
@@ -246,21 +268,15 @@ def validate_history(raw: TestHistory | Iterable[Cycle] | ExecutionColumns) -> T
         codes.append(np.fromiter((code_of.setdefault(t, len(code_of)) for t in cyc.test_ids),
                                  np.int64, len(cyc)))
         _check_rows(cyc, codes[-1])
-    return next(_prefixes(cycles, codes, list(code_of), [len(cycles)]))[0]
-
-
-def coded_prefixes(h: TestHistory,
-                   positions: Iterable[int]) -> Iterator[tuple[TestHistory, np.ndarray]]:
-    """:func:`history_prefixes` with each prefix's registry means as a
-    float64 array indexed by test code (a prefix registry holds codes
-    ``0 .. n-1``: codes follow first-run order)."""
-    return _prefixes(h.cycles, h.codes, list(h.registry), positions)
+    # the running adds after the first cycle take no flat copy of the columns
+    *_, history = _prefixes(cycles, codes, tuple(code_of), [1, len(cycles)])
+    return history
 
 
 def history_prefixes(h: TestHistory, positions: Iterable[int]) -> Iterator[TestHistory]:
     """:func:`history_prefix` at each of the non-decreasing ``positions``,
     summing each cycle's durations into the registry once."""
-    return (prior for prior, _ in coded_prefixes(h, positions))
+    return _prefixes(h.cycles, h.codes, h.test_ids, positions)
 
 
 def history_prefix(h: TestHistory, pos: int) -> TestHistory:

@@ -27,6 +27,7 @@ a model applies its :class:`StandardizationStats` when it scores them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -114,8 +115,7 @@ class _WindowArrays:
     columns = source registry tests, indexed by test code."""
 
     def __init__(self, window: HistoryWindow):
-        registry = window.source.registry
-        k, n = window.n_cycles, len(registry)
+        k, n = window.n_cycles, window.source.n_tests
         self.present = np.zeros((k, n), dtype=bool)
         self.failed = np.zeros((k, n), dtype=bool)
         for j, (cyc, idx) in enumerate(zip(window.cycles, window.codes)):
@@ -128,8 +128,8 @@ class _WindowArrays:
         self.cum_failed = np.vstack(
             [np.zeros(n), np.cumsum(self.failed, axis=0)]).astype(np.float64)
 
-        durations = np.fromiter(registry.values(), np.float64, n)
-        self.norm_duration = durations / durations.max()
+        means = window.source.means
+        self.norm_duration = means / means.max()
 
     def recency_scores(self, alpha: float) -> np.ndarray:
         """(k+1, n): row j = decayed failure score as of window offset j."""
@@ -195,26 +195,30 @@ def compute_stats(X: np.ndarray) -> StandardizationStats:
     return StandardizationStats(mean=mean, std=std)
 
 
-def feature_matrix(window: HistoryWindow, test_ids: list[str], cfg: FeatureConfig,
-                   fallback_norm_duration: float | None = None) -> np.ndarray:
-    """Raw feature rows for ``test_ids`` as of one past the window's end.
+def feature_matrix(window: HistoryWindow, test_ids: Sequence[str], cfg: FeatureConfig,
+                   fallback_norm_duration: float | None = None,
+                   codes: np.ndarray | None = None) -> np.ndarray:
+    """Raw feature rows for ``test_ids`` as of one past the window's end,
+    gathered by their registry ``codes`` (looked up when not given).
 
-    Tests absent from the source registry get all-zero history features and
-    ``fallback_norm_duration`` as the duration component (they have no
-    recorded runs yet); passing ``None`` makes unknown tests an error.
+    Tests absent from the source registry (a code past it) get all-zero
+    history features and ``fallback_norm_duration`` as the duration
+    component (they have no recorded runs yet); passing ``None`` makes
+    unknown tests an error.
     """
     arrays = _WindowArrays(window)
     recency = arrays.recency_scores(cfg.decay)
     feats = arrays.features_as_of(window.n_cycles, cfg, recency)
 
-    row_of = dict(zip(window.source.registry, feats))
-    out = np.zeros((len(test_ids), cfg.dimension))
-    for i, tid in enumerate(test_ids):
-        row = row_of.get(tid)
-        if row is not None:
-            out[i] = row
-        elif fallback_norm_duration is not None:
-            out[i, cfg.verdict_window + 3] = fallback_norm_duration
-        else:
-            raise UnknownTest(tid)
+    n = len(feats)
+    if codes is None:
+        code_of = dict(zip(window.source.test_ids, range(n)))
+        codes = np.fromiter((code_of.get(tid, n) for tid in test_ids), np.int64, len(test_ids))
+    out = feats.take(codes, axis=0, mode="clip")
+    unknown = codes >= n
+    if unknown.any():
+        if fallback_norm_duration is None:
+            raise UnknownTest(test_ids[int(np.argmax(unknown))])
+        out[unknown] = 0.0
+        out[unknown, cfg.verdict_window + 3] = fallback_norm_duration
     return out

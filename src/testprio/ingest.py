@@ -228,20 +228,37 @@ def _csv_records(text: str, delimiter: str = ",") -> Iterator[list[str]]:
         raise MalformedRow(n + 1, str(exc)) from None
 
 
+def _has_long_line(data: bytes, limit: int) -> bool:
+    """Whether some line of ``data`` (bytes between line feeds) is longer
+    than ``limit``: each step jumps to the last line feed within reach."""
+    pos = 0
+    while len(data) - pos > limit:
+        end = data.rfind(b"\n", pos, pos + limit + 1)
+        if end < 0:
+            return True
+        pos = end + 1
+    return False
+
+
 def _read_columns(data: bytes) -> ExecutionColumns | None:
     """The rows after the canonical header, read by numpy's C parser; None
-    where only the row loop can give the exact result or error (see
-    ``_ROW_LOOP_BYTES``)."""
+    where only the row loop can give the exact result or error: see
+    ``_ROW_LOOP_BYTES``, and a field the csv module finds too long, which
+    only a line (or a quoted test id) longer than its limit can hold."""
     head_end = data.find(b"\n")
+    limit = csv.field_size_limit()
     if (head_end < 0 or not data.isascii() or any(b in data for b in _ROW_LOOP_BYTES)
             or tuple(f.strip() for f in data[:head_end].split(b",")) != _HEADER
-            or not _ANY_ROW.search(data, head_end + 1)):  # no rows: numpy would warn
+            or not _ANY_ROW.search(data, head_end + 1)  # no rows: numpy would warn
+            or _has_long_line(data, limit)):
         return None
     try:
         rows = np.loadtxt(io.BytesIO(data), dtype=_ROW, delimiter=",", comments=None,
                           quotechar='"', skiprows=1, encoding="utf-8", ndmin=1)
     except ValueError:
         return None
+    if b'"' in data and max(map(len, rows["test"])) > limit:
+        return None  # a quoted line break split the id over short lines
     tokens = rows["verdict"].copy()
     if tokens.view(np.uint8)[_TOKEN_BYTES - 1 :: _TOKEN_BYTES].any():
         return None  # a token may have been cut to _TOKEN_BYTES

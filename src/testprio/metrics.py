@@ -76,25 +76,27 @@ def tdff(durations: Sequence[float], failed: Sequence[bool],
          budget: float) -> float | None:
     """Time (as % of budget) to reach the first executed failure, or ``None``
     when none failed; takes the executed prefix's columns in execution order."""
-    return _time_to_fault(durations, failed, budget, last=False)
+    return time_to_fault(np.cumsum(durations), failed, budget, last=False)
 
 
 def tdlf(durations: Sequence[float], failed: Sequence[bool],
          budget: float) -> float | None:
     """Time (as % of budget) to reach the last executed failure."""
-    return _time_to_fault(durations, failed, budget, last=True)
+    return time_to_fault(np.cumsum(durations), failed, budget, last=True)
 
 
-def _time_to_fault(durations: Sequence[float], failed: Sequence[bool],
-                   budget: float, last: bool) -> float | None:
+def time_to_fault(elapsed: np.ndarray, failed: Sequence[bool], budget: float,
+                  last: bool) -> float | None:
+    """TDFF (``last`` False) or TDLF from the executed prefix's cumulative
+    durations ``elapsed``: the replay sums a ranking once for all budgets."""
     if not (budget > 0 and math.isfinite(budget)):
         raise NonPositiveBudget(f"budget must be positive, got {budget}")
-    if len(durations) != len(failed):
+    if len(elapsed) != len(failed):
         raise DimensionMismatch("durations and failed flags differ in length")
     hits = np.flatnonzero(failed)
     if not len(hits):
         return None
-    return 100.0 * float(np.cumsum(durations)[hits[-1] if last else hits[0]]) / budget
+    return 100.0 * float(elapsed[hits[-1] if last else hits[0]]) / budget
 
 
 @dataclass(frozen=True)

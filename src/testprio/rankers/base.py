@@ -231,7 +231,7 @@ def rank_columns(test_ids: Sequence[str], scores: np.ndarray, durations: np.ndar
     scores = np.asarray(scores, dtype=np.float64)
     durations = np.asarray(durations, dtype=np.float64)
     order = np.lexsort((id_ranks, durations, -scores))
-    ids = tuple(map(test_ids.__getitem__, order.tolist()))
+    ids = tuple(np.asarray(test_ids, dtype=object)[order].tolist())
     return RankedSuite(ids, scores[order], durations[order]), order
 
 
@@ -287,7 +287,7 @@ def rocket_priorities(window: HistoryWindow, test_ids: Sequence[str],
         raise EmptyWindow("cannot prioritize from an empty window")
     failing = [idx[cyc.failed] for cyc, idx in zip(window.cycles[::-1], window.codes[::-1])]
     totals = rocket_scores(failing, window.source.n_tests, params)
-    by_test = dict(zip(window.source.registry, totals.tolist()))
+    by_test = dict(zip(window.source.test_ids, totals.tolist()))
     return {tid: by_test.get(tid, 0.0) for tid in test_ids}
 
 

@@ -2,17 +2,20 @@
 
 For each evaluation cycle: slice the most recent fraction of the *prior*
 cycles into a training window, fit the configured ranker (when it trains),
-rank the cycle's tests, cut the ranking at the time budget (a read of the
-ranking's cumulative durations), and replay the recorded verdicts of that
-cycle against the executed prefix.
+rank the cycle's tests, cut the ranking at each time budget, and replay the
+recorded verdicts of that cycle against the executed prefix.  The ranking's
+durations are summed once; every budget's cut, elapsed time, TDFF and TDLF
+read that one cumulative array.
 
 Ranking runs on registry codes (``TestHistory.codes``), not on dicts keyed
-by test id: each prefix hands over its registry means as an array by code,
-and each replay call ranks the ids once in ``sorted()`` order and, for
-rocket, takes each cycle's failing codes once.  An evaluated cycle's
-durations, scores and tie-break keys are then columns read through its
-codes, rocket adds its weights newest cycle first as the per-cycle loop
-did, and one lexsort (``rank_columns``) orders every ranker's columns.
+by test id: each prefix carries its registry as arrays by code
+(``test_ids``, ``means``; the ``registry`` dict is only derived on read,
+and no replay reads it), and each replay call ranks the ids once in
+``sorted()`` order and, for rocket, takes each cycle's failing codes once.
+An evaluated cycle's durations, scores, feature rows and tie-break keys are
+then columns read through its codes, rocket adds its weights newest cycle
+first as the per-cycle loop did, one lexsort (``rank_columns``) orders
+every ranker's columns, and the ranked ids are gathered by code.
 ``rank_with_tie_break``, ``random_rank``, ``rocket_rank``,
 ``rocket_priorities`` and ``rank_cycle`` are Mapping adapters over the same
 cores.
@@ -41,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Cycle, HistoryWindow, TestHistory, coded_prefixes, slice_recent
+from .domain import Cycle, HistoryWindow, TestHistory, history_prefixes, slice_recent
 from .errors import (
     HistoryTooShort,
     NonPositiveBudget,
@@ -50,7 +53,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .features import FeatureConfig, TrainingSet, build_training_set, feature_matrix
-from .metrics import CycleMetrics, apfd, napfd, tdff, tdlf
+from .metrics import CycleMetrics, apfd, napfd, time_to_fault
 from .rankers import (
     FITTERS,
     Model,
@@ -121,13 +124,22 @@ class CycleOutcome:
         return len(self.detected_positions)
 
 
-def cut_by_budget(ranking: RankedSuite, budget_s: float) -> tuple[int, float]:
-    """Longest prefix whose cumulative duration fits the budget; a test that
-    would overflow is not started.  Durations are positive, so the
-    cumulative sum never decreases and one ``searchsorted`` finds the cut."""
+def _check_budget(budget_s: float) -> None:
     if not (budget_s > 0 and math.isfinite(budget_s)):
         raise NonPositiveBudget(f"budget must be positive, got {budget_s}")
-    elapsed = np.cumsum(ranking.durations)
+
+
+def cut_by_budget(ranking: RankedSuite, budget_s: float) -> tuple[int, float]:
+    """Longest prefix whose cumulative duration fits the budget; a test that
+    would overflow is not started."""
+    return cut_elapsed(np.cumsum(ranking.durations), budget_s)
+
+
+def cut_elapsed(elapsed: np.ndarray, budget_s: float) -> tuple[int, float]:
+    """:func:`cut_by_budget` on the ranking's cumulative durations.
+    Durations are positive, so ``elapsed`` never decreases and one
+    ``searchsorted`` finds the cut."""
+    _check_budget(budget_s)
     executed = int(np.searchsorted(elapsed, budget_s, side="right"))
     return executed, float(elapsed[executed - 1]) if executed else 0.0
 
@@ -201,22 +213,23 @@ class _Coded(NamedTuple):
     """What one replay call ranks on besides the prefixes, by registry code
     of the whole history."""
 
+    ids: np.ndarray             # object: each code's test id
     id_ranks: np.ndarray        # each code's test id's place in sorted() order
     failing: list[np.ndarray]   # per cycle position: codes of its failing tests
 
 
 def _coded(h: TestHistory, kind: RankerKind, end: int) -> _Coded:
-    """The tie-break's id ranks and, for rocket, the failing codes of the
-    cycles before position ``end``."""
+    """The ids and the tie-break's id ranks by code and, for rocket, the
+    failing codes of the cycles before position ``end``."""
     failing = ([idx[cyc.failed] for cyc, idx in zip(h.cycles[:end], h.codes[:end])]
                if kind is RankerKind.ROCKET else [])
-    return _Coded(sorted_ranks(list(h.registry)), failing)
+    return _Coded(np.array(h.test_ids, dtype=object), sorted_ranks(h.test_ids), failing)
 
 
-def _replay_at(prior: TestHistory, means: np.ndarray, cycle: Cycle, codes: np.ndarray,
-               coded: _Coded, cfg: ReplayConfig, budgets: list[float]) -> list[CycleOutcome]:
-    """Rank ``cycle`` (its tests' registry ``codes``) from ``prior``, whose
-    registry means by code are ``means``, and replay it at each budget."""
+def _replay_at(prior: TestHistory, cycle: Cycle, codes: np.ndarray, coded: _Coded,
+               cfg: ReplayConfig, budgets: list[float]) -> list[CycleOutcome]:
+    """Rank ``cycle`` (its tests' registry ``codes``) from ``prior`` and
+    replay it at each budget."""
     window = slice_recent(prior, cfg.history_fraction)
     kind = cfg.ranker
     params = cfg.params
@@ -235,6 +248,7 @@ def _replay_at(prior: TestHistory, means: np.ndarray, cycle: Cycle, codes: np.nd
     train_units = _train_units(kind, params, ts, degenerate) if kind.trains else 0
 
     # a test the prior never ran has a code past its registry
+    means = prior.means
     mean_duration = float(np.mean(means))
     durations = np.where(codes < len(means), means.take(codes, mode="clip"), mean_duration)
 
@@ -245,10 +259,11 @@ def _replay_at(prior: TestHistory, means: np.ndarray, cycle: Cycle, codes: np.nd
         failing = coded.failing[window.lo:window.hi][::-1]
         scores = rocket_scores(failing, len(coded.id_ranks), params)[codes]
     else:
-        rows = feature_matrix(window, list(cycle.test_ids), cfg.features,
-                              fallback_norm_duration=mean_duration / float(means.max()))
+        rows = feature_matrix(window, cycle.test_ids, cfg.features,
+                              fallback_norm_duration=mean_duration / float(means.max()),
+                              codes=codes)
         scores = score_matrix(model, rows)
-    ranking, order = rank_columns(cycle.test_ids, scores, durations, coded.id_ranks[codes])
+    ranking, order = rank_columns(coded.ids[codes], scores, durations, coded.id_ranks[codes])
     wall_rank = time.perf_counter() - t0
 
     rank_units = _rank_units(kind, params, len(cycle.test_ids), window.n_cycles,
@@ -261,15 +276,16 @@ def _replay_at(prior: TestHistory, means: np.ndarray, cycle: Cycle, codes: np.nd
     m = len(fault_positions)
     apfd_v = apfd(fault_positions, len(ranking)) if m else None
 
+    cumulative = np.cumsum(ranking.durations)
     outcomes = []
     for budget in budgets:
-        executed, elapsed = cut_by_budget(ranking, budget)
+        executed, elapsed = cut_elapsed(cumulative, budget)
         detected = tuple(fault_positions[:np.count_nonzero(failed[:executed])])
         metrics = CycleMetrics(
             apfd=apfd_v,
             napfd=napfd(detected, executed, m) if m else None,
-            tdff_pct=tdff(ranking.durations[:executed], failed[:executed], budget),
-            tdlf_pct=tdlf(ranking.durations[:executed], failed[:executed], budget),
+            tdff_pct=time_to_fault(cumulative[:executed], failed[:executed], budget, last=False),
+            tdlf_pct=time_to_fault(cumulative[:executed], failed[:executed], budget, last=True),
             faults_present=m,
             faults_detected=len(detected),
         )
@@ -297,8 +313,8 @@ def replay_cycle(h: TestHistory, c: int, cfg: ReplayConfig) -> CycleOutcome:
         raise IndexError(f"cycle position {c} out of range")
     if c == 0:
         raise NoPriorHistory("cycle has no preceding history to train on")
-    prior, means = next(coded_prefixes(h, [c]))
-    return _replay_at(prior, means, h.cycles[c], h.codes[c], _coded(h, cfg.ranker, c), cfg,
+    prior = next(history_prefixes(h, [c]))
+    return _replay_at(prior, h.cycles[c], h.codes[c], _coded(h, cfg.ranker, c), cfg,
                       [cfg.budget_s])[0]
 
 
@@ -308,16 +324,22 @@ def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig,
     trained model and ranking across budgets (training is budget-independent,
     which also makes detected-fault sets nested across growing budgets).
 
-    Returns one chronological outcome list per budget.
+    Returns one chronological outcome list per budget.  The budgets are
+    checked before anything is fitted: at least one, each positive and
+    finite.
     """
+    if not budgets:
+        raise ValueError("budgets must not be empty")
+    for budget in budgets:
+        _check_budget(budget)
     n = h.n_cycles
     if n < 5:
         raise HistoryTooShort(f"need >= 5 cycles, history has {n}")
     n_eval = min(int(math.ceil(cfg.eval_fraction * n)), n - 1)
     positions = range(n - n_eval, n)
     coded = _coded(h, cfg.ranker, n - 1)
-    per_cycle = [_replay_at(prior, means, h.cycles[pos], h.codes[pos], coded, cfg, budgets)
-                 for pos, (prior, means) in zip(positions, coded_prefixes(h, positions))]
+    per_cycle = [_replay_at(prior, h.cycles[pos], h.codes[pos], coded, cfg, budgets)
+                 for pos, prior in zip(positions, history_prefixes(h, positions))]
     return [list(outcomes) for outcomes in zip(*per_cycle)]
 
 

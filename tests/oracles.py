@@ -152,13 +152,21 @@ def parse_canonical(stream) -> TestHistory:
         cycles.append(cyc)
         codes.append(np.array([code_of.setdefault(t, len(code_of)) for t in cyc.test_ids],
                               dtype=np.int64))
-    totals = np.zeros(len(code_of))
-    counts = np.zeros(len(code_of))
-    for cyc, idx in zip(cycles, codes):
-        totals[idx] += cyc.duration_s
-        counts[idx] += 1
-    registry = dict(zip(code_of, (totals / counts).tolist()))
-    return TestHistory(cycles=tuple(cycles), registry=registry, codes=tuple(codes))
+    registry = registry_loop(cycles)
+    return TestHistory(cycles=tuple(cycles), codes=tuple(codes), test_ids=tuple(registry),
+                       means=np.array(list(registry.values())))
+
+
+def registry_loop(cycles) -> dict[str, float]:
+    """Each test's mean duration, keyed in first-run order, by adding every
+    execution to a per-test running total cycle by cycle."""
+    totals: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for c in cycles:
+        for tid, d in zip(c.test_ids, c.duration_s.tolist()):
+            totals[tid] = totals.get(tid, 0.0) + d
+            counts[tid] = counts.get(tid, 0) + 1
+    return {tid: totals[tid] / counts[tid] for tid in totals}
 
 
 def rocket_loop(window: HistoryWindow, test_ids, params) -> dict[str, float]:

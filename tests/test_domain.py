@@ -1,8 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from testprio.domain import (
     BudgetSchedule,
+    Cycle,
     average_suite_duration,
     budget_schedule,
     history_prefix,
@@ -22,6 +25,7 @@ from testprio.errors import (
 )
 
 from .conftest import churn_history, cyc, history
+from .oracles import registry_loop
 
 
 class TestValidateHistory:
@@ -78,15 +82,16 @@ class TestValidateHistory:
         assert validate_history(validate_history(small_history)) == small_history
 
 
-def _dict_registry(cycles):
-    """Reference: the per-execution dict accumulation the registry replaced."""
-    totals: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for c in cycles:
-        for tid, d in zip(c.test_ids, c.duration_s):
-            totals[tid] = totals.get(tid, 0.0) + float(d)
-            counts[tid] = counts.get(tid, 0) + 1
-    return {tid: totals[tid] / counts[tid] for tid in totals}
+def _late_arrivals(seed: int):
+    """A churn history in which a third of the tests are renamed from the
+    middle cycle on, so that they first run halfway through."""
+    h = churn_history(seed)
+    late = set(h.test_ids[::3])
+    return validate_history([
+        c if i < h.n_cycles // 2 else Cycle(
+            c.cycle_id, tuple(t + "-late" if t in late else t for t in c.test_ids),
+            c.failed, c.duration_s)
+        for i, c in enumerate(h.cycles)])
 
 
 class TestCodesAndPrefix:
@@ -96,9 +101,9 @@ class TestCodesAndPrefix:
         h = churn_history(seed)
         n = h.n_cycles
         for pos in (1, 2, 7, n // 2, n - 1, n):
-            expected = list(_dict_registry(h.cycles[:pos]).items())
+            expected = list(registry_loop(h.cycles[:pos]).items())
             assert list(history_prefix(h, pos).registry.items()) == expected
-        assert list(h.registry.items()) == list(_dict_registry(h.cycles).items())
+        assert list(h.registry.items()) == list(registry_loop(h.cycles).items())
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_code_is_registry_position(self, seed):
@@ -127,6 +132,31 @@ class TestCodesAndPrefix:
             assert list(prefix.registry.items()) == list(one_shot.registry.items())
             assert len(prefix.codes) == pos
             assert all(a is b for a, b in zip(prefix.codes, h.codes))
+
+    def test_bincount_and_running_adds_equal_the_loop_registry(self, persistent_history):
+        # a prefix's first position is summed by bincount, later ones by
+        # running adds; both must give the loop's registry bit for bit
+        for h in (persistent_history, _late_arrivals(2)):
+            n = h.n_cycles
+            positions = [1, 2, 50, 51, n]
+            running = list(history_prefixes(h, positions))
+            for pos, prefix in zip(positions, running):
+                expected = list(registry_loop(h.cycles[:pos]).items())
+                assert list(prefix.registry.items()) == expected
+                assert list(history_prefix(h, pos).registry.items()) == expected
+                assert prefix.n_tests == len(prefix.means) == len(expected)
+        late = [sum(t.endswith("-late") for t in p.test_ids) for p in running]
+        assert late[1] == 0 < late[2]  # added by the running sums, not the bincount
+
+    def test_lazy_registry_survives_pickling(self):
+        h = churn_history(1)
+        prefix = history_prefix(h, 30)
+        assert "registry" not in vars(prefix)  # not built until read
+        eager = list(registry_loop(h.cycles[:30]).items())
+        again = pickle.loads(pickle.dumps(prefix))
+        assert list(again.registry.items()) == eager
+        assert again == prefix and again.test_ids == prefix.test_ids
+        assert list(pickle.loads(pickle.dumps(again)).registry.items()) == eager
 
     def test_running_prefixes_do_not_go_back(self, small_history):
         with pytest.raises(IndexError):

@@ -126,6 +126,14 @@ PARSE_CASES = {
     "NUL after verdict": H + "0,A,pass\x00,1\n",
     "unterminated quote": H + '0,"A,pass,1\n',
     "row error before history error": H + "0,A,pass,0\n1,A,skip,1\n",
+    # the csv module refuses a field longer than csv.field_size_limit() (131072)
+    "140,000-character ASCII id": H + "0,A,pass,1\n0," + "x" * 140_000 + ",pass,1\n",
+    "140,000-character duration field": H + "0,A,pass," + "0" * 139_997 + "1.5\n",
+    "140,000-character id over quoted line breaks":
+        H + '0,"' + ("x" * 70_000 + "\n") * 2 + '",pass,1\n',
+    "id at the field limit": H + "0," + "x" * 131_072 + ",pass,1\n",
+    "line past the field limit, fields within it":
+        H + "0," + "x" * 131_072 + ",pass," + "0" * 1_000 + "1\n",
     # history errors, earliest cycle first and, within a cycle, in row order
     "duplicate test": H + "0,A,pass,1\n1,B,pass,1\n1,B,fail,2\n",
     "duplicate test, scattered rows": H + "0,A,pass,1\n1,A,pass,1\n0,A,fail,1\n",

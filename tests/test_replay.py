@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from testprio.domain import Cycle, history_prefixes, validate_history
 from testprio.errors import HistoryTooShort, NonPositiveBudget, NoPriorHistory
-from testprio.rankers import RankedSuite, RankedTest, RankerKind, params_from_config
+from testprio.rankers import FITTERS, RankedSuite, RankedTest, RankerKind, params_from_config
 from testprio.replay import (
     ReplayConfig,
     cut_by_budget,
@@ -333,3 +335,37 @@ class TestReplayMatchesPerTestOracle:
                 assert (o.executed, o.elapsed_s, o.detected_positions, o.metrics) == \
                     replay_budget(entries, cycle, budget)
         assert unseen  # some evaluated test has no prior run
+
+
+class TestReplayReadsRegistryArrays:
+    """The replay reads each prefix's registry as arrays by code; the
+    ``registry`` dict is for other readers and is never built on its path."""
+
+    @pytest.mark.parametrize("kind", list(RankerKind))
+    def test_walk_forward_builds_no_registry_dict(self, kind, monkeypatch):
+        h = churn_history(4)
+        builds = []
+        build = type(h).registry.func
+        monkeypatch.setattr(type(h), "registry",
+                            property(lambda hist: builds.append(hist) or build(hist)))
+        cfg = ReplayConfig(ranker=kind, budget_s=10.0, history_fraction=0.4,
+                           eval_fraction=0.1, params=params_from_config(kind, _EFFORT))
+        walk_forward_budgets(h, cfg, [2.0, 10.0])
+        replay_cycle(h, h.n_cycles - 1, cfg)
+        assert builds == []
+        assert h.registry and len(builds) == 1  # the counter sees a read
+
+
+class TestBudgetsCheckedFirst:
+    @pytest.mark.parametrize("budgets, error", [
+        ([10.0, 0.0], NonPositiveBudget), ([-1.0], NonPositiveBudget),
+        ([math.inf], NonPositiveBudget), ([5.0, math.nan], NonPositiveBudget),
+        ([], ValueError),
+    ])
+    def test_bad_budgets_raise_before_any_fit(self, budgets, error, monkeypatch):
+        fits = []
+        monkeypatch.setitem(FITTERS, RankerKind.ANN, lambda ts, params: fits.append(ts))
+        cfg = ReplayConfig(ranker=RankerKind.ANN, budget_s=10.0, eval_fraction=0.1)
+        with pytest.raises(error):
+            walk_forward_budgets(churn_history(0), cfg, budgets)
+        assert fits == []
