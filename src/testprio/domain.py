@@ -158,31 +158,21 @@ def round_half_up(x: float) -> int:
 
 
 def _prefixes(cycles: Sequence[Cycle], codes: Sequence[np.ndarray], test_ids: tuple[str, ...],
-              positions: Iterable[int],
-              flat: tuple[np.ndarray, np.ndarray] | None = None) -> Iterator[TestHistory]:
+              positions: Iterable[int]) -> Iterator[TestHistory]:
     """For each of the non-decreasing ``positions``, the history of the first
-    ``pos`` cycles with their codes and registry.  The first prefix is
-    summed by ``np.bincount`` over its codes (``flat``: its codes and
-    durations as flat columns, when the caller holds them); each later
-    cycle is added to the running per-test totals once.  Both add every
-    test's durations to 0.0 in chronological order, so a registry is the
-    same chronological sum bit for bit, wherever the history is cut."""
-    n = len(test_ids)
-    done = n_tests = 0
+    ``pos`` cycles with their codes and registry.  Each cycle's durations
+    are added to running per-test totals once, so every registry sums each
+    test's durations chronologically, wherever the history is cut."""
+    totals = np.zeros(len(test_ids))
+    counts = np.zeros(len(test_ids))
+    n_tests = done = 0
     for pos in positions:
         if not (max(done, 1) <= pos <= len(cycles)):
             raise IndexError(f"prefix length {pos} out of range after {done} of {len(cycles)}")
-        if done:
-            for cyc, idx in zip(cycles[done:pos], codes[done:pos]):
-                totals[idx] += cyc.duration_s
-                counts[idx] += 1
-                n_tests = max(n_tests, int(idx.max()) + 1)
-        else:
-            idx, dur = flat if flat is not None else (
-                np.concatenate(codes[:pos]), np.concatenate([c.duration_s for c in cycles[:pos]]))
-            totals = np.bincount(idx, weights=dur, minlength=n)
-            counts = np.bincount(idx, minlength=n).astype(np.float64)
-            n_tests = int(idx.max()) + 1  # first-run order: seen tests come first
+        for cyc, idx in zip(cycles[done:pos], codes[done:pos]):
+            totals[idx] += cyc.duration_s
+            counts[idx] += 1
+            n_tests = max(n_tests, int(idx.max()) + 1)  # first-run order: they come first
         done = pos
         yield TestHistory(cycles=tuple(cycles[:pos]), codes=tuple(codes[:pos]),
                           test_ids=test_ids[:n_tests],
@@ -236,8 +226,7 @@ def _from_columns(cycle_ids: np.ndarray, test_ids: Sequence[str],
     cycle_codes = [codes[a:b] for a, b in spans]
     for cyc, idx in zip(cycles, cycle_codes):
         _check_rows(cyc, idx)
-    return next(_prefixes(cycles, cycle_codes, tuple(code_of), [len(cycles)],
-                          flat=(codes, duration_s)))
+    return next(_prefixes(cycles, cycle_codes, tuple(code_of), [len(cycles)]))
 
 
 def validate_history(raw: TestHistory | Iterable[Cycle] | ExecutionColumns) -> TestHistory:
@@ -268,9 +257,7 @@ def validate_history(raw: TestHistory | Iterable[Cycle] | ExecutionColumns) -> T
         codes.append(np.fromiter((code_of.setdefault(t, len(code_of)) for t in cyc.test_ids),
                                  np.int64, len(cyc)))
         _check_rows(cyc, codes[-1])
-    # the running adds after the first cycle take no flat copy of the columns
-    *_, history = _prefixes(cycles, codes, tuple(code_of), [1, len(cycles)])
-    return history
+    return next(_prefixes(cycles, codes, tuple(code_of), [len(cycles)]))
 
 
 def history_prefixes(h: TestHistory, positions: Iterable[int]) -> Iterator[TestHistory]:

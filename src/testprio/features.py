@@ -196,26 +196,23 @@ def compute_stats(X: np.ndarray) -> StandardizationStats:
 
 
 def feature_matrix(window: HistoryWindow, test_ids: Sequence[str], cfg: FeatureConfig,
-                   fallback_norm_duration: float | None = None,
-                   codes: np.ndarray | None = None) -> np.ndarray:
+                   fallback_norm_duration: float | None = None) -> np.ndarray:
     """Raw feature rows for ``test_ids`` as of one past the window's end,
-    gathered by their registry ``codes`` (looked up when not given).
+    gathered by each test's registry code.
 
-    Tests absent from the source registry (a code past it) get all-zero
-    history features and ``fallback_norm_duration`` as the duration
-    component (they have no recorded runs yet); passing ``None`` makes
-    unknown tests an error.
+    Tests absent from the source registry get all-zero history features and
+    ``fallback_norm_duration`` as the duration component (they have no
+    recorded runs yet); passing ``None`` makes unknown tests an error.
     """
     arrays = _WindowArrays(window)
     recency = arrays.recency_scores(cfg.decay)
     feats = arrays.features_as_of(window.n_cycles, cfg, recency)
 
     n = len(feats)
-    if codes is None:
-        code_of = dict(zip(window.source.test_ids, range(n)))
-        codes = np.fromiter((code_of.get(tid, n) for tid in test_ids), np.int64, len(test_ids))
+    code_of = dict(zip(window.source.test_ids, range(n)))
+    codes = np.fromiter((code_of.get(tid, n) for tid in test_ids), np.int64, len(test_ids))
     out = feats.take(codes, axis=0, mode="clip")
-    unknown = codes >= n
+    unknown = codes == n
     if unknown.any():
         if fallback_norm_duration is None:
             raise UnknownTest(test_ids[int(np.argmax(unknown))])

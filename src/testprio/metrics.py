@@ -72,25 +72,32 @@ def napfd(detected_positions: Sequence[int], n_executed: int, total_faults: int)
     return p - sum(detected_positions) / (n_executed * total_faults) + p / (2 * n_executed)
 
 
+def check_budget(budget: float) -> None:
+    """Raise :class:`NonPositiveBudget` unless ``budget`` is positive and finite."""
+    if not (budget > 0 and math.isfinite(budget)):
+        raise NonPositiveBudget(f"budget must be positive, got {budget}")
+
+
 def tdff(durations: Sequence[float], failed: Sequence[bool],
          budget: float) -> float | None:
     """Time (as % of budget) to reach the first executed failure, or ``None``
     when none failed; takes the executed prefix's columns in execution order."""
+    check_budget(budget)
     return time_to_fault(np.cumsum(durations), failed, budget, last=False)
 
 
 def tdlf(durations: Sequence[float], failed: Sequence[bool],
          budget: float) -> float | None:
     """Time (as % of budget) to reach the last executed failure."""
+    check_budget(budget)
     return time_to_fault(np.cumsum(durations), failed, budget, last=True)
 
 
 def time_to_fault(elapsed: np.ndarray, failed: Sequence[bool], budget: float,
                   last: bool) -> float | None:
     """TDFF (``last`` False) or TDLF from the executed prefix's cumulative
-    durations ``elapsed``: the replay sums a ranking once for all budgets."""
-    if not (budget > 0 and math.isfinite(budget)):
-        raise NonPositiveBudget(f"budget must be positive, got {budget}")
+    durations ``elapsed``, for a budget already checked: the replay sums a
+    ranking once for all budgets."""
     if len(elapsed) != len(failed):
         raise DimensionMismatch("durations and failed flags differ in length")
     hits = np.flatnonzero(failed)

@@ -53,7 +53,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .features import FeatureConfig, TrainingSet, build_training_set, feature_matrix
-from .metrics import CycleMetrics, apfd, napfd, time_to_fault
+from .metrics import CycleMetrics, apfd, check_budget, napfd, time_to_fault
 from .rankers import (
     FITTERS,
     Model,
@@ -124,22 +124,17 @@ class CycleOutcome:
         return len(self.detected_positions)
 
 
-def _check_budget(budget_s: float) -> None:
-    if not (budget_s > 0 and math.isfinite(budget_s)):
-        raise NonPositiveBudget(f"budget must be positive, got {budget_s}")
-
-
 def cut_by_budget(ranking: RankedSuite, budget_s: float) -> tuple[int, float]:
     """Longest prefix whose cumulative duration fits the budget; a test that
     would overflow is not started."""
+    check_budget(budget_s)
     return cut_elapsed(np.cumsum(ranking.durations), budget_s)
 
 
 def cut_elapsed(elapsed: np.ndarray, budget_s: float) -> tuple[int, float]:
-    """:func:`cut_by_budget` on the ranking's cumulative durations.
-    Durations are positive, so ``elapsed`` never decreases and one
-    ``searchsorted`` finds the cut."""
-    _check_budget(budget_s)
+    """:func:`cut_by_budget` on the ranking's cumulative durations, for a
+    budget already checked.  Durations are positive, so ``elapsed`` never
+    decreases and one ``searchsorted`` finds the cut."""
     executed = int(np.searchsorted(elapsed, budget_s, side="right"))
     return executed, float(elapsed[executed - 1]) if executed else 0.0
 
@@ -260,8 +255,7 @@ def _replay_at(prior: TestHistory, cycle: Cycle, codes: np.ndarray, coded: _Code
         scores = rocket_scores(failing, len(coded.id_ranks), params)[codes]
     else:
         rows = feature_matrix(window, cycle.test_ids, cfg.features,
-                              fallback_norm_duration=mean_duration / float(means.max()),
-                              codes=codes)
+                              fallback_norm_duration=mean_duration / float(means.max()))
         scores = score_matrix(model, rows)
     ranking, order = rank_columns(coded.ids[codes], scores, durations, coded.id_ranks[codes])
     wall_rank = time.perf_counter() - t0
@@ -331,7 +325,7 @@ def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig,
     if not budgets:
         raise ValueError("budgets must not be empty")
     for budget in budgets:
-        _check_budget(budget)
+        check_budget(budget)
     n = h.n_cycles
     if n < 5:
         raise HistoryTooShort(f"need >= 5 cycles, history has {n}")

@@ -133,9 +133,9 @@ class TestCodesAndPrefix:
             assert len(prefix.codes) == pos
             assert all(a is b for a, b in zip(prefix.codes, h.codes))
 
-    def test_bincount_and_running_adds_equal_the_loop_registry(self, persistent_history):
-        # a prefix's first position is summed by bincount, later ones by
-        # running adds; both must give the loop's registry bit for bit
+    def test_running_adds_equal_the_loop_registry(self, persistent_history):
+        # each position adds its new cycles to the running totals; every
+        # prefix must give the loop's registry bit for bit
         for h in (persistent_history, _late_arrivals(2)):
             n = h.n_cycles
             positions = [1, 2, 50, 51, n]
@@ -146,7 +146,7 @@ class TestCodesAndPrefix:
                 assert list(history_prefix(h, pos).registry.items()) == expected
                 assert prefix.n_tests == len(prefix.means) == len(expected)
         late = [sum(t.endswith("-late") for t in p.test_ids) for p in running]
-        assert late[1] == 0 < late[2]  # added by the running sums, not the bincount
+        assert late[1] == 0 < late[2]  # tests first seen after the first position
 
     def test_lazy_registry_survives_pickling(self):
         h = churn_history(1)
