@@ -48,6 +48,7 @@ _ROW = np.dtype([("cycle", np.int64), ("test", object), ("verdict", f"S{_TOKEN_B
 # reject them.
 _ROW_LOOP_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _ANY_ROW = re.compile(rb"[^\r\n]")
+_LINE_END = re.compile(rb"[^\r\n](?![^\r\n])")  # last byte of a non-empty line
 
 # Roles a source verdict token can map to.  Drop removes the row entirely:
 # coercing inconclusive runs to a pass would silently dilute failure rates.
@@ -244,7 +245,8 @@ def _read_columns(data: bytes) -> ExecutionColumns | None:
     """The rows after the canonical header, read by numpy's C parser; None
     where only the row loop can give the exact result or error: see
     ``_ROW_LOOP_BYTES``, and a field the csv module finds too long, which
-    only a line (or a quoted test id) longer than its limit can hold."""
+    only a line longer than its limit, or a quoted field that spans lines in
+    an input longer than that limit, can hold."""
     head_end = data.find(b"\n")
     limit = csv.field_size_limit()
     if (head_end < 0 or not data.isascii() or any(b in data for b in _ROW_LOOP_BYTES)
@@ -257,8 +259,8 @@ def _read_columns(data: bytes) -> ExecutionColumns | None:
                           quotechar='"', skiprows=1, encoding="utf-8", ndmin=1)
     except ValueError:
         return None
-    if b'"' in data and max(map(len, rows["test"])) > limit:
-        return None  # a quoted line break split the id over short lines
+    if b'"' in data and len(data) > limit and len(rows) < len(_LINE_END.findall(data, head_end)):
+        return None  # a record spans lines: a quoted field may be too long
     tokens = rows["verdict"].copy()
     if tokens.view(np.uint8)[_TOKEN_BYTES - 1 :: _TOKEN_BYTES].any():
         return None  # a token may have been cut to _TOKEN_BYTES

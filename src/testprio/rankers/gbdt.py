@@ -179,13 +179,13 @@ def fit_gbdt(ts: TrainingSet, hp: GbdtParams = GbdtParams()) -> Model:
     rate = n_pos / len(y)
     base = float(np.clip(np.log(rate / (1.0 - rate)), -10.0, 10.0))
     scores = np.full(len(y), base)
-    trace = [_weighted_logloss(y, _stable_sigmoid(scores), c)]
+    p = _stable_sigmoid(scores)
+    trace = [_weighted_logloss(y, p, c)]
 
     cols = [np.ascontiguousarray(X[:, f]) for f in range(X.shape[1])]
     presorted = [np.argsort(col, kind="stable") for col in cols]
     trees = []
     for _ in range(hp.n_estimators):
-        p = _stable_sigmoid(scores)
         residual = c * (y - p)
         hessian = c * p * (1.0 - p)
         builder = _TreeBuilder(cols, presorted, residual, hessian, hp.max_depth,
@@ -193,7 +193,8 @@ def fit_gbdt(ts: TrainingSet, hp: GbdtParams = GbdtParams()) -> Model:
         tree = builder.build()
         trees.append(tree)
         scores += hp.learning_rate * tree.value[builder.leaf_of]
-        trace.append(_weighted_logloss(y, _stable_sigmoid(scores), c))
+        p = _stable_sigmoid(scores)  # the trace's and the next stage's
+        trace.append(_weighted_logloss(y, p, c))
 
     payload = GbdtPayload(base_score=base, shrinkage=hp.learning_rate,
                           trees=tuple(trees), train_loss_trace=tuple(trace))

@@ -14,6 +14,14 @@ the minibatch steps of ``fit_ann``, the per-group steps of
 ``ann_loss_and_grads`` / ``lambdarank_cost_and_grads``.  Each caller turns
 the raw output into its own output gradient (sigmoid-MSE or lambdas), so the
 finite-difference gradient checks exercise the same code that trains.
+
+A fit allocates one buffer set, for its widest pass, and runs every narrower
+pass on contiguous prefix views of it (:meth:`_Net.rows`).  So the buffers
+of ``fit_ann`` scale with ``restarts x max(batch_size, _SELECT_ROWS + 1)``,
+not with the number of training rows, as its final loss pass walks the rows
+in blocks of ``_SELECT_ROWS``.  Those of ``fit_lambdarank`` scale with
+``restarts x`` the widest cycle group, not with the number of groups or of
+distinct group widths.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ from .base import (
 )
 
 Params = list[tuple[np.ndarray, np.ndarray]]  # [(W, b), ...] stacked over restarts
+
+_SELECT_ROWS = 512  # rows per block of fit_ann's final loss pass
 
 
 def _flatten(params: Params) -> tuple[np.ndarray, Params]:
@@ -62,6 +72,13 @@ def _init_stacked(seed: int, restarts: int, sizes: tuple[int, ...]) -> Params:
     return params
 
 
+def _prefix(buf: np.ndarray, m: int) -> np.ndarray:
+    """The leading elements of a C-contiguous (R, M, ...) buffer, laid out as
+    (R, m, ...) for m <= M: a contiguous view of the first m/M of it."""
+    R, M, *rest = buf.shape
+    return buf.reshape(-1)[: buf.size // M * m].reshape(R, m, *rest)
+
+
 class _Net:
     """The one forward/backward pass of the stacked ReLU MLP, with buffers
     for ``R`` restarts on ``m`` rows of layer widths ``sizes``.
@@ -82,6 +99,22 @@ class _Net:
         self.flat_grads, self.grads = _flatten(
             [(np.empty((R, fan_in, fan_out)), np.empty((R, 1, fan_out)))
              for fan_in, fan_out in zip(sizes[:-1], sizes[1:])])
+        self._views: dict[int, _Net] = {}
+
+    def rows(self, m: int) -> "_Net":
+        """A net for ``m`` rows, at most this one's, whose activation buffers
+        are contiguous prefixes of this net's and whose gradient buffers are
+        this net's.  Views are kept for reuse and hand out no views: no view
+        refers back to this net, so no reference cycle keeps the buffers
+        alive past the fit."""
+        view = self._views.get(m)
+        if view is None:
+            view = object.__new__(_Net)
+            view.Z, view.A, view.mask, view.dA = (
+                [_prefix(buf, m) for buf in bufs] for bufs in (self.Z, self.A, self.mask, self.dA))
+            view.flat_grads, view.grads = self.flat_grads, self.grads
+            self._views[m] = view
+        return view
 
     def forward(self, params: Params, X: np.ndarray) -> np.ndarray:
         """Raw output Z_out (R, m, 1) for inputs X of shape (R|1, m, d)."""
@@ -160,6 +193,23 @@ def _stable_sigmoid_into(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) ->
     np.reciprocal(scratch, out=out)
 
 
+def _forward_blocks(net: _Net, params: Params, X: np.ndarray) -> np.ndarray:
+    """Raw outputs (R, n) for all n rows of X, forwarded in row blocks
+    through ``net`` (at least min(_SELECT_ROWS + 1, n) rows wide).
+
+    Blocks start at multiples of _SELECT_ROWS, so each row meets the same
+    BLAS kernel as in one pass over all n rows.  A one-row remainder joins
+    the block before it: numpy multiplies a single row by the matrix-vector
+    routine, which sums in another order."""
+    n = len(X)
+    z = np.empty((len(params[0][0]), n))
+    start = 0
+    for stop in [*range(_SELECT_ROWS, n - 1, _SELECT_ROWS), n]:
+        z[:, start:stop] = net.rows(stop - start).forward(params, X[None, start:stop])[..., 0]
+        start = stop
+    return z
+
+
 def fit_ann(ts: TrainingSet, hp: AnnParams = AnnParams()) -> Model:
     """Sigmoid-output net trained on class-weighted MSE by minibatch gradient
     descent; keeps the restart with the lowest final training error."""
@@ -175,30 +225,31 @@ def fit_ann(ts: TrainingSet, hp: AnnParams = AnnParams()) -> Model:
     flat, params = _flatten(_init_stacked(hp.seed, R, sizes))
     shuffles = [np.random.default_rng(mix_seed(hp.seed + r, "shuffle")) for r in range(R)]
 
+    # one net for the widest pass, a minibatch or a block of the final loss;
     # per minibatch width (B, and the remainder when B does not divide n):
     # the net, the gathered X / y / class weight, and output/gradient scratch
     B = min(hp.batch_size, n)
-    work = {m: (_Net(R, m, sizes), np.empty((R, m, d)), np.empty((R, m)),
-                np.empty((R, m)), np.empty((R, m, 1)), np.empty((R, m, 1)),
-                np.empty((R, m, 1)))
+    net = _Net(R, max(B, min(_SELECT_ROWS + 1, n)), sizes)
+    scratch = (np.empty((R, B, d)), np.empty((R, B)), np.empty((R, B)),
+               np.empty((R, B, 1)), np.empty((R, B, 1)), np.empty((R, B, 1)))
+    work = {m: (net.rows(m), *(_prefix(buf, m) for buf in scratch))
             for m in {B, n % B} - {0}}
 
     for _ in range(hp.epochs):
         orders = np.stack([rng.permutation(n) for rng in shuffles])
         for start in range(0, n, B):
-            net, Xb, yb, cb, out, g, tmp = work[min(B, n - start)]
+            batch_net, Xb, yb, cb, out, g, tmp = work[min(B, n - start)]
             rows = orders[:, start : start + B].reshape(-1)
             X.take(rows, axis=0, out=Xb.reshape(-1, d))
             y.take(rows, axis=0, out=yb.reshape(-1))
             weights.take(rows, axis=0, out=cb.reshape(-1))
-            _stable_sigmoid_into(net.forward(params, Xb), out, tmp)
+            _stable_sigmoid_into(batch_net.forward(params, Xb), out, tmp)
             _mse_grad(out, yb, cb, g, tmp)
-            net.backward(params, Xb, g)
+            batch_net.backward(params, Xb, g)
             _sgd_step(flat, net.flat_grads, hp.learning_rate)
 
     # final weighted MSE per restart on the whole training set
-    z = _Net(R, n, sizes).forward(params, X[None])
-    out = _stable_sigmoid(z[..., 0])
+    out = _stable_sigmoid(_forward_blocks(net, params, X))
     losses = (weights * (out - y) ** 2).mean(axis=1)
     best = int(np.argmin(losses))
     payload = MlpPayload(layers=_unstack(params, best), sigmoid_output=True)
@@ -241,8 +292,8 @@ def _group_lambdas(s: np.ndarray, pos: np.ndarray, neg: np.ndarray,
                    frozen_delta: np.ndarray | None = None,
                    gains: np.ndarray | None = None):
     """dCost/dscore (R, m) for one group with stacked scores s (R, m);
-    ``gains`` is ``_gains(m)``.  Callers ignore overflow in ``exp``: a
-    lambda whose exponent overflows is -0.0, as it should be."""
+    ``gains`` is ``_gains(k)`` for some k >= m.  Callers ignore overflow in
+    ``exp``: a lambda whose exponent overflows is -0.0, as it should be."""
     if frozen_delta is None:
         g = (_gains(s.shape[1]) if gains is None else gains)[_ranks_matrix(s) - 1]
         delta = np.abs(g[:, pos][:, :, None] - g[:, neg][:, None, :]) / idcg
@@ -280,26 +331,25 @@ def fit_lambdarank(ts: TrainingSet, hp: LrnParams = LrnParams()) -> Model:
     order_rng = np.random.default_rng(mix_seed(hp.seed, "group-order"))
 
     inputs = [np.ascontiguousarray(X[sl][None]) for sl, _, _, _ in groups]
-    widths = {Xg.shape[1] for Xg in inputs}
-    nets = {m: _Net(R, m, sizes) for m in widths}
-    gains = {m: _gains(m) for m in widths}
+    widest = max(Xg.shape[1] for Xg in inputs)
+    net = _Net(R, widest, sizes)
+    gains = _gains(widest)
     with np.errstate(over="ignore"):
         for _ in range(hp.epochs):
             for g in order_rng.permutation(len(groups)):
                 _, pos, neg, idcg = groups[g]
                 Xg = inputs[g]
-                m = Xg.shape[1]
-                s = nets[m].forward(params, Xg)[..., 0]
-                dc, _, _ = _group_lambdas(s, pos, neg, hp.sigma, idcg, gains=gains[m])
-                nets[m].backward(params, Xg, dc[..., None])
-                _sgd_step(flat, nets[m].flat_grads, hp.learning_rate)
+                gnet = net.rows(Xg.shape[1])
+                s = gnet.forward(params, Xg)[..., 0]
+                dc, _, _ = _group_lambdas(s, pos, neg, hp.sigma, idcg, gains=gains)
+                gnet.backward(params, Xg, dc[..., None])
+                _sgd_step(flat, net.flat_grads, hp.learning_rate)
 
     # mean training NDCG per restart
     ndcg = np.zeros(R)
     for (_, pos, _, idcg), Xg in zip(groups, inputs):
-        m = Xg.shape[1]
-        ranks = _ranks_matrix(nets[m].forward(params, Xg)[..., 0])
-        ndcg += gains[m][ranks[:, pos] - 1].sum(axis=1) / idcg
+        ranks = _ranks_matrix(net.rows(Xg.shape[1]).forward(params, Xg)[..., 0])
+        ndcg += gains[ranks[:, pos] - 1].sum(axis=1) / idcg
     best = int(np.argmax(ndcg))
     payload = MlpPayload(layers=_unstack(params, best), sigmoid_output=False)
     return Model(kind=RankerKind.LRN, payload=payload, stats=ts.stats, config=ts.config)

@@ -1,3 +1,4 @@
+import csv
 import io
 import warnings
 
@@ -131,6 +132,9 @@ PARSE_CASES = {
     "140,000-character duration field": H + "0,A,pass," + "0" * 139_997 + "1.5\n",
     "140,000-character id over quoted line breaks":
         H + '0,"' + ("x" * 70_000 + "\n") * 2 + '",pass,1\n',
+    # numpy reads these quoted line breaks as blanks around 1.5
+    "140,000-character duration over quoted line breaks":
+        H + '0,A,pass,"' + (" " * 70_000 + "\n") * 2 + '1.5"\n',
     "id at the field limit": H + "0," + "x" * 131_072 + ",pass,1\n",
     "line past the field limit, fields within it":
         H + "0," + "x" * 131_072 + ",pass," + "0" * 1_000 + "1\n",
@@ -187,6 +191,15 @@ class TestParseMatchesOracle:
             assert _outcome(parse_canonical, PARSE_CASES[name].encode())[0] is not AssertionError
         with pytest.raises(AssertionError, match="row loop used"):
             parse_canonical(PARSE_CASES["non-ASCII id"])
+
+    def test_long_quoted_input_on_one_line_per_record_skips_the_row_loop(self, monkeypatch):
+        def row_loop(text):
+            raise AssertionError("row loop used")
+
+        monkeypatch.setattr(ingest, "_parse_rows", row_loop)
+        text = H + "".join(f'{c % 7},"T,{c}",pass,1\n' for c in range(10_000))
+        assert len(text) > csv.field_size_limit()
+        assert parse_canonical(text).n_cycles == 7
 
     def test_csv_error_is_malformed_row_with_its_line(self):
         text = H + "0,A,pass,1\n0,\u00e9" + "x" * 140_000 + ",pass,1\n"

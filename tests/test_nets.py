@@ -6,6 +6,10 @@ ReLU makes the loss non-differentiable on a measure-zero set; the sampled
 inputs are continuous, so kinks are avoided with probability one.
 """
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,8 +23,13 @@ from testprio.rankers import (
     score_matrix,
     serialize_model,
 )
+from testprio.rankers.base import _stable_sigmoid
 from testprio.rankers.nets import (
+    _SELECT_ROWS,
+    _Net,
+    _forward_blocks,
     _class_weights,
+    _gains,
     _group_lambdas,
     _ideal_dcg,
     _init_stacked,
@@ -247,3 +256,103 @@ class TestTrainingAppliesCheckedGradient:
         _, grads, _ = lambdarank_cost_and_grads(init, ts.standardized(), y,
                                                 sigma=hp.sigma)
         self._assert_step(fit_lambdarank(ts, hp), init, hp.learning_rate, grads)
+
+
+class TestSharedBuffers:
+    """Narrower passes run on prefix views of one buffer set; each must give
+    the bits a net of exactly that width gives."""
+
+    SIZES = (8, 32, 16, 1)
+
+    def _data(self, seed, R, m):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(1, m, self.SIZES[0])), rng.normal(size=(R, m, 1))
+
+    def test_view_matches_a_fresh_net_after_a_wider_pass(self):
+        R, widest = 3, 97
+        params = _init_stacked(5, R, self.SIZES)
+        shared = _Net(R, widest, self.SIZES)
+        X, dz = self._data(0, R, widest)
+        shared.forward(params, X)
+        shared.backward(params, X, dz)  # leaves the buffers dirty
+        for m in (1, 2, 31, 64, 96, 97, 5):
+            X, dz = self._data(m, R, m)
+            fresh = _Net(R, m, self.SIZES)
+            view = shared.rows(m)
+            assert view.Z[-1].shape == (R, m, 1)
+            assert np.array_equal(view.forward(params, X), fresh.forward(params, X))
+            for (dW, db), (fW, fb) in zip(view.backward(params, X, dz),
+                                          fresh.backward(params, X, dz)):
+                assert np.array_equal(dW, fW) and np.array_equal(db, fb)
+            assert np.array_equal(shared.flat_grads, fresh.flat_grads)
+
+    def test_a_net_and_its_views_are_freed_without_the_cycle_collector(self):
+        net = _Net(3, 64, self.SIZES)
+        net.rows(8), net.rows(64)
+        freed = weakref.ref(net)
+        gc.disable()
+        try:
+            del net
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    def test_gains_of_a_width_are_a_prefix_of_the_widest(self):
+        widest = _gains(700)
+        for m in range(1, 701):
+            assert np.array_equal(_gains(m), widest[:m])
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("n", [1, _SELECT_ROWS - 1, _SELECT_ROWS, _SELECT_ROWS + 1,
+                                   3 * _SELECT_ROWS + 7])
+    def test_blocked_selection_pass_equals_one_pass(self, R, n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, self.SIZES[0]))
+        y = (rng.random(n) < 0.3).astype(float)
+        weights = rng.uniform(0.5, 3.0, n)
+        params = _init_stacked(7, R, self.SIZES)
+        one_pass = _Net(R, n, self.SIZES).forward(params, X[None])[..., 0]
+        blocked = _forward_blocks(_Net(R, min(_SELECT_ROWS + 1, n), self.SIZES), params, X)
+        assert np.array_equal(blocked, one_pass)
+        losses = [(weights * (_stable_sigmoid(z) - y) ** 2).mean(axis=1)
+                  for z in (blocked, one_pass)]
+        assert np.array_equal(*losses)
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation while ``fn`` runs, over what was live before."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFitMemory:
+    """Fit buffers scale with a block or the widest group, not with the row
+    count or the number of group widths."""
+
+    def test_ann_fit_does_not_hold_activations_for_every_row(self):
+        rng = np.random.default_rng(19)
+        n = 20_000
+        X = rng.normal(size=(n, 8))
+        y = (rng.random(n) < 0.1).astype(float)
+        ts = toy_training_set(X, y)
+        peak = _peak_bytes(lambda: fit_ann(ts, AnnParams(epochs=1, restarts=10)))
+        assert peak < 20 * X.nbytes
+
+    def test_lrn_fit_holds_one_net_for_every_group_width(self):
+        rng = np.random.default_rng(23)
+        widths = [300 + 25 * k for k in range(12)]
+        X = rng.normal(size=(sum(widths), 8))
+        y = np.zeros(sum(widths))
+        groups = np.repeat(np.arange(len(widths)), widths)
+        starts = np.cumsum([0] + widths[:-1])
+        y[starts] = y[starts + 7] = 1.0
+        ts = toy_training_set(X, y, groups=groups)
+        hp = LrnParams(epochs=1)
+        sizes = (8, hp.hidden1, hp.hidden2, 1)
+        one_net = _peak_bytes(lambda: _Net(hp.restarts, max(widths), sizes))
+        peak = _peak_bytes(lambda: fit_lambdarank(ts, hp))
+        assert peak < 2 * one_net
