@@ -39,7 +39,6 @@ from .rankers import (
     fit_svm,
     random_rank,
     rank_with_tie_break,
-    rocket_rank,
 )
 from .replay import (
     CycleOutcome,
@@ -85,7 +84,6 @@ __all__ = [
     "random_rank",
     "rank_with_tie_break",
     "replay_cycle",
-    "rocket_rank",
     "slice_recent",
     "tdff",
     "tdlf",

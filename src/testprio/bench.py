@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .domain import TestHistory, average_suite_duration
+from .domain import DEFAULT_FRACTIONS, TestHistory, average_suite_duration
 from .errors import IncompleteGrid, IoFailure
 from .features import FeatureConfig
 from .ingest import dataset_stats
@@ -43,8 +43,6 @@ CSV_COLUMNS = (
     "mean_napfd,mean_tdff_pct,tdff_defined,mean_tdlf_pct,tdlf_defined,"
     "mean_train_s,mean_rank_s,cycles_evaluated,degenerate_cells"
 )
-
-DEFAULT_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
 @dataclass(frozen=True)
@@ -227,29 +225,13 @@ def _fmt(value: float | int | None) -> str:
 
 def _csv_rows(result: GridResult) -> list[str]:
     rows = [CSV_COLUMNS]
+    summary_columns = CSV_COLUMNS.split(",")[5:]  # the names after b_seconds
     for ranker in result.ranker_names:
         for h_idx, h_frac in enumerate(result.history_fractions):
             for b_idx, b_s in enumerate(result.budgets_s):
-                s = result.cells[(ranker, h_idx, b_idx)]
-                rows.append(",".join([
-                    ranker,
-                    str(h_idx + 1),
-                    _fmt(h_frac),
-                    str(b_idx + 1),
-                    _fmt(b_s),
-                    _fmt(s.mean_apfd),
-                    _fmt(s.std_apfd),
-                    str(s.apfd_defined),
-                    _fmt(s.mean_napfd),
-                    _fmt(s.mean_tdff_pct),
-                    str(s.tdff_defined),
-                    _fmt(s.mean_tdlf_pct),
-                    str(s.tdlf_defined),
-                    _fmt(s.mean_train_s),
-                    _fmt(s.mean_rank_s),
-                    str(s.cycles),
-                    str(s.degenerate_count),
-                ]))
+                cell = _summary_dict(result.cells[(ranker, h_idx, b_idx)])
+                rows.append(",".join([ranker, str(h_idx + 1), _fmt(h_frac), str(b_idx + 1),
+                                      _fmt(b_s), *(_fmt(cell[k]) for k in summary_columns)]))
     return rows
 
 

@@ -9,8 +9,9 @@ histories with millions of executions stay cheap to hold and scan.
 :func:`validate_history` codes each test id once, as its position in the
 registry (first-run order); later stages index columns by these codes
 (``TestHistory.codes``) instead of looking test ids up.  The parsers hand it
-flat :class:`ExecutionColumns`, which it groups and codes in vectorized
-passes.
+flat :class:`ExecutionColumns`, which it groups by cycle; a list of
+:class:`Cycle` is kept as it is.  Either way one coder codes every id, and
+one loop checks the cycles in order.
 
 A history carries its registry (each test's mean duration) as arrays by
 code: the ids in code order (``TestHistory.test_ids``) and their means
@@ -137,6 +138,10 @@ class HistoryWindow:
         return self.hi - self.lo
 
 
+# The grid's default history and budget fractions: B1..B5 are these times b5.
+DEFAULT_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
+
+
 @dataclass(frozen=True)
 class BudgetSchedule:
     """Five time budgets at 20%..100% of the full budget ``b5``."""
@@ -147,9 +152,7 @@ class BudgetSchedule:
     def __post_init__(self) -> None:
         if not (self.b5 > 0 and math.isfinite(self.b5)):
             raise NonPositiveBudget(f"b5 must be positive and finite, got {self.b5}")
-        object.__setattr__(
-            self, "budgets", tuple(0.2 * (k + 1) * self.b5 for k in range(5))
-        )
+        object.__setattr__(self, "budgets", tuple(f * self.b5 for f in DEFAULT_FRACTIONS))
 
 
 def round_half_up(x: float) -> int:
@@ -203,6 +206,30 @@ class ExecutionColumns(NamedTuple):
     duration_s: np.ndarray  # float64
 
 
+def _code(ids: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The registry (the distinct ``ids`` in first-run order) and each id's
+    code, its position in the registry."""
+    code_of = {tid: code for code, tid in enumerate(dict.fromkeys(ids))}
+    return tuple(code_of), np.fromiter(map(code_of.__getitem__, ids), np.int64, len(ids))
+
+
+def _checked(cycles: Sequence[Cycle], codes: Sequence[np.ndarray],
+             registry: tuple[str, ...]) -> TestHistory:
+    """Check the cycles in order, each before the next: its id above the
+    previous one, at least one execution, then its rows."""
+    prev_id: int | None = None
+    for cyc, idx in zip(cycles, codes):
+        if prev_id is not None and cyc.cycle_id <= prev_id:
+            raise DuplicateCycleId(
+                f"cycle ids must be strictly increasing: {prev_id} then {cyc.cycle_id}"
+            )
+        prev_id = cyc.cycle_id
+        if len(cyc) == 0:
+            raise EmptyCycle(f"cycle {cyc.cycle_id} has no executions")
+        _check_rows(cyc, idx)
+    return next(_prefixes(cycles, codes, registry, [len(cycles)]))
+
+
 def _from_columns(cycle_ids: np.ndarray, test_ids: Sequence[str],
                   failed: np.ndarray, duration_s: np.ndarray) -> TestHistory:
     """The column constructor: rows are grouped stably by cycle id and test
@@ -216,17 +243,13 @@ def _from_columns(cycle_ids: np.ndarray, test_ids: Sequence[str],
         order = np.argsort(cycle_ids, kind="stable")
         cycle_ids, test_ids = cycle_ids[order], np.asarray(test_ids, dtype=object)[order]
         failed, duration_s = failed[order], duration_s[order]
-    code_of = {tid: code for code, tid in enumerate(dict.fromkeys(test_ids))}
-    codes = np.fromiter(map(code_of.__getitem__, test_ids), np.int64, len(test_ids))
+    registry, codes = _code(test_ids)
     starts = np.flatnonzero(cycle_ids[1:] != cycle_ids[:-1]) + 1
     spans = list(zip([0, *starts.tolist()], [*starts.tolist(), len(codes)]))
-    ids = np.array(list(code_of), dtype=object)
+    ids = np.array(registry, dtype=object)
     cycles = [Cycle(int(cycle_ids[a]), tuple(ids[codes[a:b]].tolist()), failed[a:b],
                     duration_s[a:b]) for a, b in spans]
-    cycle_codes = [codes[a:b] for a, b in spans]
-    for cyc, idx in zip(cycles, cycle_codes):
-        _check_rows(cyc, idx)
-    return next(_prefixes(cycles, cycle_codes, tuple(code_of), [len(cycles)]))
+    return _checked(cycles, [codes[a:b] for a, b in spans], registry)
 
 
 def validate_history(raw: TestHistory | Iterable[Cycle] | ExecutionColumns) -> TestHistory:
@@ -242,22 +265,9 @@ def validate_history(raw: TestHistory | Iterable[Cycle] | ExecutionColumns) -> T
     cycles = tuple(raw.cycles if isinstance(raw, TestHistory) else raw)
     if not cycles:
         raise EmptyHistory("history contains no cycles")
-
-    code_of: dict[str, int] = {}
-    codes = []
-    prev_id: int | None = None
-    for cyc in cycles:
-        if prev_id is not None and cyc.cycle_id <= prev_id:
-            raise DuplicateCycleId(
-                f"cycle ids must be strictly increasing: {prev_id} then {cyc.cycle_id}"
-            )
-        prev_id = cyc.cycle_id
-        if len(cyc) == 0:
-            raise EmptyCycle(f"cycle {cyc.cycle_id} has no executions")
-        codes.append(np.fromiter((code_of.setdefault(t, len(code_of)) for t in cyc.test_ids),
-                                 np.int64, len(cyc)))
-        _check_rows(cyc, codes[-1])
-    return next(_prefixes(cycles, codes, tuple(code_of), [len(cycles)]))
+    registry, codes = _code([tid for cyc in cycles for tid in cyc.test_ids])
+    ends = np.cumsum([len(cyc) for cyc in cycles])
+    return _checked(cycles, np.split(codes, ends[:-1]), registry)
 
 
 def history_prefixes(h: TestHistory, positions: Iterable[int]) -> Iterator[TestHistory]:
@@ -291,5 +301,5 @@ def average_suite_duration(h: TestHistory) -> float:
 
 
 def budget_schedule(b5: float) -> BudgetSchedule:
-    """The five budgets [0.2, 0.4, 0.6, 0.8, 1.0] * b5."""
+    """The five budgets ``f * b5`` for ``f`` in :data:`DEFAULT_FRACTIONS`."""
     return BudgetSchedule(b5=float(b5))

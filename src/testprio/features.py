@@ -84,7 +84,6 @@ class TrainingSet:
     X: np.ndarray                # (n, d) float64
     y: np.ndarray                # (n,) float64 in {0, 1}
     group_cycle_ids: np.ndarray  # (n,) int64
-    test_ids: tuple[str, ...]    # per example
     stats: StandardizationStats
     config: FeatureConfig
 
@@ -170,13 +169,12 @@ def build_training_set(window: HistoryWindow, cfg: FeatureConfig) -> TrainingSet
     arrays = _WindowArrays(window)
     recency = arrays.recency_scores(cfg.decay)
 
-    xs, ys, gids, tids = [], [], [], []
+    xs, ys, gids = [], [], []
     for offset, (cyc, idx) in enumerate(zip(window.cycles[1:], window.codes[1:]), start=1):
         feats = arrays.features_as_of(offset, cfg, recency)
         xs.append(feats[idx])
         ys.append(cyc.failed.astype(np.float64))
         gids.append(np.full(len(cyc), cyc.cycle_id, dtype=np.int64))
-        tids.extend(cyc.test_ids)
 
     X = np.vstack(xs)
     y = np.concatenate(ys)
@@ -184,8 +182,7 @@ def build_training_set(window: HistoryWindow, cfg: FeatureConfig) -> TrainingSet
     stats = compute_stats(X) if cfg.standardize else StandardizationStats(
         mean=np.zeros(X.shape[1]), std=np.ones(X.shape[1])
     )
-    return TrainingSet(X=X, y=y, group_cycle_ids=groups, test_ids=tuple(tids),
-                       stats=stats, config=cfg)
+    return TrainingSet(X=X, y=y, group_cycle_ids=groups, stats=stats, config=cfg)
 
 
 def compute_stats(X: np.ndarray) -> StandardizationStats:

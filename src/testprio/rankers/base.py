@@ -8,8 +8,9 @@ suspicious ones; the final lexicographic leg makes the order total.
 
 The tie-break, the random scores and the rocket sums work on columns
 (:func:`rank_columns`, :func:`random_scores`, :func:`rocket_scores`); the
-replay calls them on registry codes.  The functions that take Mappings
-keyed by test id are adapters over the same cores.
+replay calls them on registry codes.  :func:`rank_with_tie_break`,
+:func:`random_rank` and :func:`rocket_priorities` run the same cores on
+Mappings keyed by test id.
 """
 
 from __future__ import annotations
@@ -291,12 +292,6 @@ def rocket_priorities(window: HistoryWindow, test_ids: Sequence[str],
     return {tid: by_test.get(tid, 0.0) for tid in test_ids}
 
 
-def rocket_rank(window: HistoryWindow, durations: Mapping[str, float],
-                params: RocketParams = RocketParams()) -> RankedSuite:
-    priorities = rocket_priorities(window, list(durations), params)
-    return rank_with_tie_break(priorities, durations)
-
-
 # --- fitted models ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -402,13 +397,6 @@ def score_matrix(model: Model, X_raw: np.ndarray) -> np.ndarray:
             out += payload.shrinkage * apply_tree(tree, X)
         return out
     raise TypeError(f"unknown payload type {type(payload).__name__}")
-
-
-def rank_cycle(model: Model, test_ids: Sequence[str], durations: Mapping[str, float],
-               feature_rows: np.ndarray) -> RankedSuite:
-    """Score each test's feature row and apply the shared tie-break."""
-    values = score_matrix(model, feature_rows)
-    return rank_with_tie_break(dict(zip(test_ids, values.tolist())), durations)
 
 
 def constant_model(kind: RankerKind, config: FeatureConfig,

@@ -16,9 +16,6 @@ An evaluated cycle's durations, scores, feature rows and tie-break keys are
 then columns read through its codes, rocket adds its weights newest cycle
 first as the per-cycle loop did, one lexsort (``rank_columns``) orders
 every ranker's columns, and the ranked ids are gathered by code.
-``rank_with_tie_break``, ``random_rank``, ``rocket_rank``,
-``rocket_priorities`` and ``rank_cycle`` are Mapping adapters over the same
-cores.
 
 Leakage rules: training windows, feature inputs, tie-break durations and
 budget-cut durations are all derived exclusively from the prior history,

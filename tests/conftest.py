@@ -63,7 +63,6 @@ def toy_training_set(X, y, groups=None, standardize=True) -> TrainingSet:
         X=X,
         y=y,
         group_cycle_ids=groups,
-        test_ids=tuple(f"T{i}" for i in range(len(y))),
         stats=stats,
         config=FeatureConfig(),
     )

@@ -3,9 +3,11 @@ import pickle
 import numpy as np
 import pytest
 
+from testprio.bench import DEFAULT_FRACTIONS
 from testprio.domain import (
     BudgetSchedule,
     Cycle,
+    ExecutionColumns,
     average_suite_duration,
     budget_schedule,
     history_prefix,
@@ -80,6 +82,29 @@ class TestValidateHistory:
 
     def test_idempotent(self, small_history):
         assert validate_history(validate_history(small_history)) == small_history
+
+    def test_cycle_input_keeps_the_callers_cycles(self):
+        cycles = list(churn_history(1).cycles)
+        h = validate_history(cycles)
+        assert len(h.cycles) == len(cycles)
+        assert all(h.cycles[i] is cycles[i] for i in range(len(cycles)))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_cycle_and_column_input_give_one_history(self, seed):
+        cycles = _late_arrivals(seed).cycles
+        # newest cycle first, so the column route has to group the rows
+        rows = [(c.cycle_id, t, f, d) for c in cycles[::-1]
+                for t, f, d in zip(c.test_ids, c.failed.tolist(), c.duration_s.tolist())]
+        cycle_ids, test_ids, failed, durations = zip(*rows)
+        from_columns = validate_history(ExecutionColumns(
+            np.array(cycle_ids), list(test_ids), np.array(failed), np.array(durations)))
+        from_cycles = validate_history(list(cycles))
+        assert from_columns == from_cycles
+        assert from_columns.test_ids == from_cycles.test_ids
+        assert np.array_equal(from_columns.means, from_cycles.means)
+        assert len(from_columns.codes) == len(from_cycles.codes)
+        for a, b in zip(from_columns.codes, from_cycles.codes):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
 
 
 def _late_arrivals(seed: int):
@@ -233,6 +258,12 @@ class TestBudgets:
             assert budgets[-1] == b5
             for k, b in enumerate(budgets):
                 assert b / b5 == pytest.approx(0.2 * (k + 1), abs=1e-15)
+
+    def test_budgets_are_the_grid_fractions_times_b5(self):
+        # the grid, the CLI and the benchmark cut at f * b5; 0.2 * 3 * b5 is
+        # not 0.6 * b5 in floating point
+        for b5 in (0.3, 1.0, 7.0, 17.5, 100.0, 1234.5, 3.3e5):
+            assert budget_schedule(b5).budgets == tuple(f * b5 for f in DEFAULT_FRACTIONS)
 
     def test_non_positive_budget(self):
         with pytest.raises(NonPositiveBudget):

@@ -158,6 +158,12 @@ class TestBuildFeatureVector:
             assert np.array_equal(v1, v2)
 
 
+def _example_ids(w):
+    """Each training example's test id: the window's cycles after the first,
+    their tests in recorded order."""
+    return [t for c in w.cycles[1:] for t in c.test_ids]
+
+
 class TestBuildTrainingSet:
     def test_two_cycles_three_tests(self):
         # oracle: enumeration -> 3 examples, one group
@@ -197,9 +203,11 @@ class TestBuildTrainingSet:
         w = slice_recent(persistent_history, 0.2)
         ts = build_training_set(w, FeatureConfig())
         by_cycle = {c.cycle_id: c for c in w.cycles}
+        ids = _example_ids(w)
+        assert len(ids) == ts.n_examples
         for i in range(0, ts.n_examples, 97):
             c = by_cycle[ts.group_cycle_ids[i]]
-            pos = c.test_ids.index(ts.test_ids[i])
+            pos = c.test_ids.index(ids[i])
             assert ts.y[i] == float(c.failed[pos])
 
     def test_standardized_moments(self, persistent_history):
@@ -218,13 +226,14 @@ class TestBuildTrainingSet:
         w = slice_recent(persistent_history, 0.3)
         cfg = FeatureConfig()
         ts = build_training_set(w, cfg)
+        ids = _example_ids(w)
         positions = {c.cycle_id: i for i, c in enumerate(persistent_history.cycles)}
         for i in range(0, ts.n_examples, 511):
             gid = int(ts.group_cycle_ids[i])
             pos = positions[gid]
             truncated = validate_history(persistent_history.cycles[: pos])
             w2 = HistoryWindow(source=truncated, lo=w.lo, hi=pos)
-            v = build_feature_vector(w2, ts.test_ids[i], cfg, as_of_cycle=pos)
+            v = build_feature_vector(w2, ids[i], cfg, as_of_cycle=pos)
             # duration normalization differs (registry shrinks), so compare
             # the history-derived components only
             assert np.allclose(v[:7], ts.X[i, :7], atol=0, rtol=0)
@@ -233,10 +242,11 @@ class TestBuildTrainingSet:
         w = slice_recent(persistent_history, 0.2)
         cfg = FeatureConfig()
         ts = build_training_set(w, cfg)
+        ids = _example_ids(w)
         positions = {c.cycle_id: i for i, c in enumerate(persistent_history.cycles)}
         for i in range(0, ts.n_examples, 211):
             pos = positions[int(ts.group_cycle_ids[i])]
-            v = build_feature_vector(w, ts.test_ids[i], cfg, as_of_cycle=pos)
+            v = build_feature_vector(w, ids[i], cfg, as_of_cycle=pos)
             assert np.allclose(v, ts.X[i], atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 2])
@@ -247,9 +257,10 @@ class TestBuildTrainingSet:
         for fraction in (0.1, 0.5):
             w = slice_recent(history_prefix(h, h.n_cycles - 5), fraction)
             ts = build_training_set(w, cfg)
+            ids = _example_ids(w)
             for i in range(0, ts.n_examples, 7):
                 pos = positions[int(ts.group_cycle_ids[i])]
-                v = build_feature_vector(w, ts.test_ids[i], cfg, as_of_cycle=pos)
+                v = build_feature_vector(w, ids[i], cfg, as_of_cycle=pos)
                 assert np.array_equal(v, ts.X[i])
 
 

@@ -28,12 +28,10 @@ from testprio.rankers import (
     fit_svm,
     params_from_config,
     rank_columns,
-    rank_cycle,
     rank_with_tie_break,
     random_rank,
     random_scores,
     rocket_priorities,
-    rocket_rank,
     rocket_scores,
     score_matrix,
     serialize_model,
@@ -137,11 +135,12 @@ class TestColumnCore:
         assert np.signbit(rs.scores).tolist() == [np.signbit(by_id[t]) for t in rs.test_ids]
         assert rank_with_tie_break(dict(zip(ids, scores)), dict(zip(ids, durations))) == rs
 
-    def test_rank_cycle_adapter(self):
+    def test_model_scores_through_tie_break(self):
         ids = self.IDS
         model = constant_model(RankerKind.SVM, FeatureConfig())
         durations = dict(zip(ids, [1.0, 3.0, 1.0, 3.0]))
-        rs = rank_cycle(model, ids, durations, np.zeros((4, FeatureConfig().dimension)))
+        scores = score_matrix(model, np.zeros((4, FeatureConfig().dimension)))
+        rs = rank_with_tie_break(dict(zip(ids, scores.tolist())), durations)
         assert rs.test_ids == ("a", "b", "t10", "t9")
 
     def test_random_rank_adapter(self):
@@ -155,8 +154,7 @@ class TestColumnCore:
         with pytest.raises(KeyMismatch):
             random_rank(["a", "b"], {"a": 1.0}, 0)
         with pytest.raises(KeyMismatch):
-            rank_cycle(constant_model(RankerKind.SVM, FeatureConfig()), ["a"],
-                       {"b": 1.0}, np.zeros((1, FeatureConfig().dimension)))
+            rank_with_tie_break({"a": 0.0}, {"b": 1.0})
 
 
 class TestRandomRank:
@@ -229,14 +227,16 @@ class TestRocket:
 
     def test_rank_order(self):
         w = _window_with_failures()
-        rs = rocket_rank(w, {"A": 1.0, "B": 2.0, "C": 3.0})
+        durations = {"A": 1.0, "B": 2.0, "C": 3.0}
+        rs = rank_with_tie_break(rocket_priorities(w, list(durations)), durations)
         assert rs.test_ids == ("A", "B", "C")
 
     def test_no_failures_falls_back_to_duration(self):
         w = slice_recent(history(
             cyc(0, ("A", "pass", 3.0), ("B", "pass", 1.0), ("C", "pass", 2.0)),
         ), 1.0)
-        rs = rocket_rank(w, {"A": 3.0, "B": 1.0, "C": 2.0})
+        durations = {"A": 3.0, "B": 1.0, "C": 2.0}
+        rs = rank_with_tie_break(rocket_priorities(w, list(durations)), durations)
         assert rs.test_ids == ("B", "C", "A")
 
     def test_priority_bounds_and_zero_iff_never_failed(self, persistent_history):
@@ -264,7 +264,9 @@ class TestRocket:
         assert rocket_priorities(w, ["X", "Y", "Z"]) == {"X": expected, "Y": 0.0, "Z": 0.0}
         failing = [idx[c.failed] for c, idx in zip(w.cycles[::-1], w.codes[::-1])]
         assert rocket_scores(failing, 2).tolist() == [expected, 0.0]
-        assert rocket_rank(w, {"Y": 1.0, "X": 1.0}).entries[0] == RankedTest("X", expected, 1.0)
+        durations = {"Y": 1.0, "X": 1.0}
+        rs = rank_with_tie_break(rocket_priorities(w, list(durations)), durations)
+        assert rs.entries[0] == RankedTest("X", expected, 1.0)
 
     def test_scores_of_an_empty_window_list(self):
         assert rocket_scores([], 3).tolist() == [0.0, 0.0, 0.0]
@@ -392,10 +394,11 @@ class TestScoreAndSerialization:
         m = constant_model(RankerKind.SVM, FeatureConfig())
         ids = ["A", "B", "C"]
         rows = np.zeros((3, m.dimension))
-        rs = rank_cycle(m, ids, {"A": 3.0, "B": 1.0, "C": 2.0}, rows)
+        scores = dict(zip(ids, score_matrix(m, rows).tolist()))
+        rs = rank_with_tie_break(scores, {"A": 3.0, "B": 1.0, "C": 2.0})
         assert rs.test_ids == ("B", "C", "A")
 
-    def test_rank_cycle_outputs_permutation_for_all_kinds(self, persistent_history):
+    def test_every_kind_ranks_a_permutation(self, persistent_history):
         from testprio.features import build_training_set, feature_matrix
 
         w = slice_recent(persistent_history, 0.2)
@@ -406,10 +409,11 @@ class TestScoreAndSerialization:
         rows = feature_matrix(w, ids, cfg)
         suites = [
             random_rank(ids, durations, 1),
-            rocket_rank(w, durations),
+            rank_with_tie_break(rocket_priorities(w, ids), durations),
         ]
         for fitter in (fit_svm, fit_gbdt, fit_ann, fit_lambdarank):
-            suites.append(rank_cycle(fitter(ts), ids, durations, rows))
+            scores = score_matrix(fitter(ts), rows)
+            suites.append(rank_with_tie_break(dict(zip(ids, scores.tolist())), durations))
         for rs in suites:
             assert sorted(rs.test_ids) == sorted(ids)
 
