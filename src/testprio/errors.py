@@ -82,10 +82,6 @@ class AlphaOutOfRange(TestPrioError):
     pass
 
 
-class UnknownTest(TestPrioError):
-    pass
-
-
 class WindowTooSmall(TestPrioError):
     pass
 

@@ -16,24 +16,24 @@ Features for a reference cycle are computed only from strictly earlier
 cycles, so labels never leak into their own features.
 
 There is one feature path, and it is vectorized: the window becomes
-presence/failure matrices (one row per window cycle, one column per test
-code), and each reference cycle's features are read from their cumulative
-sums for every test at once.  :func:`build_training_set` stacks the rows
-of the tests that ran in each labeled cycle; :func:`feature_matrix` gives
-the rows as of one past the window's end, for ranking.  Rows stay raw;
-a model applies its :class:`StandardizationStats` when it scores them.
+cumulative presence, failure and recency arrays (one row per window offset,
+one column per registry code), and every feature row is gathered from them
+at a (window offset, registry code) pair.  :func:`build_training_set`
+gathers the rows of the tests that ran in each labeled cycle in one call;
+:func:`feature_matrix` gathers the rows of the given codes as of one past
+the window's end, for ranking.  A code past the registry is a test that
+never ran.  Rows stay raw; a model applies its :class:`StandardizationStats`
+when it scores them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from . import config as cfgmod
 from .domain import HistoryWindow
-from .errors import AlphaOutOfRange, UnknownTest, WindowTooSmall
+from .errors import AlphaOutOfRange, WindowTooSmall
 
 
 @dataclass(frozen=True)
@@ -110,52 +110,52 @@ class TrainingSet:
 
 
 class _WindowArrays:
-    """Presence/failure matrices for one window: rows = window cycles,
-    columns = source registry tests, indexed by test code."""
+    """Cumulative presence, failure and recency arrays for one window: rows
+    = window offsets, columns = source registry tests, indexed by code."""
 
-    def __init__(self, window: HistoryWindow):
+    def __init__(self, window: HistoryWindow, alpha: float):
         k, n = window.n_cycles, window.source.n_tests
-        self.present = np.zeros((k, n), dtype=bool)
         self.failed = np.zeros((k, n), dtype=bool)
+        present = np.zeros((k, n), dtype=bool)
         for j, (cyc, idx) in enumerate(zip(window.cycles, window.codes)):
-            self.present[j, idx] = True
+            present[j, idx] = True
             self.failed[j, idx] = cyc.failed
 
-        # prefix[j] = count over rows < j; recency obeys s_{j+1} = a*s_j + f_j
+        # row j = count (or decayed score) over window rows < j;
+        # recency obeys s_{j+1} = a*s_j + f_j
         self.cum_present = np.vstack(
-            [np.zeros(n), np.cumsum(self.present, axis=0)]).astype(np.float64)
+            [np.zeros(n), np.cumsum(present, axis=0)]).astype(np.float64)
         self.cum_failed = np.vstack(
             [np.zeros(n), np.cumsum(self.failed, axis=0)]).astype(np.float64)
+        self.recency = np.zeros((k + 1, n))
+        for j in range(k):
+            self.recency[j + 1] = alpha * self.recency[j] + self.failed[j]
 
         means = window.source.means
         self.norm_duration = means / means.max()
+        self.unseen_duration = float(np.mean(means)) / float(means.max())
 
-    def recency_scores(self, alpha: float) -> np.ndarray:
-        """(k+1, n): row j = decayed failure score as of window offset j."""
-        k, n = self.failed.shape
-        scores = np.zeros((k + 1, n))
-        for j in range(k):
-            scores[j + 1] = alpha * scores[j] + self.failed[j]
-        return scores
-
-    def features_as_of(self, offset: int, cfg: FeatureConfig,
-                       recency: np.ndarray) -> np.ndarray:
-        """(n, d) raw feature matrix as of window offset ``offset`` (features
-        use rows < offset only)."""
+    def rows(self, offsets: np.ndarray, codes: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+        """Raw feature rows, one per (window offset, registry code) pair; row
+        ``i`` uses window rows < ``offsets[i]`` only (every offset >= 1).  A
+        code past the registry is a test that never ran: zero history, and
+        the registry's normalized mean duration."""
         F = cfg.verdict_window
-        k, n = self.failed.shape
-        out = np.zeros((n, cfg.dimension))
+        n = self.failed.shape[1]
+        known = codes < n
+        codes = np.where(known, codes, 0)
+        out = np.zeros((len(codes), cfg.dimension))
         for s in range(F):
-            row = offset - 1 - s
-            if row >= 0:
-                out[:, s] = self.failed[row]
-        if offset > 0:
-            pres = self.cum_present[offset]
-            fails = self.cum_failed[offset]
-            out[:, F] = pres / offset
-            out[:, F + 1] = np.divide(fails, pres, out=np.zeros(n), where=pres > 0)
-            out[:, F + 2] = recency[offset]
-        out[:, F + 3] = self.norm_duration
+            row = offsets - 1 - s
+            out[:, s] = self.failed[np.maximum(row, 0), codes] & (row >= 0)
+        pres = self.cum_present[offsets, codes]
+        fails = self.cum_failed[offsets, codes]
+        out[:, F] = pres / offsets
+        out[:, F + 1] = np.divide(fails, pres, out=np.zeros(len(pres)), where=pres > 0)
+        out[:, F + 2] = self.recency[offsets, codes]
+        out[:, F + 3] = self.norm_duration[codes]
+        out[~known] = 0.0
+        out[~known, F + 3] = self.unseen_duration
         return out
 
 
@@ -166,19 +166,12 @@ def build_training_set(window: HistoryWindow, cfg: FeatureConfig) -> TrainingSet
     if window.n_cycles < 2:
         raise WindowTooSmall(f"need >= 2 cycles, window has {window.n_cycles}")
 
-    arrays = _WindowArrays(window)
-    recency = arrays.recency_scores(cfg.decay)
-
-    xs, ys, gids = [], [], []
-    for offset, (cyc, idx) in enumerate(zip(window.cycles[1:], window.codes[1:]), start=1):
-        feats = arrays.features_as_of(offset, cfg, recency)
-        xs.append(feats[idx])
-        ys.append(cyc.failed.astype(np.float64))
-        gids.append(np.full(len(cyc), cyc.cycle_id, dtype=np.int64))
-
-    X = np.vstack(xs)
-    y = np.concatenate(ys)
-    groups = np.concatenate(gids)
+    labeled = window.cycles[1:]
+    sizes = [len(cyc) for cyc in labeled]
+    offsets = np.repeat(np.arange(1, window.n_cycles), sizes)
+    X = _WindowArrays(window, cfg.decay).rows(offsets, np.concatenate(window.codes[1:]), cfg)
+    y = np.concatenate([cyc.failed for cyc in labeled]).astype(np.float64)
+    groups = np.repeat(np.array([cyc.cycle_id for cyc in labeled], dtype=np.int64), sizes)
     stats = compute_stats(X) if cfg.standardize else StandardizationStats(
         mean=np.zeros(X.shape[1]), std=np.ones(X.shape[1])
     )
@@ -192,27 +185,11 @@ def compute_stats(X: np.ndarray) -> StandardizationStats:
     return StandardizationStats(mean=mean, std=std)
 
 
-def feature_matrix(window: HistoryWindow, test_ids: Sequence[str], cfg: FeatureConfig,
-                   fallback_norm_duration: float | None = None) -> np.ndarray:
-    """Raw feature rows for ``test_ids`` as of one past the window's end,
-    gathered by each test's registry code.
-
-    Tests absent from the source registry get all-zero history features and
-    ``fallback_norm_duration`` as the duration component (they have no
-    recorded runs yet); passing ``None`` makes unknown tests an error.
-    """
-    arrays = _WindowArrays(window)
-    recency = arrays.recency_scores(cfg.decay)
-    feats = arrays.features_as_of(window.n_cycles, cfg, recency)
-
-    n = len(feats)
-    code_of = dict(zip(window.source.test_ids, range(n)))
-    codes = np.fromiter((code_of.get(tid, n) for tid in test_ids), np.int64, len(test_ids))
-    out = feats.take(codes, axis=0, mode="clip")
-    unknown = codes == n
-    if unknown.any():
-        if fallback_norm_duration is None:
-            raise UnknownTest(test_ids[int(np.argmax(unknown))])
-        out[unknown] = 0.0
-        out[unknown, cfg.verdict_window + 3] = fallback_norm_duration
-    return out
+def feature_matrix(window: HistoryWindow, codes: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+    """Raw feature rows for the tests with registry ``codes`` as of one past
+    the window's end.  A code past the source registry (a test with no
+    recorded run yet) gets all-zero history features and the registry's
+    normalized mean duration."""
+    codes = np.asarray(codes, dtype=np.int64)
+    offsets = np.full(len(codes), window.n_cycles)
+    return _WindowArrays(window, cfg.decay).rows(offsets, codes, cfg)

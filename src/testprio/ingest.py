@@ -88,7 +88,6 @@ class ColumnMapping:
 
     @classmethod
     def from_config(cls, cfg: dict[str, str]) -> "ColumnMapping":
-        clamp = cfg.get("clamp_min_duration_s")
         return cls(
             cycle_col=cfg.get("cycle_col", ""),
             test_col=cfg.get("test_col", ""),
@@ -98,7 +97,8 @@ class ColumnMapping:
             delimiter=cfg.get("delimiter", ","),
             duration_unit_s=cfgmod.get_float(cfg, "duration_unit_s", 1.0),
             has_header=cfgmod.get_bool(cfg, "has_header", True),
-            clamp_min_duration_s=float(clamp) if clamp is not None else None,
+            clamp_min_duration_s=(cfgmod.get_float(cfg, "clamp_min_duration_s")
+                                  if "clamp_min_duration_s" in cfg else None),
         )
 
     @classmethod
@@ -176,7 +176,6 @@ class SyntheticSpec:
 
     @classmethod
     def from_config(cls, cfg: dict[str, str]) -> "SyntheticSpec":
-        shift = cfg.get("regime_shift_cycle")
         return cls(
             n_tests=cfgmod.get_int(cfg, "n_tests"),
             n_cycles=cfgmod.get_int(cfg, "n_cycles"),
@@ -185,10 +184,10 @@ class SyntheticSpec:
             flip_prob=cfgmod.get_float(cfg, "flip_prob", 0.05),
             duration_min_s=cfgmod.get_float(cfg, "duration_min_s", 0.5),
             duration_max_s=cfgmod.get_float(cfg, "duration_max_s", 2.0),
-            regime_shift_cycle=int(shift) if shift is not None else None,
-            regime_shift_period=(
-                int(cfg["regime_shift_period"]) if "regime_shift_period" in cfg else None
-            ),
+            regime_shift_cycle=(cfgmod.get_int(cfg, "regime_shift_cycle")
+                                if "regime_shift_cycle" in cfg else None),
+            regime_shift_period=(cfgmod.get_int(cfg, "regime_shift_period")
+                                 if "regime_shift_period" in cfg else None),
             noise_failure_prob=cfgmod.get_float(cfg, "noise_failure_prob", 0.0),
         )
 

@@ -288,14 +288,13 @@ def _ideal_dcg(n_pos: int) -> float:
 
 
 def _group_lambdas(s: np.ndarray, pos: np.ndarray, neg: np.ndarray,
-                   sigma: float, idcg: float,
-                   frozen_delta: np.ndarray | None = None,
-                   gains: np.ndarray | None = None):
+                   sigma: float, idcg: float, gains: np.ndarray,
+                   frozen_delta: np.ndarray | None = None):
     """dCost/dscore (R, m) for one group with stacked scores s (R, m);
     ``gains`` is ``_gains(k)`` for some k >= m.  Callers ignore overflow in
     ``exp``: a lambda whose exponent overflows is -0.0, as it should be."""
     if frozen_delta is None:
-        g = (_gains(s.shape[1]) if gains is None else gains)[_ranks_matrix(s) - 1]
+        g = gains[_ranks_matrix(s) - 1]
         delta = np.abs(g[:, pos][:, :, None] - g[:, neg][:, None, :]) / idcg
     else:
         delta = frozen_delta
@@ -341,7 +340,7 @@ def fit_lambdarank(ts: TrainingSet, hp: LrnParams = LrnParams()) -> Model:
                 Xg = inputs[g]
                 gnet = net.rows(Xg.shape[1])
                 s = gnet.forward(params, Xg)[..., 0]
-                dc, _, _ = _group_lambdas(s, pos, neg, hp.sigma, idcg, gains=gains)
+                dc, _, _ = _group_lambdas(s, pos, neg, hp.sigma, idcg, gains)
                 gnet.backward(params, Xg, dc[..., None])
                 _sgd_step(flat, net.flat_grads, hp.learning_rate)
 
@@ -376,7 +375,8 @@ def lambdarank_cost_and_grads(layers, X: np.ndarray, y: np.ndarray,
     X1 = X[None]
     s = net.forward(params, X1)[..., 0]
     with np.errstate(over="ignore"):
-        dc, delta, sdiff = _group_lambdas(s, pos, neg, sigma, idcg, frozen_delta)
+        dc, delta, sdiff = _group_lambdas(s, pos, neg, sigma, idcg, _gains(len(y)),
+                                          frozen_delta)
     cost = float((delta * np.logaddexp(0.0, -sigma * sdiff)).sum())
     grads = net.backward(params, X1, dc[..., None])
     return cost, [(dW[0], db[0, 0]) for dW, db in grads], delta

@@ -21,8 +21,10 @@ Leakage rules: training windows, feature inputs, tie-break durations and
 budget-cut durations are all derived exclusively from the prior history,
 ``history_prefix(h, c)``: the cycles before the evaluated one and their
 registry.  The evaluated cycle contributes only its replayed verdicts
-(and its test list).  A test never seen before is ranked with zero history
-features and the prior mean duration as its duration estimate.
+(and its test list).  A test never seen before has a code past the prior
+registry: it is ranked with zero history features, the registry's
+normalized mean duration as its duration feature, and the prior mean
+duration as its duration estimate.
 
 Timing: ``train_seconds`` / ``rank_seconds`` are a deterministic work-based
 cost model (counted arithmetic operations divided by a nominal op rate), so
@@ -251,13 +253,12 @@ def _replay_at(prior: TestHistory, cycle: Cycle, codes: np.ndarray, coded: _Code
         failing = coded.failing[window.lo:window.hi][::-1]
         scores = rocket_scores(failing, len(coded.id_ranks), params)[codes]
     else:
-        rows = feature_matrix(window, cycle.test_ids, cfg.features,
-                              fallback_norm_duration=mean_duration / float(means.max()))
+        rows = feature_matrix(window, codes, cfg.features)
         scores = score_matrix(model, rows)
     ranking, order = rank_columns(coded.ids[codes], scores, durations, coded.id_ranks[codes])
     wall_rank = time.perf_counter() - t0
 
-    rank_units = _rank_units(kind, params, len(cycle.test_ids), window.n_cycles,
+    rank_units = _rank_units(kind, params, len(codes), window.n_cycles,
                              cfg.features.dimension)
     train_s = train_units / NOMINAL_OPS_PER_SECOND
     rank_s = rank_units / NOMINAL_OPS_PER_SECOND

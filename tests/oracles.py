@@ -26,7 +26,6 @@ from testprio.errors import (
     MalformedRow,
     NonPositiveDuration,
     NoRankableGroup,
-    UnknownTest,
     UnknownVerdictToken,
     WindowTooSmall,
 )
@@ -57,7 +56,7 @@ def build_feature_vector(window: HistoryWindow, test_id: str, cfg: FeatureConfig
         )
     registry = window.source.registry
     if test_id not in registry:
-        raise UnknownTest(test_id)
+        raise KeyError(test_id)
 
     F = cfg.verdict_window
     values = np.zeros(cfg.dimension)

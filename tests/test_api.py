@@ -10,10 +10,11 @@ import pytest
 
 import testprio
 import testprio.rankers
-from testprio import config, domain, features
+from testprio import config, domain, errors, features
 
 # Names removed with the row view of a cycle and the scalar feature path,
-# and the Mapping adapters that nothing ranked through.
+# the Mapping adapters that nothing ranked through, and the unknown-test
+# error that feature rows gathered by registry code never raise.
 REMOVED = {
     testprio: ("Execution", "Verdict", "FeatureVector", "build_feature_vector",
                "recency_failure_score", "standardize", "score", "rocket_rank",
@@ -24,7 +25,8 @@ REMOVED = {
     domain.Cycle: ("from_executions", "executions", "iter_executions"),
     domain.TestHistory: ("cycle_index",),
     features: ("FeatureVector", "build_feature_vector", "recency_failure_score",
-               "standardize"),
+               "standardize", "UnknownTest"),
+    errors: ("UnknownTest",),
     config: ("dump_config",),
     testprio.rankers.RankedSuite: ("ordering",),
 }

@@ -7,12 +7,7 @@ from testprio.domain import (
     slice_recent,
     validate_history,
 )
-from testprio.errors import (
-    AlphaOutOfRange,
-    DimensionMismatch,
-    UnknownTest,
-    WindowTooSmall,
-)
+from testprio.errors import AlphaOutOfRange, DimensionMismatch, WindowTooSmall
 from testprio.features import (
     FeatureConfig,
     StandardizationStats,
@@ -29,13 +24,18 @@ F = True
 P = False
 
 
+def _codes(h, test_ids):
+    """The registry codes of ``test_ids`` in history ``h``."""
+    return [h.test_ids.index(tid) for tid in test_ids]
+
+
 def _recency_scores(failed_most_recent_first, alpha):
     """The oracle's recency score and the program's recency feature (from
     ``feature_matrix``) for one test with these verdicts."""
     h = history(*(cyc(i, ("A", "fail" if f else "pass", 1.0))
                   for i, f in enumerate(reversed(failed_most_recent_first))))
     cfg = FeatureConfig(decay=alpha)
-    program = feature_matrix(slice_recent(h, 1.0), ["A"], cfg)[0, cfg.verdict_window + 2]
+    program = feature_matrix(slice_recent(h, 1.0), _codes(h, ["A"]), cfg)[0, cfg.verdict_window + 2]
     return recency_failure_score(failed_most_recent_first, alpha), program
 
 
@@ -94,7 +94,8 @@ def _vectors(w, test_id, as_of_cycle):
     """The oracle's features of one test as of ``as_of_cycle`` and the
     program's row for it (``feature_matrix`` on the window ending there)."""
     cfg = FeatureConfig()
-    program = feature_matrix(HistoryWindow(w.source, w.lo, as_of_cycle), [test_id], cfg)[0]
+    program = feature_matrix(HistoryWindow(w.source, w.lo, as_of_cycle),
+                             _codes(w.source, [test_id]), cfg)[0]
     return build_feature_vector(w, test_id, cfg, as_of_cycle=as_of_cycle), program
 
 
@@ -135,10 +136,8 @@ class TestBuildFeatureVector:
 
     def test_unknown_test_raises(self):
         w = _three_cycle_window()
-        with pytest.raises(UnknownTest):
+        with pytest.raises(KeyError):
             build_feature_vector(w, "ZZZ", FeatureConfig(), as_of_cycle=2)
-        with pytest.raises(UnknownTest):
-            feature_matrix(HistoryWindow(w.source, w.lo, 2), ["ZZZ"], FeatureConfig())
 
     def test_features_ignore_cycles_at_or_after_as_of(self):
         # no-leakage: verdict at the as_of cycle must not matter
@@ -306,7 +305,7 @@ class TestFeatureMatrix:
         w = slice_recent(persistent_history, 0.2)
         cfg = FeatureConfig()
         ids = list(persistent_history.registry)[:10]
-        rows = feature_matrix(w, ids, cfg)
+        rows = feature_matrix(w, _codes(persistent_history, ids), cfg)
         for i, tid in enumerate(ids):
             v = build_feature_vector(w, tid, cfg, as_of_cycle=w.hi)
             assert np.allclose(rows[i], v, atol=1e-12)
@@ -322,21 +321,24 @@ class TestFeatureMatrix:
             ids = list(prior.registry)
             if fraction == 0.05:
                 assert set(ids) - {t for c in w.cycles for t in c.test_ids}
-            rows = feature_matrix(w, ids, cfg)
+            rows = feature_matrix(w, _codes(prior, ids), cfg)
             for i, tid in enumerate(ids):
                 v = build_feature_vector(w, tid, cfg, as_of_cycle=w.hi)
                 assert np.array_equal(rows[i], v)
 
-    def test_unknown_test_error_and_fallback(self):
+    def test_code_past_registry_gets_mean_duration(self):
+        # a test with no recorded run: zero history, and the registry's mean
+        # duration over its max, (2 + 4) / 2 / 4; known codes are unaffected
         w = _three_cycle_window()
-        with pytest.raises(UnknownTest):
-            feature_matrix(w, ["NEW"], FeatureConfig())
-        rows = feature_matrix(w, ["NEW"], FeatureConfig(), fallback_norm_duration=0.75)
-        assert np.allclose(rows[0][:7], 0.0)
-        assert rows[0][7] == pytest.approx(0.75)
+        cfg = FeatureConfig()
+        rows = feature_matrix(w, [2, 0, 10**6], cfg)
+        for row in rows[[0, 2]]:
+            assert np.array_equal(row[:7], np.zeros(7))
+            assert row[7] == 0.75
+        assert np.array_equal(rows[1], build_feature_vector(w, "A", cfg, as_of_cycle=w.hi))
 
     def test_dimension_constant_across_tests(self, persistent_history):
         cfg = FeatureConfig(verdict_window=6)
         w = slice_recent(persistent_history, 0.4)
-        rows = feature_matrix(w, list(persistent_history.registry), cfg)
+        rows = feature_matrix(w, range(persistent_history.n_tests), cfg)
         assert rows.shape == (persistent_history.n_tests, cfg.dimension)

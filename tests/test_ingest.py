@@ -279,6 +279,13 @@ class TestParseExternal:
         pos = h.cycles[0].test_ids.index("TC_A")
         assert h.cycles[0].duration_s[pos] == 0.001
 
+    def test_bad_clamp_min_duration_names_its_key(self):
+        cfg = {"verdict_map.1": "fail", "clamp_min_duration_s": "tiny"}
+        with pytest.raises(ConfigError, match="key 'clamp_min_duration_s': not a number"):
+            ColumnMapping.from_config(cfg)
+        cfg["clamp_min_duration_s"] = "0.5"
+        assert ColumnMapping.from_config(cfg).clamp_min_duration_s == 0.5
+
     def test_headerless_mapping_uses_indices(self):
         text = "1;TC_A;3.5;1\n2;TC_B;1.0;1\n"
         mapping = ColumnMapping(
@@ -405,6 +412,14 @@ class TestGenerateSynthetic:
             for i in (0, 20)
         ]
         assert not np.array_equal(blocks[0], blocks[1])
+
+    @pytest.mark.parametrize("key", ["regime_shift_cycle", "regime_shift_period"])
+    def test_bad_regime_shift_key_names_itself(self, key):
+        cfg = {"n_tests": "5", "n_cycles": "20", "base_failure_prob": "0.1", key: "1.5"}
+        with pytest.raises(ConfigError, match=f"key '{key}': not an integer"):
+            SyntheticSpec.from_config(cfg)
+        cfg[key] = "10"
+        assert getattr(SyntheticSpec.from_config(cfg), key) == 10
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):

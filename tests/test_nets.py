@@ -170,7 +170,7 @@ class TestLambdaGradients:
         s = np.zeros((1, 2))
         pos, neg = np.array([0]), np.array([1])
         idcg = _ideal_dcg(1)
-        dc, delta, _ = _group_lambdas(s, pos, neg, sigma=1.0, idcg=idcg)
+        dc, delta, _ = _group_lambdas(s, pos, neg, sigma=1.0, idcg=idcg, gains=_gains(2))
         expected = abs(1.0 / np.log2(2.0) - 1.0 / np.log2(3.0)) / idcg
         assert dc[0, 0] == pytest.approx(-0.5 * expected)
         assert dc[0, 1] == pytest.approx(+0.5 * expected)

@@ -406,7 +406,7 @@ class TestScoreAndSerialization:
         ts = build_training_set(w, cfg)
         ids = list(persistent_history.cycles[-1].test_ids)
         durations = {t: persistent_history.registry[t] for t in ids}
-        rows = feature_matrix(w, ids, cfg)
+        rows = feature_matrix(w, persistent_history.codes[-1], cfg)
         suites = [
             random_rank(ids, durations, 1),
             rank_with_tie_break(rocket_priorities(w, ids), durations),
