@@ -29,6 +29,7 @@ when it scores them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from . import config as cfgmod
