@@ -11,13 +11,13 @@ from testprio import (
     Cycle,
     SyntheticSpec,
     average_suite_duration,
-    budget_schedule,
     dataset_stats,
     generate_synthetic,
     parse_canonical,
     slice_recent,
     validate_history,
 )
+from testprio.domain import DEFAULT_FRACTIONS
 
 # 1. By hand: three cycles of two tests.  validate_history checks the
 #    invariants (strictly increasing cycle ids, positive durations, no
@@ -53,4 +53,4 @@ print("synthetic:", dataset_stats(synthetic))
 window = slice_recent(synthetic, 0.2)
 print(f"H1 window covers cycles [{window.lo}, {window.hi}) of {synthetic.n_cycles}")
 b5 = average_suite_duration(synthetic)
-print("budget schedule B1..B5:", [round(b, 2) for b in budget_schedule(b5).budgets])
+print("budget schedule B1..B5:", [round(f * b5, 2) for f in DEFAULT_FRACTIONS])

@@ -4,12 +4,10 @@ walk-forward replay harness and a deterministic benchmark grid."""
 __version__ = "0.1.0"
 
 from .domain import (
-    BudgetSchedule,
     Cycle,
     HistoryWindow,
     TestHistory,
     average_suite_duration,
-    budget_schedule,
     slice_recent,
     validate_history,
 )
@@ -50,7 +48,6 @@ from .replay import (
 )
 
 __all__ = [
-    "BudgetSchedule",
     "ColumnMapping",
     "CycleMetrics",
     "Cycle",
@@ -68,7 +65,6 @@ __all__ = [
     "aggregate",
     "apfd",
     "average_suite_duration",
-    "budget_schedule",
     "build_training_set",
     "cut_by_budget",
     "dataset_stats",

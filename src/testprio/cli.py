@@ -22,7 +22,7 @@ from .bench import (
     run_grid,
     write_canonical,
 )
-from .config import load_config, subkeys
+from .config import get_float, get_floats, get_int, load_config, subkeys
 from .domain import TestHistory, average_suite_duration
 from .errors import (
     AlphaOutOfRange,
@@ -173,19 +173,13 @@ def _grid_spec_from_args(args: argparse.Namespace) -> GridSpec:
     names = [t.strip() for t in cfg.get("rankers", "").split(",") if t.strip()]
     kinds = [_ranker_kind(n) for n in names] if names else list(RankerKind)
     rankers = tuple((k, params_from_config(k, cfg)) for k in kinds)
-
-    def fractions(key: str) -> tuple[float, ...]:
-        if key not in cfg:
-            return DEFAULT_FRACTIONS
-        return tuple(float(t) for t in cfg[key].split(",") if t.strip())
-
-    seed = int(cfg["seed"]) if "seed" in cfg and args.seed == DEFAULT_SEED else args.seed
+    seed = get_int(cfg, "seed", args.seed) if args.seed == DEFAULT_SEED else args.seed
     features = FeatureConfig.from_config(subkeys(cfg, "features"))
     return GridSpec(
         rankers=rankers,
-        history_fractions=fractions("history_fractions"),
-        budget_fractions=fractions("budget_fractions"),
-        eval_fraction=float(cfg.get("eval_fraction", 0.2)),
+        history_fractions=get_floats(cfg, "history_fractions", DEFAULT_FRACTIONS),
+        budget_fractions=get_floats(cfg, "budget_fractions", DEFAULT_FRACTIONS),
+        eval_fraction=get_float(cfg, "eval_fraction", 0.2),
         base_seed=seed,
         features=features,
     )

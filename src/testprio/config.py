@@ -52,6 +52,13 @@ def get_float(cfg: dict[str, str], key: str, default: float | None = None) -> fl
         raise ConfigError(f"key {key!r}: not a number: {cfg[key]!r}") from exc
 
 
+def get_floats(cfg: dict[str, str], key: str, default: tuple[float, ...]) -> tuple[float, ...]:
+    """A comma-separated list of numbers; blank items are skipped."""
+    if key not in cfg:
+        return default
+    return tuple(get_float({key: t.strip()}, key) for t in cfg[key].split(",") if t.strip())
+
+
 def get_int(cfg: dict[str, str], key: str, default: int | None = None) -> int:
     if key not in cfg:
         if default is None:

@@ -16,7 +16,9 @@ one loop checks the cycles in order.
 A history carries its registry (each test's mean duration) as arrays by
 code: the ids in code order (``TestHistory.test_ids``) and their means
 (``TestHistory.means``).  The ``registry`` dict is derived from them on
-first read and cached; the replay reads the arrays only.
+first read and cached; the replay reads the arrays only.  Budgets B1..B5
+are ``f * b5`` for ``f`` in :data:`DEFAULT_FRACTIONS`, where b5 is the
+history's :func:`average_suite_duration`.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -25,7 +27,7 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -37,7 +39,6 @@ from .errors import (
     EmptyCycle,
     EmptyHistory,
     FractionOutOfRange,
-    NonPositiveBudget,
     NonPositiveDuration,
 )
 
@@ -140,19 +141,6 @@ class HistoryWindow:
 
 # The grid's default history and budget fractions: B1..B5 are these times b5.
 DEFAULT_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
-
-
-@dataclass(frozen=True)
-class BudgetSchedule:
-    """Five time budgets at 20%..100% of the full budget ``b5``."""
-
-    b5: float
-    budgets: tuple[float, float, float, float, float] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not (self.b5 > 0 and math.isfinite(self.b5)):
-            raise NonPositiveBudget(f"b5 must be positive and finite, got {self.b5}")
-        object.__setattr__(self, "budgets", tuple(f * self.b5 for f in DEFAULT_FRACTIONS))
 
 
 def round_half_up(x: float) -> int:
@@ -298,8 +286,3 @@ def average_suite_duration(h: TestHistory) -> float:
         raise EmptyHistory("history contains no cycles")
     per_cycle = [float(c.duration_s.sum()) for c in h.cycles]
     return float(np.mean(per_cycle))
-
-
-def budget_schedule(b5: float) -> BudgetSchedule:
-    """The five budgets ``f * b5`` for ``f`` in :data:`DEFAULT_FRACTIONS`."""
-    return BudgetSchedule(b5=float(b5))

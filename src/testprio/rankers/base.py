@@ -162,18 +162,15 @@ def params_from_config(kind: RankerKind, cfg: Mapping[str, str]) -> RankerParams
     cls = PARAM_TYPES[kind]
     overrides = {}
     prefix = kind.value + "."
-    for key, value in cfg.items():
+    for key in cfg:
         if not key.startswith(prefix):
             continue
         name = key[len(prefix):]
         spec = {f.name: f for f in fields(cls)}.get(name)
         if spec is None:
             raise cfgmod.ConfigError(f"unknown hyperparameter {key!r}")
-        try:
-            v = type(spec.default)(value)
-        except ValueError:
-            raise cfgmod.ConfigError(
-                f"key {key!r}: not {type(spec.default).__name__}: {value!r}") from None
+        get = cfgmod.get_int if isinstance(spec.default, int) else cfgmod.get_float
+        v = get(cfg, key)
         problem = _range_error(name, v)
         if problem:
             raise cfgmod.ConfigError(f"key {key!r}: {problem}")
@@ -344,6 +341,13 @@ class Model:
     @property
     def dimension(self) -> int:
         return self.stats.dimension
+
+
+def class_weights(y: np.ndarray) -> np.ndarray:
+    """The loss weight of each example, offsetting the rare failing label:
+    ``#neg / #pos`` where ``y > 0.5``, 1.0 elsewhere."""
+    n_pos = int((y > 0.5).sum())
+    return np.where(y > 0.5, (len(y) - n_pos) / n_pos, 1.0)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .base import (
     Model,
     RankerKind,
     _stable_sigmoid,
+    class_weights,
     constant_model,
 )
 
@@ -42,10 +43,10 @@ _EPS_HESSIAN = 1e-9
 
 
 class _TreeBuilder:
-    def __init__(self, cols: list[np.ndarray], presorted: list[np.ndarray],
+    def __init__(self, cols: np.ndarray, presorted: list[np.ndarray],
                  residual: np.ndarray, hessian: np.ndarray,
                  max_depth: int, min_leaf: int):
-        self.cols = cols            # per-feature contiguous columns, shared across trees
+        self.cols = cols            # (d, n): row f is feature f, shared across trees
         self.presorted = presorted  # per-feature row order, shared across trees
         self.residual = residual
         self.hessian = hessian
@@ -171,18 +172,17 @@ def fit_gbdt(ts: TrainingSet, hp: GbdtParams = GbdtParams()) -> Model:
     if ts.single_class:
         return constant_model(RankerKind.GBDT, ts.config, ts.stats)
 
-    X = ts.standardized()
+    # (d, n): one contiguous row per feature; the (n, d) matrix is not kept
+    cols = np.ascontiguousarray(ts.standardized().T)
     y = ts.y
-    n_pos = int((y > 0.5).sum())
-    c = np.where(y > 0.5, (len(y) - n_pos) / n_pos, 1.0)
+    c = class_weights(y)
 
-    rate = n_pos / len(y)
+    rate = int((y > 0.5).sum()) / len(y)
     base = float(np.clip(np.log(rate / (1.0 - rate)), -10.0, 10.0))
     scores = np.full(len(y), base)
     p = _stable_sigmoid(scores)
     trace = [_weighted_logloss(y, p, c)]
 
-    cols = [np.ascontiguousarray(X[:, f]) for f in range(X.shape[1])]
     presorted = [np.argsort(col, kind="stable") for col in cols]
     trees = []
     for _ in range(hp.n_estimators):

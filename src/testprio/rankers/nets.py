@@ -37,6 +37,7 @@ from .base import (
     Model,
     MlpPayload,
     RankerKind,
+    class_weights,
     constant_model,
     _stable_sigmoid,
 )
@@ -164,12 +165,6 @@ def _unstack(params: Params, r: int) -> tuple[tuple[np.ndarray, np.ndarray], ...
     return tuple((W[r].copy(), b[r, 0].copy()) for W, b in params)
 
 
-def _class_weights(y: np.ndarray) -> np.ndarray:
-    n_pos = int((y > 0.5).sum())
-    n_neg = len(y) - n_pos
-    return np.where(y > 0.5, n_neg / n_pos, 1.0)
-
-
 # --- probability net -----------------------------------------------------------
 
 def _mse_grad(out: np.ndarray, y: np.ndarray, cw: np.ndarray,
@@ -218,7 +213,7 @@ def fit_ann(ts: TrainingSet, hp: AnnParams = AnnParams()) -> Model:
 
     X = ts.standardized()
     y = ts.y
-    weights = _class_weights(y)
+    weights = class_weights(y)
     n, d = X.shape
     R = hp.restarts
     sizes = (d, hp.hidden1, hp.hidden2, 1)

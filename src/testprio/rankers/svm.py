@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..features import TrainingSet
-from .base import Model, RankerKind, SvmParams, SvmPayload, constant_model
+from .base import Model, RankerKind, SvmParams, SvmPayload, class_weights, constant_model
 
 
 def fit_svm(ts: TrainingSet, hp: SvmParams = SvmParams()) -> Model:
@@ -24,8 +24,7 @@ def fit_svm(ts: TrainingSet, hp: SvmParams = SvmParams()) -> Model:
     X = ts.standardized()
     y = np.where(ts.y > 0.5, 1.0, -1.0)
     n, d = X.shape
-    n_pos = int((y > 0).sum())
-    weight = np.where(y > 0, (n - n_pos) / n_pos, 1.0)
+    weight = class_weights(ts.y)  # ts.y > 0.5 marks the rows where y is +1
 
     w = np.zeros(d)
     b = 0.0

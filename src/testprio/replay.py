@@ -5,7 +5,8 @@ cycles into a training window, fit the configured ranker (when it trains),
 rank the cycle's tests, cut the ranking at each time budget, and replay the
 recorded verdicts of that cycle against the executed prefix.  The ranking's
 durations are summed once; every budget's cut, elapsed time, TDFF and TDLF
-read that one cumulative array.
+read that one cumulative array.  ``metrics.check_budget`` checks every budget
+before any fit: ``ReplayConfig.budget_s`` when built, a walk's when it starts.
 
 Ranking runs on registry codes (``TestHistory.codes``), not on dicts keyed
 by test id: each prefix carries its registry as arrays by code
@@ -46,7 +47,6 @@ import numpy as np
 from .domain import Cycle, HistoryWindow, TestHistory, history_prefixes, slice_recent
 from .errors import (
     HistoryTooShort,
-    NonPositiveBudget,
     NoPriorHistory,
     NoRankableGroup,
     WindowTooSmall,
@@ -92,8 +92,7 @@ class ReplayConfig:
             raise ValueError(f"history_fraction must be in (0, 1], got {self.history_fraction}")
         if not (0.0 < self.eval_fraction < 1.0):
             raise ValueError(f"eval_fraction must be in (0, 1), got {self.eval_fraction}")
-        if not (self.budget_s > 0 and math.isfinite(self.budget_s)):
-            raise NonPositiveBudget(f"budget_s must be positive, got {self.budget_s}")
+        check_budget(self.budget_s)
         if self.params is None:
             object.__setattr__(self, "params", default_params(self.ranker))
         elif not isinstance(self.params, PARAM_TYPES[self.ranker]):

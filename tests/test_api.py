@@ -10,18 +10,21 @@ import pytest
 
 import testprio
 import testprio.rankers
+import testprio.rankers.nets
 from testprio import config, domain, errors, features
 
 # Names removed with the row view of a cycle and the scalar feature path,
-# the Mapping adapters that nothing ranked through, and the unknown-test
-# error that feature rows gathered by registry code never raise.
+# the Mapping adapters that nothing ranked through, the unknown-test error
+# that feature rows gathered by registry code never raise, the budget ladder
+# that sat beside the grid's own ``f * b5`` and the second class-weight rule.
 REMOVED = {
     testprio: ("Execution", "Verdict", "FeatureVector", "build_feature_vector",
                "recency_failure_score", "standardize", "score", "rocket_rank",
-               "rank_cycle"),
+               "rank_cycle", "BudgetSchedule", "budget_schedule"),
     testprio.rankers: ("ORDERING_KEY", "score", "rocket_rank", "rank_cycle"),
     testprio.rankers.base: ("rocket_rank", "rank_cycle"),
-    domain: ("Execution", "Verdict"),
+    testprio.rankers.nets: ("_class_weights",),
+    domain: ("Execution", "Verdict", "BudgetSchedule", "budget_schedule"),
     domain.Cycle: ("from_executions", "executions", "iter_executions"),
     domain.TestHistory: ("cycle_index",),
     features: ("FeatureVector", "build_feature_vector", "recency_failure_score",

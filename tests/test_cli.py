@@ -215,6 +215,30 @@ class TestGrid:
                      "--out-dir", str(tmp_path / "r")]) == 2
         assert "decay" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, text", [
+        ("seed = 1.5", "key 'seed': not an integer: '1.5'"),
+        ("eval_fraction = abc", "key 'eval_fraction': not a number: 'abc'"),
+        ("history_fractions = 0.2, x", "key 'history_fractions': not a number: 'x'"),
+        ("budget_fractions = 0.5,,y", "key 'budget_fractions': not a number: 'y'"),
+    ])
+    def test_bad_grid_value_exit_2_names_its_key(self, history_file, tmp_path, capsys,
+                                                 line, text):
+        path, _ = history_file
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"rankers = random\n{line}\n")
+        assert main(["grid", str(path), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
+
+    def test_blank_fraction_items_are_skipped(self, history_file, tmp_path, capsys):
+        path, _ = history_file
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("rankers = random\nhistory_fractions = 0.5, ,1.0,\n"
+                       "budget_fractions = ,1.0\n")
+        assert main(["grid", str(path), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "r")]) == 0
+        assert len((tmp_path / "r" / "report.csv").read_text().splitlines()) == 1 + 2 * 1
+
     @pytest.mark.parametrize("key, value", [
         ("ann.batch_size", "0"),
         ("ann.restarts", "0"),

@@ -3,13 +3,10 @@ import pickle
 import numpy as np
 import pytest
 
-from testprio.bench import DEFAULT_FRACTIONS
 from testprio.domain import (
-    BudgetSchedule,
     Cycle,
     ExecutionColumns,
     average_suite_duration,
-    budget_schedule,
     history_prefix,
     history_prefixes,
     round_half_up,
@@ -22,7 +19,6 @@ from testprio.errors import (
     EmptyCycle,
     EmptyHistory,
     FractionOutOfRange,
-    NonPositiveBudget,
     NonPositiveDuration,
 )
 
@@ -241,35 +237,6 @@ class TestBudgets:
     def test_single_cycle_mean(self):
         h = history(cyc(0, ("A", "pass", 7.0)))
         assert average_suite_duration(h) == pytest.approx(7.0)
-
-    def test_budget_schedule_of_100(self):
-        sched = budget_schedule(100.0)
-        assert list(sched.budgets) == pytest.approx([20, 40, 60, 80, 100])
-
-    def test_budget_schedule_of_1(self):
-        sched = budget_schedule(1.0)
-        assert list(sched.budgets) == pytest.approx([0.2, 0.4, 0.6, 0.8, 1.0])
-
-    def test_budget_schedule_strictly_increasing_and_exact_ratios(self):
-        for b5 in (0.3, 1.0, 17.5, 1234.5):
-            sched = budget_schedule(b5)
-            budgets = list(sched.budgets)
-            assert all(a < b for a, b in zip(budgets, budgets[1:]))
-            assert budgets[-1] == b5
-            for k, b in enumerate(budgets):
-                assert b / b5 == pytest.approx(0.2 * (k + 1), abs=1e-15)
-
-    def test_budgets_are_the_grid_fractions_times_b5(self):
-        # the grid, the CLI and the benchmark cut at f * b5; 0.2 * 3 * b5 is
-        # not 0.6 * b5 in floating point
-        for b5 in (0.3, 1.0, 7.0, 17.5, 100.0, 1234.5, 3.3e5):
-            assert budget_schedule(b5).budgets == tuple(f * b5 for f in DEFAULT_FRACTIONS)
-
-    def test_non_positive_budget(self):
-        with pytest.raises(NonPositiveBudget):
-            budget_schedule(0.0)
-        with pytest.raises(NonPositiveBudget):
-            BudgetSchedule(-3.0)
 
 
 def test_round_half_up_behavior():

@@ -23,12 +23,11 @@ from testprio.rankers import (
     score_matrix,
     serialize_model,
 )
-from testprio.rankers.base import _stable_sigmoid
+from testprio.rankers.base import _stable_sigmoid, class_weights
 from testprio.rankers.nets import (
     _SELECT_ROWS,
     _Net,
     _forward_blocks,
-    _class_weights,
     _gains,
     _group_lambdas,
     _ideal_dcg,
@@ -242,7 +241,7 @@ class TestTrainingAppliesCheckedGradient:
         hp = AnnParams(hidden1=6, hidden2=3, epochs=1, batch_size=32,
                        learning_rate=0.1, restarts=1, seed=3)
         init = self._init(hp.seed)
-        _, grads = ann_loss_and_grads(init, ts.standardized(), y, _class_weights(y))
+        _, grads = ann_loss_and_grads(init, ts.standardized(), y, class_weights(y))
         self._assert_step(fit_ann(ts, hp), init, hp.learning_rate, grads)
 
     def test_lrn_step_is_checked_gradient(self):

@@ -7,6 +7,7 @@ import pytest
 from testprio.domain import history_prefix, slice_recent
 from testprio.errors import EmptyTestSet, KeyMismatch, ModelFormatError
 from testprio.features import FeatureConfig, StandardizationStats
+from testprio.rankers.base import class_weights
 from testprio.rankers import (
     PARAM_TYPES,
     AnnParams,
@@ -428,6 +429,32 @@ def test_params_from_config():
 
     with pytest.raises(ConfigError):
         params_from_config(RankerKind.SVM, {"svm.bogus": "1"})
+
+
+@pytest.mark.parametrize("key, text", [
+    ("svm.epochs", "key 'svm.epochs': not an integer: 'x'"),
+    ("svm.l2", "key 'svm.l2': not a number: 'x'"),
+])
+def test_ranker_key_of_wrong_type_fails_like_every_config_key(key, text):
+    from testprio.errors import ConfigError
+
+    with pytest.raises(ConfigError) as exc:
+        params_from_config(RankerKind.SVM, {key: "x"})
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("labels", [
+    [1, 0, 0, 0],
+    [0, 1, 0, 1, 1, 0, 0, 0, 0, 0],
+    [0.0] * 226 + [1.0],
+    [1, 1, 0],
+])
+def test_class_weights_offset_the_failing_label(labels):
+    y = np.array(labels, dtype=np.float64)
+    n_pos = sum(v > 0.5 for v in labels)
+    n_neg = len(labels) - n_pos
+    expected = [n_neg / n_pos if v > 0.5 else 1.0 for v in labels]
+    assert class_weights(y).tolist() == expected  # bit for bit
 
 
 @pytest.mark.parametrize("cls, field, value", [
