@@ -7,7 +7,6 @@ import pytest
 from testprio.domain import history_prefix, slice_recent
 from testprio.errors import EmptyTestSet, KeyMismatch, ModelFormatError
 from testprio.features import FeatureConfig, StandardizationStats
-from testprio.rankers.base import class_weights
 from testprio.rankers import (
     PARAM_TYPES,
     AnnParams,
@@ -39,7 +38,7 @@ from testprio.rankers import (
     sorted_ranks,
     with_seed,
 )
-from testprio.rankers.base import _stable_sigmoid
+from testprio.rankers.base import _stable_sigmoid, class_weights
 
 from . import oracles
 from .conftest import churn_history, cyc, history, toy_training_set
