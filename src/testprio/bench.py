@@ -4,7 +4,9 @@ Each (ranker, history fraction) pair is one independent work unit: a full
 walk-forward replay whose per-cycle rankings are shared across the budget
 axis (budgets only cut the ranking, so detected faults nest as budgets
 grow).  The random ranker ignores history, so it is computed once and
-replicated across the history axis.
+replicated across the history axis.  With ``workers`` above 1 the units run
+on a process pool, the likely longest first; each unit's walk then runs its
+eval cycles serially, so pools never nest.
 
 Seeds: every unit's base seed is ``mix_seed(base_seed, ranker_name,
 h_index)`` (the random ranker pins ``h_index`` to 0).  The budget axis
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -33,7 +34,13 @@ from .features import FeatureConfig
 from .ingest import dataset_stats
 from .metrics import AggregateSummary, aggregate
 from .rankers import RankerKind, RankerParams, default_params
-from .replay import DEFAULT_SEED, ReplayConfig, walk_forward_budgets
+from .replay import (
+    DEFAULT_SEED,
+    ReplayConfig,
+    pool_map,
+    pool_state,
+    walk_forward_budgets,
+)
 from .seeding import mix_seed
 
 REPORT_SCHEMA_VERSION = 1
@@ -67,6 +74,8 @@ class GridSpec:
             for frac in axis:
                 if not (0.0 < frac <= 1.0):
                     raise ValueError(f"{axis_name} values must be in (0, 1], got {frac}")
+            if any(b <= a for a, b in zip(axis, axis[1:])):
+                raise ValueError(f"{axis_name} must be strictly increasing, got {axis}")
 
     def config_hash(self) -> str:
         """Stable digest of everything that can change the grid's results."""
@@ -108,7 +117,10 @@ class GridResult:
 
 # --- grid execution -------------------------------------------------------------
 
-_WORKER_STATE: dict = {}
+# Pool order, so that no long unit starts last: the kinds by measured fit
+# cost, each from its largest history window down.
+_LONGEST_FIRST = (RankerKind.ANN, RankerKind.LRN, RankerKind.GBDT, RankerKind.SVM,
+                  RankerKind.ROCKET, RankerKind.RANDOM)
 
 
 def _unit_seed(base_seed: int, kind: RankerKind, h_idx: int) -> int:
@@ -129,16 +141,12 @@ def _run_unit(history: TestHistory, spec: GridSpec, budgets: tuple[float, ...],
         params=params,
         features=spec.features,
     )
-    per_budget = walk_forward_budgets(history, cfg, list(budgets))
+    per_budget = walk_forward_budgets(history, cfg, list(budgets), workers=1)
     return [aggregate(outcomes) for outcomes in per_budget]
 
 
-def _init_worker(history: TestHistory, spec: GridSpec, budgets: tuple[float, ...]):
-    _WORKER_STATE["args"] = (history, spec, budgets)
-
-
 def _run_unit_in_worker(task: tuple[int, int]) -> tuple[tuple[int, int], list]:
-    history, spec, budgets = _WORKER_STATE["args"]
+    history, spec, budgets = pool_state()
     r_idx, h_idx = task
     kind, params = spec.rankers[r_idx]
     return task, _run_unit(history, spec, budgets, kind, params, h_idx)
@@ -156,6 +164,7 @@ def run_grid(history: TestHistory, spec: GridSpec, workers: int = 1) -> GridResu
             tasks.extend((r_idx, h_idx) for h_idx in range(len(spec.history_fractions)))
         else:
             tasks.append((r_idx, 0))  # computed once, replicated across H
+    tasks.sort(key=lambda t: (_LONGEST_FIRST.index(spec.rankers[t[0]][0]), -t[1]))
 
     results: dict[tuple[int, int], list[AggregateSummary]] = {}
     if workers <= 1 or len(tasks) == 1:
@@ -164,11 +173,7 @@ def run_grid(history: TestHistory, spec: GridSpec, workers: int = 1) -> GridResu
             kind, params = spec.rankers[r_idx]
             results[task] = _run_unit(history, spec, budgets, kind, params, h_idx)
     else:
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=min(workers, len(tasks)), initializer=_init_worker,
-                      initargs=(history, spec, budgets)) as pool:
-            for task, summaries in pool.imap_unordered(_run_unit_in_worker, tasks):
-                results[task] = summaries
+        results.update(pool_map(_run_unit_in_worker, tasks, workers, (history, spec, budgets)))
 
     cells: dict[tuple[str, int, int], AggregateSummary] = {}
     for r_idx, (kind, _) in enumerate(spec.rankers):

@@ -114,7 +114,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         eval_fraction=args.eval_frac,
         base_seed=args.seed,
     )
-    outcomes = walk_forward(history, cfg)
+    outcomes = walk_forward(history, cfg, workers=args.workers)
 
     from .metrics import aggregate  # local import keeps CLI deps minimal
 
@@ -228,6 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--eval-frac", type=float, default=0.2)
     p_replay.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_replay.add_argument("--mapping")
+    p_replay.add_argument("--workers", type=int, default=None,
+                          help="processes for a trained ranker's eval cycles "
+                               "(default: the CPUs this process may use); "
+                               "outputs do not depend on it")
     p_replay.add_argument("--out", help="directory for cycles.csv and summary.json")
     p_replay.add_argument("--json", action="store_true")
     p_replay.set_defaults(func=_cmd_replay)

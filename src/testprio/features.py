@@ -21,9 +21,10 @@ one column per registry code), and every feature row is gathered from them
 at a (window offset, registry code) pair.  :func:`build_training_set`
 gathers the rows of the tests that ran in each labeled cycle in one call;
 :func:`feature_matrix` gathers the rows of the given codes as of one past
-the window's end, for ranking.  A code past the registry is a test that
-never ran.  Rows stay raw; a model applies its :class:`StandardizationStats`
-when it scores them.
+the window's end, for ranking.  A replay builds a window's arrays once and
+hands them to both.  A code past the registry is a test that never ran.
+Rows stay raw; a model applies its :class:`StandardizationStats` when it
+scores them.
 """
 
 from __future__ import annotations
@@ -160,9 +161,11 @@ class _WindowArrays:
         return out
 
 
-def build_training_set(window: HistoryWindow, cfg: FeatureConfig) -> TrainingSet:
+def build_training_set(window: HistoryWindow, cfg: FeatureConfig,
+                       arrays: _WindowArrays | None = None) -> TrainingSet:
     """One example per executed test per window cycle except the first
     (which is feature-only): features as of that cycle, label = failed in it.
+    ``arrays``, when given, are the window's, built with ``cfg.decay``.
     """
     if window.n_cycles < 2:
         raise WindowTooSmall(f"need >= 2 cycles, window has {window.n_cycles}")
@@ -170,7 +173,9 @@ def build_training_set(window: HistoryWindow, cfg: FeatureConfig) -> TrainingSet
     labeled = window.cycles[1:]
     sizes = [len(cyc) for cyc in labeled]
     offsets = np.repeat(np.arange(1, window.n_cycles), sizes)
-    X = _WindowArrays(window, cfg.decay).rows(offsets, np.concatenate(window.codes[1:]), cfg)
+    if arrays is None:
+        arrays = _WindowArrays(window, cfg.decay)
+    X = arrays.rows(offsets, np.concatenate(window.codes[1:]), cfg)
     y = np.concatenate([cyc.failed for cyc in labeled]).astype(np.float64)
     groups = np.repeat(np.array([cyc.cycle_id for cyc in labeled], dtype=np.int64), sizes)
     stats = compute_stats(X) if cfg.standardize else StandardizationStats(
@@ -186,11 +191,14 @@ def compute_stats(X: np.ndarray) -> StandardizationStats:
     return StandardizationStats(mean=mean, std=std)
 
 
-def feature_matrix(window: HistoryWindow, codes: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+def feature_matrix(window: HistoryWindow, codes: np.ndarray, cfg: FeatureConfig,
+                   arrays: _WindowArrays | None = None) -> np.ndarray:
     """Raw feature rows for the tests with registry ``codes`` as of one past
     the window's end.  A code past the source registry (a test with no
     recorded run yet) gets all-zero history features and the registry's
-    normalized mean duration."""
+    normalized mean duration.  ``arrays`` as in :func:`build_training_set`."""
     codes = np.asarray(codes, dtype=np.int64)
     offsets = np.full(len(codes), window.n_cycles)
-    return _WindowArrays(window, cfg.decay).rows(offsets, codes, cfg)
+    if arrays is None:
+        arrays = _WindowArrays(window, cfg.decay)
+    return arrays.rows(offsets, codes, cfg)

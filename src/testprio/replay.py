@@ -27,6 +27,13 @@ registry: it is ranked with zero history features, the registry's
 normalized mean duration as its duration feature, and the prior mean
 duration as its duration estimate.
 
+Worker processes: a walk whose ranker trains replays its eval cycles on a
+process pool (``workers``; by default every CPU this process may use), one
+task per cycle position.  Each task cuts its own prior with
+``history_prefix``, whose registry sums equal the serial walk's bit for
+bit, so outcomes do not depend on the worker count.  Pool workers are
+daemonic and so never fan a walk out again.
+
 Timing: ``train_seconds`` / ``rank_seconds`` are a deterministic work-based
 cost model (counted arithmetic operations divided by a nominal op rate), so
 replays and grid reports are bit-reproducible across runs, worker counts
@@ -38,20 +45,35 @@ excluded from outcome comparison and report serialization.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Cycle, HistoryWindow, TestHistory, history_prefixes, slice_recent
+from .domain import (
+    Cycle,
+    HistoryWindow,
+    TestHistory,
+    history_prefix,
+    history_prefixes,
+    slice_recent,
+)
 from .errors import (
     HistoryTooShort,
     NoPriorHistory,
     NoRankableGroup,
     WindowTooSmall,
 )
-from .features import FeatureConfig, TrainingSet, build_training_set, feature_matrix
+from .features import (
+    FeatureConfig,
+    TrainingSet,
+    _WindowArrays,
+    build_training_set,
+    feature_matrix,
+)
 from .metrics import CycleMetrics, apfd, check_budget, napfd, time_to_fault
 from .rankers import (
     FITTERS,
@@ -190,12 +212,12 @@ def _rank_units(kind: RankerKind, params: RankerParams, n_tests: int,
 # --- replay ---------------------------------------------------------------------
 
 def _train_for_cycle(kind: RankerKind, params: RankerParams, window: HistoryWindow,
-                     features: FeatureConfig, seed: int):
-    """Fit a model on the window; degraded fits yield a flagged constant model
-    instead of aborting the replay."""
+                     arrays: _WindowArrays, features: FeatureConfig, seed: int):
+    """Fit a model on the window (its feature ``arrays``); degraded fits
+    yield a flagged constant model instead of aborting the replay."""
     ts = None
     try:
-        ts = build_training_set(window, features)
+        ts = build_training_set(window, features, arrays)
         model = FITTERS[kind](ts, with_seed(params, seed))
     except (WindowTooSmall, NoRankableGroup):
         model = constant_model(kind, features)
@@ -231,11 +253,12 @@ def _replay_at(prior: TestHistory, cycle: Cycle, codes: np.ndarray, coded: _Code
     rank_seed = mix_seed(cfg.base_seed, "rank", cycle.cycle_id)
 
     model: Model | None = None
-    ts = None
+    ts = arrays = None
     wall_train = 0.0
     if kind.trains:
         t0 = time.perf_counter()
-        model, ts = _train_for_cycle(kind, params, window, cfg.features, fit_seed)
+        arrays = _WindowArrays(window, cfg.features.decay)  # training and ranking rows
+        model, ts = _train_for_cycle(kind, params, window, arrays, cfg.features, fit_seed)
         wall_train = time.perf_counter() - t0
     degenerate = bool(model is not None and model.degenerate)
     train_units = _train_units(kind, params, ts, degenerate) if kind.trains else 0
@@ -252,7 +275,7 @@ def _replay_at(prior: TestHistory, cycle: Cycle, codes: np.ndarray, coded: _Code
         failing = coded.failing[window.lo:window.hi][::-1]
         scores = rocket_scores(failing, len(coded.id_ranks), params)[codes]
     else:
-        rows = feature_matrix(window, codes, cfg.features)
+        rows = feature_matrix(window, codes, cfg.features, arrays)
         scores = score_matrix(model, rows)
     ranking, order = rank_columns(coded.ids[codes], scores, durations, coded.id_ranks[codes])
     wall_rank = time.perf_counter() - t0
@@ -309,15 +332,51 @@ def replay_cycle(h: TestHistory, c: int, cfg: ReplayConfig) -> CycleOutcome:
                       [cfg.budget_s])[0]
 
 
-def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig,
-                         budgets: list[float]) -> list[list[CycleOutcome]]:
+# --- worker processes -----------------------------------------------------------
+
+_POOL_STATE: dict = {}  # in a pool worker: the state its initializer was given
+
+
+def _hold(state: tuple) -> None:
+    _POOL_STATE["state"] = state
+
+
+def pool_state() -> tuple:
+    """The ``state`` that :func:`pool_map` gave this worker process."""
+    return _POOL_STATE["state"]
+
+
+def pool_map(task, items: list, workers: int, state: tuple) -> list:
+    """``[task(item) for item in items]`` on ``min(workers, len(items))``
+    worker processes, each holding ``state`` for its tasks
+    (:func:`pool_state`).  Items go out one at a time in list order, so
+    the first listed starts first; results come back in list order.  A
+    task's exception is raised here, and no worker outlives the call."""
+    ctx = multiprocessing.get_context()
+    with ctx.Pool(processes=min(workers, len(items)), initializer=_hold,
+                  initargs=(state,)) as pool:
+        return pool.map(task, items, chunksize=1)
+
+
+def _replay_in_worker(pos: int) -> list[CycleOutcome]:
+    """Replay cycle position ``pos`` of the walk this worker holds."""
+    h, coded, cfg, budgets = pool_state()
+    return _replay_at(history_prefix(h, pos), h.cycles[pos], h.codes[pos], coded, cfg,
+                      budgets)
+
+
+def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig, budgets: list[float],
+                         workers: int | None = None) -> list[list[CycleOutcome]]:
     """Replay the evaluation cycles once per budget, sharing each cycle's
     trained model and ranking across budgets (training is budget-independent,
     which also makes detected-fault sets nested across growing budgets).
 
     Returns one chronological outcome list per budget.  The budgets are
     checked before anything is fitted: at least one, each positive and
-    finite.
+    finite.  A ranker that trains replays its eval cycles on ``workers``
+    processes (None: every CPU this process may use) when there are two or
+    more of each and this process is not itself a pool worker; the
+    outcomes are the serial walk's either way.
     """
     if not budgets:
         raise ValueError("budgets must not be empty")
@@ -329,12 +388,21 @@ def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig,
     n_eval = min(int(math.ceil(cfg.eval_fraction * n)), n - 1)
     positions = range(n - n_eval, n)
     coded = _coded(h, cfg.ranker, n - 1)
-    per_cycle = [_replay_at(prior, h.cycles[pos], h.codes[pos], coded, cfg, budgets)
-                 for pos, prior in zip(positions, history_prefixes(h, positions))]
+    if workers is None:
+        workers = len(os.sched_getaffinity(0))
+    if (cfg.ranker.trains and n_eval > 1 and workers > 1
+            and not multiprocessing.current_process().daemon):
+        per_cycle = pool_map(_replay_in_worker, list(positions), workers,
+                             (h, coded, cfg, budgets))
+    else:
+        per_cycle = [_replay_at(prior, h.cycles[pos], h.codes[pos], coded, cfg, budgets)
+                     for pos, prior in zip(positions, history_prefixes(h, positions))]
     return [list(outcomes) for outcomes in zip(*per_cycle)]
 
 
-def walk_forward(h: TestHistory, cfg: ReplayConfig) -> list[CycleOutcome]:
+def walk_forward(h: TestHistory, cfg: ReplayConfig,
+                 workers: int | None = None) -> list[CycleOutcome]:
     """One outcome per evaluation cycle (the last ``eval_fraction`` of the
-    history, capped so at least one prior cycle always exists)."""
-    return walk_forward_budgets(h, cfg, [cfg.budget_s])[0]
+    history, capped so at least one prior cycle always exists), on
+    ``workers`` processes as in :func:`walk_forward_budgets`."""
+    return walk_forward_budgets(h, cfg, [cfg.budget_s], workers)[0]

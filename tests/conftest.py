@@ -2,12 +2,30 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from testprio.domain import Cycle, TestHistory, validate_history
 from testprio.features import FeatureConfig, TrainingSet, compute_stats
 from testprio.ingest import SyntheticSpec, generate_synthetic
+
+
+_FORKS = [0]
+
+
+def _count_fork() -> None:
+    _FORKS[0] += 1
+
+
+os.register_at_fork(after_in_parent=_count_fork)
+
+
+def forks() -> int:
+    """How many times this process has forked (a pool forks once per
+    worker; ``subprocess`` execs without this hook)."""
+    return _FORKS[0]
 
 
 def cyc(cycle_id: int, *rows: tuple[str, str, float]) -> Cycle:

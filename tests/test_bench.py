@@ -1,8 +1,10 @@
 import json
+import multiprocessing
 from dataclasses import replace
 
 import pytest
 
+from testprio import bench, replay
 from testprio.bench import (
     CSV_COLUMNS,
     GridResult,
@@ -26,6 +28,8 @@ from testprio.rankers import (
     SvmParams,
 )
 from testprio.seeding import fnv1a64, mix_seed, splitmix64
+
+from .conftest import forks
 
 
 def _tiny_history():
@@ -90,6 +94,35 @@ class TestRunGrid:
         p2 = emit_report(parallel, d2)
         for name in p1:
             assert p1[name].read_bytes() == p2[name].read_bytes()
+
+    def test_serial_grid_forks_nothing(self, grid_result):
+        before = forks()
+        assert run_grid(_tiny_history(), _light_spec(), workers=1).cells == grid_result.cells
+        assert forks() == before
+
+    def test_walks_in_pool_units_stay_serial(self, grid_result, monkeypatch):
+        def no_pool(*_):
+            raise AssertionError("a walk fanned out")
+
+        monkeypatch.setattr(replay, "pool_map", no_pool)  # the walk's, not the grid's
+        assert run_grid(_tiny_history(), _light_spec(), workers=2).cells == grid_result.cells
+        assert multiprocessing.active_children() == []
+
+    def test_pool_takes_longest_units_first(self, grid_result, monkeypatch):
+        sent = []
+        pool_map = bench.pool_map
+
+        def spy(task, items, workers, state):
+            sent.extend(items)
+            return pool_map(task, items, workers, state)
+
+        monkeypatch.setattr(bench, "pool_map", spy)
+        spec = _light_spec()
+        assert run_grid(_tiny_history(), spec, workers=2).cells == grid_result.cells
+        kinds = [spec.rankers[r][0].value for r, _ in sent]
+        assert kinds == ["ann"] * 5 + ["lrn"] * 5 + ["gbdt"] * 5 + ["svm"] * 5 + [
+            "rocket"] * 5 + ["random"]
+        assert [h for _, h in sent] == [4, 3, 2, 1, 0] * 5 + [0]
 
     def test_timing_structure(self, grid_result):
         for (ranker, _, _), cell in grid_result.cells.items():
@@ -176,6 +209,12 @@ class TestEmitReport:
         assert set(doc["grid"]) == {"random", "rocket", "svm", "ann", "gbdt", "lrn"}
         assert set(doc["grid"]["svm"]) == {f"H{i}" for i in range(1, 6)}
         assert set(doc["grid"]["svm"]["H1"]["budgets"]) == {f"B{i}" for i in range(1, 6)}
+
+    @pytest.mark.parametrize("axis", ["history_fractions", "budget_fractions"])
+    @pytest.mark.parametrize("values", [(0.5, 0.5), (1.0, 0.5), (0.2, 0.6, 0.4)])
+    def test_axis_must_strictly_increase(self, axis, values):
+        with pytest.raises(ValueError, match=f"{axis} must be strictly increasing"):
+            _light_spec(**{axis: values})
 
     def test_config_hash_changes_iff_spec_changes(self):
         a = _light_spec()

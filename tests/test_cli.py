@@ -151,6 +151,15 @@ class TestReplay:
         assert main(["replay", str(path), "--ranker", "rocket", "--out", str(out)]) == 1
         assert "cannot create" in capsys.readouterr().err
 
+    def test_worker_count_changes_no_byte(self, history_file, tmp_path, capsys):
+        path, _ = history_file
+        outs = [tmp_path / f"w{w}" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            assert main(["replay", str(path), "--ranker", "svm", "--workers", str(w),
+                         "--out", str(out)]) == 0
+        for name in ("summary.json", "cycles.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_golden_summary(self, tmp_path, capsys):
         """Frozen summary from the first verified run of this configuration."""
         golden_path = DATA / "golden_replay_summary.json"
@@ -229,6 +238,18 @@ class TestGrid:
         assert main(["grid", str(path), "--config", str(cfg),
                      "--out-dir", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == f"error: {text}\n"
+
+    @pytest.mark.parametrize("key", ["history_fractions", "budget_fractions"])
+    def test_repeated_fraction_exit_2_names_its_key(self, history_file, tmp_path, capsys,
+                                                    key):
+        path, _ = history_file
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"rankers = rocket\n{key} = 0.5,0.5\n")
+        assert main(["grid", str(path), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {key} must be strictly increasing, got (0.5, 0.5)\n")
+        assert not (tmp_path / "r").exists()
 
     def test_blank_fraction_items_are_skipped(self, history_file, tmp_path, capsys):
         path, _ = history_file

@@ -1,20 +1,24 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from testprio import replay
 from testprio.domain import Cycle, history_prefixes, validate_history
 from testprio.errors import HistoryTooShort, NonPositiveBudget, NoPriorHistory
 from testprio.rankers import FITTERS, RankedSuite, RankedTest, RankerKind, params_from_config
 from testprio.replay import (
     ReplayConfig,
     cut_by_budget,
+    pool_map,
+    pool_state,
     replay_cycle,
     walk_forward,
     walk_forward_budgets,
 )
 
-from .conftest import churn_history, cyc, history
+from .conftest import churn_history, cyc, forks, history
 from .oracles import loop_cut, replay_budget, replay_ranking
 
 
@@ -350,7 +354,7 @@ class TestReplayReadsRegistryArrays:
                             property(lambda hist: builds.append(hist) or build(hist)))
         cfg = ReplayConfig(ranker=kind, budget_s=10.0, history_fraction=0.4,
                            eval_fraction=0.1, params=params_from_config(kind, _EFFORT))
-        walk_forward_budgets(h, cfg, [2.0, 10.0])
+        walk_forward_budgets(h, cfg, [2.0, 10.0], workers=1)  # a spy sees this process only
         replay_cycle(h, h.n_cycles - 1, cfg)
         assert builds == []
         assert h.registry and len(builds) == 1  # the counter sees a read
@@ -367,5 +371,79 @@ class TestBudgetsCheckedFirst:
         monkeypatch.setitem(FITTERS, RankerKind.ANN, lambda ts, params: fits.append(ts))
         cfg = ReplayConfig(ranker=RankerKind.ANN, budget_s=10.0, eval_fraction=0.1)
         with pytest.raises(error):
-            walk_forward_budgets(churn_history(0), cfg, budgets)
+            walk_forward_budgets(churn_history(0), cfg, budgets, workers=1)
         assert fits == []
+
+
+class _FitFailed(RuntimeError):
+    pass
+
+
+def _failing_fit(ts, params):
+    raise _FitFailed("fit failed")
+
+
+def _walk_on_two_workers(_):
+    h, cfg = pool_state()
+    return walk_forward(h, cfg, workers=2)
+
+
+class TestWorkers:
+    """A trained walk's eval cycles on worker processes give the serial
+    walk's outcomes; everything else stays in this process."""
+
+    @staticmethod
+    def _cfg(kind, fraction, eval_fraction=0.1):
+        return ReplayConfig(ranker=kind, budget_s=30.0, history_fraction=fraction,
+                            eval_fraction=eval_fraction, base_seed=5,
+                            params=params_from_config(kind, _EFFORT))
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.5])  # 0.01: one-cycle windows
+    @pytest.mark.parametrize("kind", [k for k in RankerKind if k.trains])
+    def test_worker_counts_give_equal_outcomes(self, kind, fraction):
+        h = churn_history(2)
+        cfg = self._cfg(kind, fraction)
+        budgets = [5.0, 30.0]
+        serial = walk_forward_budgets(h, cfg, budgets, workers=1)
+        before = forks()
+        assert walk_forward_budgets(h, cfg, budgets, workers=2) == serial
+        assert forks() == before + 2
+        assert walk_forward_budgets(h, cfg, budgets) == serial
+        assert multiprocessing.active_children() == []
+        assert all(o.degenerate for o in serial[0]) == (fraction == 0.01)
+
+    def test_fit_error_in_a_worker_is_raised_here(self, monkeypatch):
+        monkeypatch.setitem(FITTERS, RankerKind.SVM, _failing_fit)
+        before = forks()
+        with pytest.raises(_FitFailed):
+            walk_forward(churn_history(2), self._cfg(RankerKind.SVM, 0.5), workers=2)
+        assert forks() > before
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("kind", [RankerKind.ROCKET, RankerKind.RANDOM])
+    def test_untrained_walk_forks_nothing(self, kind):
+        before = forks()
+        walk_forward(churn_history(2), self._cfg(kind, 0.5), workers=2)
+        walk_forward(churn_history(2), self._cfg(kind, 0.5))
+        assert forks() == before
+
+    def test_one_eval_cycle_forks_nothing(self):
+        h = churn_history(2)
+        before = forks()
+        assert len(walk_forward(h, self._cfg(RankerKind.SVM, 0.5, 0.01), workers=2)) == 1
+        assert forks() == before
+
+    def test_a_pool_worker_walks_serially(self, monkeypatch):
+        h = churn_history(2)
+        cfg = self._cfg(RankerKind.GBDT, 0.5)
+        serial = walk_forward(h, cfg, workers=1)
+
+        def no_pool(*_):
+            raise AssertionError("a walk fanned out")
+
+        monkeypatch.setattr(replay, "pool_map", no_pool)
+        with pytest.raises(AssertionError, match="fanned out"):
+            walk_forward(h, cfg, workers=2)
+        # a daemonic worker asked for two workers still walks in itself
+        assert pool_map(_walk_on_two_workers, [0], 2, (h, cfg)) == [serial]
+        assert multiprocessing.active_children() == []
