@@ -250,6 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "workers", None) is not None and args.workers < 1:
+        parser.error(f"argument --workers: must be >= 1, got {args.workers}")
     try:
         return args.func(args)
     except _DATASET_ERRORS as exc:

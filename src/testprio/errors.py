@@ -92,18 +92,6 @@ class DimensionMismatch(TestPrioError):
 
 # --- rankers ------------------------------------------------------------------
 
-class KeyMismatch(TestPrioError):
-    pass
-
-
-class EmptyTestSet(TestPrioError):
-    pass
-
-
-class EmptyWindow(TestPrioError):
-    pass
-
-
 class NoRankableGroup(TestPrioError):
     """No training group contains both a failing and a passing example."""
 

@@ -85,6 +85,9 @@ class ColumnMapping:
                 )
         if not self.verdict_map:
             raise ConfigError("verdict_map must declare at least one token")
+        if len(self.delimiter) != 1 or self.delimiter in "\r\n":
+            raise ConfigError(f"delimiter must be one character, not a line break, "
+                              f"got {self.delimiter!r}")
 
     @classmethod
     def from_config(cls, cfg: dict[str, str]) -> "ColumnMapping":
@@ -350,9 +353,11 @@ def parse_external(stream: bytes | str | IO, mapping: ColumnMapping) -> TestHist
                 "verdict": int(mapping.verdict_col),
                 "duration": int(mapping.duration_col),
             }
+            if min(positions.values()) < 0:
+                raise ValueError("negative column index")
         except ValueError as exc:
             raise MappingMismatch(
-                "columns must be integer indices when has_header is false"
+                "columns must be non-negative integer indices when has_header is false"
             ) from exc
         first_row = 1
 

@@ -7,10 +7,8 @@ asc).  The duration tie rule executes cheap tests first among equally
 suspicious ones; the final lexicographic leg makes the order total.
 
 The tie-break, the random scores and the rocket sums work on columns
-(:func:`rank_columns`, :func:`random_scores`, :func:`rocket_scores`); the
-replay calls them on registry codes.  :func:`rank_with_tie_break`,
-:func:`random_rank` and :func:`rocket_priorities` run the same cores on
-Mappings keyed by test id.
+(:func:`rank_with_tie_break`, :func:`random_rank`,
+:func:`rocket_priorities`); the replay calls them on registry codes.
 """
 
 from __future__ import annotations
@@ -24,14 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .. import config as cfgmod
-from ..domain import HistoryWindow
-from ..errors import (
-    DimensionMismatch,
-    EmptyTestSet,
-    EmptyWindow,
-    KeyMismatch,
-    ModelFormatError,
-)
+from ..errors import DimensionMismatch, ModelFormatError
 from ..features import FeatureConfig, StandardizationStats
 
 MODEL_SCHEMA_VERSION = 1
@@ -220,8 +211,8 @@ def sorted_ranks(test_ids: Sequence[str]) -> np.ndarray:
     return ranks
 
 
-def rank_columns(test_ids: Sequence[str], scores: np.ndarray, durations: np.ndarray,
-                 id_ranks: np.ndarray) -> tuple[RankedSuite, np.ndarray]:
+def rank_with_tie_break(test_ids: Sequence[str], scores: np.ndarray, durations: np.ndarray,
+                        id_ranks: np.ndarray) -> tuple[RankedSuite, np.ndarray]:
     """The shared tie-break on parallel columns: score descending, then
     duration ascending, then test id, where ``id_ranks`` orders the ids as
     ``sorted()`` does (any order-preserving ranks will do).  Returns the
@@ -233,37 +224,17 @@ def rank_columns(test_ids: Sequence[str], scores: np.ndarray, durations: np.ndar
     return RankedSuite(ids, scores[order], durations[order]), order
 
 
-def rank_with_tie_break(scores: Mapping[str, float],
-                        durations: Mapping[str, float]) -> RankedSuite:
-    """Score descending, then duration ascending, then test id: the
-    Mappings as columns through :func:`rank_columns`."""
-    if set(scores) != set(durations):
-        raise KeyMismatch("scores and durations must cover the same tests")
-    ids = list(scores)
-    return rank_columns(ids, [scores[tid] for tid in ids], [durations[tid] for tid in ids],
-                        sorted_ranks(ids))[0]
-
-
-def random_scores(n: int, seed: int) -> np.ndarray:
+def random_rank(n: int, seed: int) -> np.ndarray:
     """Scores for ``n`` tests in a uniform random permutation ``perm``: the
-    test at ``perm[i]`` scores ``n - i``, so every score is distinct."""
+    test at ``perm[i]`` scores ``n - i``, so every score is distinct and
+    the tie-break orders the tests as ``perm`` does."""
     scores = np.empty(n)
     scores[np.random.default_rng(seed).permutation(n)] = np.arange(n, 0, -1, dtype=np.float64)
     return scores
 
 
-def random_rank(test_ids: Sequence[str], durations: Mapping[str, float],
-                seed: int) -> RankedSuite:
-    """Uniform random permutation; scores are descending ranks so the suite
-    round-trips through the shared tie-break unchanged."""
-    if not test_ids:
-        raise EmptyTestSet("cannot rank an empty test set")
-    scores = random_scores(len(test_ids), seed)
-    return rank_with_tie_break(dict(zip(test_ids, scores.tolist())), durations)
-
-
-def rocket_scores(failing: Sequence[np.ndarray], n_tests: int,
-                  params: RocketParams = RocketParams()) -> np.ndarray:
+def rocket_priorities(failing: Sequence[np.ndarray], n_tests: int,
+                      params: RocketParams = RocketParams()) -> np.ndarray:
     """Recency-weighted failure counts by test code, from the codes of each
     window cycle's failing tests, newest cycle first: the newest cycle
     weighs ``weight_most_recent``, the next ``weight_second``, all older
@@ -275,18 +246,6 @@ def rocket_scores(failing: Sequence[np.ndarray], n_tests: int,
     if failing:
         np.add.at(totals, np.concatenate(failing), np.repeat(weights, list(map(len, failing))))
     return totals
-
-
-def rocket_priorities(window: HistoryWindow, test_ids: Sequence[str],
-                      params: RocketParams = RocketParams()) -> dict[str, float]:
-    """:func:`rocket_scores` over the window, by test id; a test that did
-    not fail in the window scores 0.0."""
-    if window.n_cycles == 0:
-        raise EmptyWindow("cannot prioritize from an empty window")
-    failing = [idx[cyc.failed] for cyc, idx in zip(window.cycles[::-1], window.codes[::-1])]
-    totals = rocket_scores(failing, window.source.n_tests, params)
-    by_test = dict(zip(window.source.test_ids, totals.tolist()))
-    return {tid: by_test.get(tid, 0.0) for tid in test_ids}
 
 
 # --- fitted models ------------------------------------------------------------

@@ -15,8 +15,8 @@ and no replay reads it), and each replay call ranks the ids once in
 ``sorted()`` order and, for rocket, takes each cycle's failing codes once.
 An evaluated cycle's durations, scores, feature rows and tie-break keys are
 then columns read through its codes, rocket adds its weights newest cycle
-first as the per-cycle loop did, one lexsort (``rank_columns``) orders
-every ranker's columns, and the ranked ids are gathered by code.
+first as the per-cycle loop did, one lexsort (``rank_with_tie_break``)
+orders every ranker's columns, and the ranked ids are gathered by code.
 
 Leakage rules: training windows, feature inputs, tie-break durations and
 budget-cut durations are all derived exclusively from the prior history,
@@ -84,9 +84,9 @@ from .rankers import (
     RankerParams,
     constant_model,
     default_params,
-    random_scores,
-    rank_columns,
-    rocket_scores,
+    random_rank,
+    rank_with_tie_break,
+    rocket_priorities,
     score_matrix,
     sorted_ranks,
     with_seed,
@@ -144,17 +144,12 @@ class CycleOutcome:
         return len(self.detected_positions)
 
 
-def cut_by_budget(ranking: RankedSuite, budget_s: float) -> tuple[int, float]:
-    """Longest prefix whose cumulative duration fits the budget; a test that
-    would overflow is not started."""
+def cut_by_budget(elapsed: np.ndarray, budget_s: float) -> tuple[int, float]:
+    """Longest prefix of a ranking whose cumulative durations ``elapsed``
+    fit the budget, and its elapsed time; a test that would overflow is not
+    started.  Durations are positive, so ``elapsed`` never decreases and
+    one ``searchsorted`` finds the cut."""
     check_budget(budget_s)
-    return cut_elapsed(np.cumsum(ranking.durations), budget_s)
-
-
-def cut_elapsed(elapsed: np.ndarray, budget_s: float) -> tuple[int, float]:
-    """:func:`cut_by_budget` on the ranking's cumulative durations, for a
-    budget already checked.  Durations are positive, so ``elapsed`` never
-    decreases and one ``searchsorted`` finds the cut."""
     executed = int(np.searchsorted(elapsed, budget_s, side="right"))
     return executed, float(elapsed[executed - 1]) if executed else 0.0
 
@@ -270,14 +265,15 @@ def _replay_at(prior: TestHistory, cycle: Cycle, codes: np.ndarray, coded: _Code
 
     t0 = time.perf_counter()
     if kind is RankerKind.RANDOM:
-        scores = random_scores(len(codes), rank_seed)
+        scores = random_rank(len(codes), rank_seed)
     elif kind is RankerKind.ROCKET:
         failing = coded.failing[window.lo:window.hi][::-1]
-        scores = rocket_scores(failing, len(coded.id_ranks), params)[codes]
+        scores = rocket_priorities(failing, len(coded.id_ranks), params)[codes]
     else:
         rows = feature_matrix(window, codes, cfg.features, arrays)
         scores = score_matrix(model, rows)
-    ranking, order = rank_columns(coded.ids[codes], scores, durations, coded.id_ranks[codes])
+    ranking, order = rank_with_tie_break(coded.ids[codes], scores, durations,
+                                         coded.id_ranks[codes])
     wall_rank = time.perf_counter() - t0
 
     rank_units = _rank_units(kind, params, len(codes), window.n_cycles,
@@ -293,7 +289,7 @@ def _replay_at(prior: TestHistory, cycle: Cycle, codes: np.ndarray, coded: _Code
     cumulative = np.cumsum(ranking.durations)
     outcomes = []
     for budget in budgets:
-        executed, elapsed = cut_elapsed(cumulative, budget)
+        executed, elapsed = cut_by_budget(cumulative, budget)
         detected = tuple(fault_positions[:np.count_nonzero(failed[:executed])])
         metrics = CycleMetrics(
             apfd=apfd_v,
@@ -327,8 +323,7 @@ def replay_cycle(h: TestHistory, c: int, cfg: ReplayConfig) -> CycleOutcome:
         raise IndexError(f"cycle position {c} out of range")
     if c == 0:
         raise NoPriorHistory("cycle has no preceding history to train on")
-    prior = next(history_prefixes(h, [c]))
-    return _replay_at(prior, h.cycles[c], h.codes[c], _coded(h, cfg.ranker, c), cfg,
+    return _replay_at(history_prefix(h, c), h.cycles[c], h.codes[c], _coded(h, cfg.ranker, c), cfg,
                       [cfg.budget_s])[0]
 
 

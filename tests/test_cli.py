@@ -77,6 +77,17 @@ class TestStats:
         assert doc["n_executions"] == 2
 
 
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_mapping_delimiter_not_one_character_exit_2(self, tmp_path, capsys, delimiter):
+        f = tmp_path / "h.csv"
+        f.write_text("c;t;v;d\n1;A;1;1.0\n")
+        mapping = tmp_path / "m.map"
+        mapping.write_text("cycle_col = c\ntest_col = t\nverdict_col = v\n"
+                           f"duration_col = d\nverdict_map.1 = fail\ndelimiter = {delimiter}\n")
+        assert main(["stats", str(f), "--mapping", str(mapping)]) == 2
+        assert "delimiter" in capsys.readouterr().err
+
+
 class TestSynth:
     def test_deterministic_output_files(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
@@ -294,3 +305,14 @@ def test_unknown_flag_is_an_error(history_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["stats", str(path), "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["replay", "grid"])
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_exit_2(history_file, capsys, command, workers):
+    path, _ = history_file
+    extra = ["--ranker", "rocket"] if command == "replay" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(path), *extra, "--workers", workers])
+    assert exc.value.code == 2
+    assert "argument --workers: must be >= 1" in capsys.readouterr().err

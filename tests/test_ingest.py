@@ -304,6 +304,20 @@ class TestParseExternal:
         with pytest.raises(MappingMismatch):
             parse_external("a;b;c;d\n", mapping)
 
+    def test_headerless_mapping_rejects_negative_columns(self):
+        # -1 would index the last field of every row
+        mapping = ColumnMapping(
+            cycle_col="-1", test_col="1", verdict_col="3", duration_col="2",
+            verdict_map={"1": "fail", "2": "pass"}, delimiter=";", has_header=False,
+        )
+        with pytest.raises(MappingMismatch, match="non-negative"):
+            parse_external("1;TC_A;3.5;1;7\n", mapping)
+
+    @pytest.mark.parametrize("delimiter", [";;", "", "\n", "\r"])
+    def test_delimiter_must_be_one_character_and_no_line_break(self, delimiter):
+        with pytest.raises(ConfigError, match="delimiter"):
+            self._mapping(delimiter=delimiter)
+
     def test_short_row_is_malformed(self):
         text = ABB_STYLE + "4;TC_C\n"
         with pytest.raises(MalformedRow, match="line 5"):

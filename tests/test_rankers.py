@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from testprio.domain import history_prefix, slice_recent
-from testprio.errors import EmptyTestSet, KeyMismatch, ModelFormatError
+from testprio.errors import ModelFormatError
 from testprio.features import FeatureConfig, StandardizationStats
 from testprio.rankers import (
     PARAM_TYPES,
@@ -27,12 +27,9 @@ from testprio.rankers import (
     fit_lambdarank,
     fit_svm,
     params_from_config,
-    rank_columns,
     rank_with_tie_break,
     random_rank,
-    random_scores,
     rocket_priorities,
-    rocket_scores,
     score_matrix,
     serialize_model,
     sorted_ranks,
@@ -44,31 +41,32 @@ from . import oracles
 from .conftest import churn_history, cyc, history, toy_training_set
 
 
+def _rank(scores, durations):
+    """The tie-break on dicts keyed by test id, as columns in key order."""
+    ids = list(scores)
+    return rank_with_tie_break(ids, [scores[t] for t in ids], [durations[t] for t in ids],
+                               sorted_ranks(ids))[0]
+
+
 class TestTieBreak:
     def test_score_order(self):
-        rs = rank_with_tie_break({"A": 0.9, "B": 0.1}, {"A": 1.0, "B": 1.0})
+        rs = _rank({"A": 0.9, "B": 0.1}, {"A": 1.0, "B": 1.0})
         assert rs.test_ids == ("A", "B")
 
     def test_duration_breaks_score_tie(self):
-        rs = rank_with_tie_break({"A": 0.5, "B": 0.5}, {"A": 3.0, "B": 2.0})
+        rs = _rank({"A": 0.5, "B": 0.5}, {"A": 3.0, "B": 2.0})
         assert rs.test_ids == ("B", "A")
 
     def test_lexicographic_final_tie(self):
-        rs = rank_with_tie_break(
-            {"B": 0.5, "A": 0.5, "C": 0.5}, {"A": 1.0, "B": 1.0, "C": 1.0}
-        )
+        rs = _rank({"B": 0.5, "A": 0.5, "C": 0.5}, {"A": 1.0, "B": 1.0, "C": 1.0})
         assert rs.test_ids == ("A", "B", "C")
-
-    def test_key_mismatch(self):
-        with pytest.raises(KeyMismatch):
-            rank_with_tie_break({"A": 1.0}, {"A": 1.0, "B": 2.0})
 
     def test_is_permutation(self):
         rng = np.random.default_rng(5)
         ids = [f"T{i}" for i in range(30)]
         scores = {t: float(rng.choice([0.1, 0.5, 0.9])) for t in ids}
         durations = {t: float(rng.choice([1.0, 2.0])) for t in ids}
-        rs = rank_with_tie_break(scores, durations)
+        rs = _rank(scores, durations)
         assert sorted(rs.test_ids) == sorted(ids)
 
 
@@ -82,7 +80,7 @@ class TestTieBreakMatchesRowSort:
         scores = {t: score_values[int(rng.integers(len(score_values)))] for t in ids}
         durations = {t: float(rng.choice([0.1, 0.2, 0.30000000000000004, 0.3, 1.0]))
                      for t in ids}
-        rs = rank_with_tie_break(scores, durations)
+        rs = _rank(scores, durations)
         expected = oracles.key_sort(scores, durations)
         assert rs.test_ids == tuple(e.test_id for e in expected)
         assert rs.entries == expected
@@ -92,33 +90,31 @@ class TestTieBreakMatchesRowSort:
         values = np.array([0.25, 0.25, -0.0, 0.0, 0.75])
         scores = dict(zip(["e", "d", "c", "b", "a"], values))  # np.float64 values
         durations = dict(zip(["a", "b", "c", "d", "e"], [1, 2, 2, 1, 1]))  # ints
-        rs = rank_with_tie_break(scores, durations)
+        rs = _rank(scores, durations)
         assert rs.entries == oracles.key_sort(scores, durations)
         assert all(type(e.score) is float and type(e.duration_s) is float
                    for e in rs.entries)
 
     def test_equality_compares_ids_scores_and_durations_in_order(self):
-        base = rank_with_tie_break({"A": 0.9, "B": 0.1}, {"A": 1.0, "B": 2.0})
-        assert base == rank_with_tie_break({"B": 0.1, "A": 0.9}, {"B": 2.0, "A": 1.0})
-        assert base != rank_with_tie_break({"A": 0.9, "B": 0.2}, {"A": 1.0, "B": 2.0})
-        assert base != rank_with_tie_break({"A": 0.9, "B": 0.1}, {"A": 1.0, "B": 3.0})
-        assert base != rank_with_tie_break({"A": 0.9, "C": 0.1}, {"A": 1.0, "C": 2.0})
+        base = _rank({"A": 0.9, "B": 0.1}, {"A": 1.0, "B": 2.0})
+        assert base == _rank({"B": 0.1, "A": 0.9}, {"B": 2.0, "A": 1.0})
+        assert base != _rank({"A": 0.9, "B": 0.2}, {"A": 1.0, "B": 2.0})
+        assert base != _rank({"A": 0.9, "B": 0.1}, {"A": 1.0, "B": 3.0})
+        assert base != _rank({"A": 0.9, "C": 0.1}, {"A": 1.0, "C": 2.0})
         assert base != base.entries
 
 
 class TestColumnCore:
-    """``rank_columns`` and the Mapping adapters over it on the cases where
-    codes, ids and float keys disagree, against the key-function sort."""
+    """``rank_with_tie_break`` on the cases where codes, ids and float keys
+    disagree, against the key-function sort."""
 
     IDS = ["b", "t9", "a", "t10"]  # first-run (code) order, not string order
 
     def test_id_order_breaks_full_ties(self):
         ids = self.IDS
-        rs, order = rank_columns(ids, np.zeros(4), np.ones(4), sorted_ranks(ids))
-        assert rs.test_ids == ("a", "b", "t10", "t9")
+        rs, order = rank_with_tie_break(ids, np.zeros(4), np.ones(4), sorted_ranks(ids))
+        assert rs == RankedSuite(("a", "b", "t10", "t9"), np.zeros(4), np.ones(4))
         assert [ids[i] for i in order] == list(rs.test_ids)
-        assert rank_with_tie_break(dict.fromkeys(ids, 0.5), dict.fromkeys(ids, 2.0)) == \
-            RankedSuite(("a", "b", "t10", "t9"), np.full(4, 0.5), np.full(4, 2.0))
 
     def test_sorted_ranks(self):
         assert sorted_ranks(self.IDS).tolist() == [1, 3, 0, 2]
@@ -128,64 +124,55 @@ class TestColumnCore:
     def test_signed_zero_scores_tie(self, durations):
         ids = self.IDS
         scores = [0.0, -0.0, -0.0, 0.0]
-        rs, _ = rank_columns(ids, np.array(scores), np.array(durations), sorted_ranks(ids))
+        rs, _ = rank_with_tie_break(ids, np.array(scores), np.array(durations),
+                                    sorted_ranks(ids))
         expected = oracles.key_sort(dict(zip(ids, scores)), dict(zip(ids, durations)))
         assert rs.entries == expected
         by_id = dict(zip(ids, scores))
         assert np.signbit(rs.scores).tolist() == [np.signbit(by_id[t]) for t in rs.test_ids]
-        assert rank_with_tie_break(dict(zip(ids, scores)), dict(zip(ids, durations))) == rs
 
     def test_model_scores_through_tie_break(self):
         ids = self.IDS
         model = constant_model(RankerKind.SVM, FeatureConfig())
-        durations = dict(zip(ids, [1.0, 3.0, 1.0, 3.0]))
         scores = score_matrix(model, np.zeros((4, FeatureConfig().dimension)))
-        rs = rank_with_tie_break(dict(zip(ids, scores.tolist())), durations)
+        rs, _ = rank_with_tie_break(ids, scores, [1.0, 3.0, 1.0, 3.0], sorted_ranks(ids))
         assert rs.test_ids == ("a", "b", "t10", "t9")
 
-    def test_random_rank_adapter(self):
+    def test_random_scores_through_tie_break(self):
         ids = self.IDS
-        rs = random_rank(ids, dict.fromkeys(ids, 1.0), 5)
-        scores = random_scores(4, 5)
+        scores = random_rank(4, 5)
+        rs, _ = rank_with_tie_break(ids, scores, np.ones(4), sorted_ranks(ids))
         assert rs.test_ids == tuple(ids[i] for i in np.argsort(-scores))
         assert sorted(scores.tolist()) == [1.0, 2.0, 3.0, 4.0]
-
-    def test_adapters_reject_key_mismatch(self):
-        with pytest.raises(KeyMismatch):
-            random_rank(["a", "b"], {"a": 1.0}, 0)
-        with pytest.raises(KeyMismatch):
-            rank_with_tie_break({"a": 0.0}, {"b": 1.0})
 
 
 class TestRandomRank:
     def test_single_test(self):
-        rs = random_rank(["A"], {"A": 1.0}, seed=0)
-        assert rs.test_ids == ("A",)
+        assert random_rank(1, seed=0).tolist() == [1.0]
 
     def test_deterministic_per_seed(self):
-        ids = [f"T{i}" for i in range(10)]
-        durations = {t: 1.0 for t in ids}
-        assert random_rank(ids, durations, 7).test_ids == random_rank(ids, durations, 7).test_ids
-
-    def test_empty_set(self):
-        with pytest.raises(EmptyTestSet):
-            random_rank([], {}, 0)
+        assert np.array_equal(random_rank(10, 7), random_rank(10, 7))
 
     def test_uniformity_over_orders(self):
         # Monte-Carlo oracle: all 6 orders of 3 tests at 1/6 +- 0.02
         ids = ["A", "B", "C"]
-        durations = {t: 1.0 for t in ids}
+        durations, id_ranks = np.ones(3), sorted_ranks(ids)
         counts = {p: 0 for p in itertools.permutations(ids)}
         n = 10000
         for seed in range(n):
-            counts[random_rank(ids, durations, seed).test_ids] += 1
+            counts[rank_with_tie_break(ids, random_rank(3, seed), durations, id_ranks)[0]
+                   .test_ids] += 1
         for got in counts.values():
             assert abs(got / n - 1 / 6) < 0.02
 
     def test_scores_are_descending_ranks(self):
-        ids = ["A", "B", "C", "D"]
-        rs = random_rank(ids, {t: 1.0 for t in ids}, 3)
-        assert [e.score for e in rs.entries] == [4.0, 3.0, 2.0, 1.0]
+        n = 37  # the scores n..1 in the seed's permutation, which the tie-break keeps
+        scores = random_rank(n, 3)
+        perm = np.random.default_rng(3).permutation(n)
+        assert scores[perm].tolist() == list(range(n, 0, -1))
+        ids = [f"T{i}" for i in range(n)]
+        rs, order = rank_with_tie_break(ids, scores, np.ones(n), sorted_ranks(ids))
+        assert order.tolist() == perm.tolist()
 
 
 def _window_with_failures():
@@ -199,56 +186,60 @@ def _window_with_failures():
     ), 1.0)
 
 
+def _failing(w):
+    """The codes of each window cycle's failing tests, newest cycle first."""
+    return [idx[c.failed] for c, idx in zip(w.cycles[::-1], w.codes[::-1])]
+
+
+def _rocket_suite(w):
+    """Rocket's ranking of every test of the window's history, by mean duration."""
+    src = w.source
+    return rank_with_tie_break(src.test_ids, rocket_priorities(_failing(w), src.n_tests),
+                               src.means, sorted_ranks(src.test_ids))[0]
+
+
 class TestRocket:
     @pytest.mark.parametrize("seed", [0, 1, 3])
     def test_matches_per_execution_loop_on_churn(self, seed):
         h = churn_history(seed)
-        pos = h.n_cycles - 1
-        prior = history_prefix(h, pos)
+        prior = history_prefix(h, h.n_cycles - 1)
         params = RocketParams(weight_most_recent=0.3, weight_second=0.25, weight_older=0.15)
+        ids = h.test_ids + ("NEVER-SEEN",)  # by code; the last one never ran
         for fraction in (0.05, 0.4, 1.0):
             w = slice_recent(prior, fraction)
-            in_window = {t for c in w.cycles for t in c.test_ids}
-            ids = list(h.cycles[pos].test_ids) + ["NEVER-SEEN"]
-            ids += [t for t in prior.registry if t not in in_window][:2]
-            if fraction == 0.05:
-                assert set(ids) - in_window - {"NEVER-SEEN"}  # absent from window
+            if fraction == 0.05:  # some tests are absent from the window
+                assert set(h.test_ids) - {t for c in w.cycles for t in c.test_ids}
             for p in (RocketParams(), params):
-                assert rocket_priorities(w, ids, p) == oracles.rocket_loop(w, ids, p)
+                totals = rocket_priorities(_failing(w), len(ids), p)
+                assert dict(zip(ids, totals.tolist())) == oracles.rocket_loop(w, ids, p)
 
     def test_weighted_sums(self):
         # oracle: A fails only in most recent -> 0.7
         #         B fails in 2nd and 3rd most recent -> 0.2 + 0.1 = 0.3
-        w = _window_with_failures()
-        priorities = rocket_priorities(w, ["A", "B", "C"])
-        assert priorities["A"] == pytest.approx(0.7)
-        assert priorities["B"] == pytest.approx(0.3)
-        assert priorities["C"] == 0.0
+        a, b, c = rocket_priorities(_failing(_window_with_failures()), 3).tolist()
+        assert a == pytest.approx(0.7)
+        assert b == pytest.approx(0.3)
+        assert c == 0.0
 
     def test_rank_order(self):
-        w = _window_with_failures()
-        durations = {"A": 1.0, "B": 2.0, "C": 3.0}
-        rs = rank_with_tie_break(rocket_priorities(w, list(durations)), durations)
-        assert rs.test_ids == ("A", "B", "C")
+        assert _rocket_suite(_window_with_failures()).test_ids == ("A", "B", "C")
 
     def test_no_failures_falls_back_to_duration(self):
         w = slice_recent(history(
             cyc(0, ("A", "pass", 3.0), ("B", "pass", 1.0), ("C", "pass", 2.0)),
         ), 1.0)
-        durations = {"A": 3.0, "B": 1.0, "C": 2.0}
-        rs = rank_with_tie_break(rocket_priorities(w, list(durations)), durations)
-        assert rs.test_ids == ("B", "C", "A")
+        assert _rocket_suite(w).test_ids == ("B", "C", "A")
 
     def test_priority_bounds_and_zero_iff_never_failed(self, persistent_history):
         w = slice_recent(persistent_history, 0.4)
-        ids = list(persistent_history.registry)
-        priorities = rocket_priorities(w, ids)
+        ids = persistent_history.test_ids
+        priorities = rocket_priorities(_failing(w), len(ids))
         k = w.n_cycles
         upper = 0.7 + 0.2 + 0.1 * (k - 2)
         failed_ever = {
             t for c in w.cycles for t, f in zip(c.test_ids, c.failed) if f
         }
-        for tid, p in priorities.items():
+        for tid, p in zip(ids, priorities.tolist()):
             assert 0.0 <= p <= upper + 1e-12
             assert (p == 0.0) == (tid not in failed_ever)
 
@@ -261,21 +252,16 @@ class TestRocket:
         for weight in [0.7, 0.2] + [0.1] * 6:
             expected += weight
         assert expected != 0.7 + 0.2 + 0.1 * 6
-        assert rocket_priorities(w, ["X", "Y", "Z"]) == {"X": expected, "Y": 0.0, "Z": 0.0}
-        failing = [idx[c.failed] for c, idx in zip(w.cycles[::-1], w.codes[::-1])]
-        assert rocket_scores(failing, 2).tolist() == [expected, 0.0]
-        durations = {"Y": 1.0, "X": 1.0}
-        rs = rank_with_tie_break(rocket_priorities(w, list(durations)), durations)
-        assert rs.entries[0] == RankedTest("X", expected, 1.0)
+        assert rocket_priorities(_failing(w), 3).tolist() == [expected, 0.0, 0.0]
+        assert _rocket_suite(w).entries[0] == RankedTest("X", expected, 1.0)
 
     def test_scores_of_an_empty_window_list(self):
-        assert rocket_scores([], 3).tolist() == [0.0, 0.0, 0.0]
+        assert rocket_priorities([], 3).tolist() == [0.0, 0.0, 0.0]
 
     def test_custom_weights(self):
-        w = _window_with_failures()
         params = RocketParams(weight_most_recent=1.0, weight_second=0.0, weight_older=0.0)
-        priorities = rocket_priorities(w, ["A", "B"], params)
-        assert priorities == {"A": 1.0, "B": 0.0}
+        priorities = rocket_priorities(_failing(_window_with_failures()), 3, params)
+        assert priorities.tolist() == [1.0, 0.0, 0.0]
 
 
 def _separable_set(n=60, d=4, seed=0):
@@ -393,9 +379,8 @@ class TestScoreAndSerialization:
     def test_constant_model_rank_falls_back_to_tie_rule(self):
         m = constant_model(RankerKind.SVM, FeatureConfig())
         ids = ["A", "B", "C"]
-        rows = np.zeros((3, m.dimension))
-        scores = dict(zip(ids, score_matrix(m, rows).tolist()))
-        rs = rank_with_tie_break(scores, {"A": 3.0, "B": 1.0, "C": 2.0})
+        scores = score_matrix(m, np.zeros((3, m.dimension)))
+        rs, _ = rank_with_tie_break(ids, scores, [3.0, 1.0, 2.0], sorted_ranks(ids))
         assert rs.test_ids == ("B", "C", "A")
 
     def test_every_kind_ranks_a_permutation(self, persistent_history):
@@ -405,16 +390,15 @@ class TestScoreAndSerialization:
         cfg = FeatureConfig()
         ts = build_training_set(w, cfg)
         ids = list(persistent_history.cycles[-1].test_ids)
-        durations = {t: persistent_history.registry[t] for t in ids}
-        rows = feature_matrix(w, persistent_history.codes[-1], cfg)
-        suites = [
-            random_rank(ids, durations, 1),
-            rank_with_tie_break(rocket_priorities(w, ids), durations),
-        ]
+        codes = persistent_history.codes[-1]
+        rows = feature_matrix(w, codes, cfg)
+        columns = [random_rank(len(ids), 1),
+                   rocket_priorities(_failing(w), persistent_history.n_tests)[codes]]
         for fitter in (fit_svm, fit_gbdt, fit_ann, fit_lambdarank):
-            scores = score_matrix(fitter(ts), rows)
-            suites.append(rank_with_tie_break(dict(zip(ids, scores.tolist())), durations))
-        for rs in suites:
+            columns.append(score_matrix(fitter(ts), rows))
+        for scores in columns:
+            rs, _ = rank_with_tie_break(ids, scores, persistent_history.means[codes],
+                                        sorted_ranks(ids))
             assert sorted(rs.test_ids) == sorted(ids)
 
 

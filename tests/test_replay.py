@@ -7,7 +7,7 @@ import pytest
 from testprio import replay
 from testprio.domain import Cycle, history_prefixes, validate_history
 from testprio.errors import HistoryTooShort, NonPositiveBudget, NoPriorHistory
-from testprio.rankers import FITTERS, RankedSuite, RankedTest, RankerKind, params_from_config
+from testprio.rankers import FITTERS, RankedTest, RankerKind, params_from_config
 from testprio.replay import (
     ReplayConfig,
     cut_by_budget,
@@ -22,45 +22,37 @@ from .conftest import churn_history, cyc, forks, history
 from .oracles import loop_cut, replay_budget, replay_ranking
 
 
-def _suite(*entries):
-    ids, scores, durations = zip(*entries)
-    return RankedSuite(test_ids=ids, scores=np.array(scores), durations=np.array(durations))
-
-
 class TestCutByBudget:
+    """The cut reads a ranking's cumulative durations."""
+
     def test_partial_prefix(self):
         # oracle: cumulative sums 5, 8, 10 against budget 8 -> 2 tests, 8s
-        rs = _suite(("A", 3.0, 5.0), ("B", 2.0, 3.0), ("C", 1.0, 2.0))
-        assert cut_by_budget(rs, 8.0) == (2, 8.0)
+        assert cut_by_budget(np.cumsum([5.0, 3.0, 2.0]), 8.0) == (2, 8.0)
 
     def test_budget_covers_everything(self):
-        rs = _suite(("A", 3.0, 5.0), ("B", 2.0, 3.0))
-        assert cut_by_budget(rs, 100.0) == (2, 8.0)
+        assert cut_by_budget(np.cumsum([5.0, 3.0]), 100.0) == (2, 8.0)
 
     def test_budget_below_first_test(self):
-        rs = _suite(("A", 3.0, 5.0), ("B", 2.0, 3.0))
-        assert cut_by_budget(rs, 4.0) == (0, 0.0)
+        assert cut_by_budget(np.cumsum([5.0, 3.0]), 4.0) == (0, 0.0)
 
     def test_overflowing_test_not_started(self):
-        rs = _suite(("A", 3.0, 5.0), ("B", 2.0, 4.0), ("C", 1.0, 1.0))
-        executed, elapsed = cut_by_budget(rs, 6.0)
-        assert (executed, elapsed) == (1, 5.0)
+        assert cut_by_budget(np.cumsum([5.0, 4.0, 1.0]), 6.0) == (1, 5.0)
 
     def test_non_positive_budget(self):
-        with pytest.raises(NonPositiveBudget):
-            cut_by_budget(_suite(("A", 1.0, 1.0)), 0.0)
+        for budget in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(NonPositiveBudget):
+                cut_by_budget(np.array([1.0]), budget)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_running_sum_loop(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 60))
         durations = rng.choice([0.1, 0.2, 0.3, 0.7, 1.1, 1e-9, 3.3], n)
-        rs = _suite(*((f"T{i}", 0.0, d) for i, d in enumerate(durations)))
         running = np.cumsum(durations)
         budgets = [*running, *np.nextafter(running, 0.0), *np.nextafter(running, np.inf),
                    0.3, 0.6, 1e-10, running[-1] * 2]  # exactly on, just below, just above
         for budget in budgets:
-            got = cut_by_budget(rs, float(budget))
+            got = cut_by_budget(running, float(budget))
             assert got == loop_cut(durations.tolist(), float(budget))
             assert type(got[0]) is int and type(got[1]) is float
 
