@@ -155,6 +155,8 @@ def _run_unit_in_worker(task: tuple[int, int]) -> tuple[tuple[int, int], list]:
 def run_grid(history: TestHistory, spec: GridSpec, workers: int = 1) -> GridResult:
     """Execute every cell of the grid; results are independent of worker
     count and execution order."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     b5 = average_suite_duration(history)
     budgets = tuple(frac * b5 for frac in spec.budget_fractions)
 

@@ -28,11 +28,13 @@ normalized mean duration as its duration feature, and the prior mean
 duration as its duration estimate.
 
 Worker processes: a walk whose ranker trains replays its eval cycles on a
-process pool (``workers``; by default every CPU this process may use), one
-task per cycle position.  Each task cuts its own prior with
-``history_prefix``, whose registry sums equal the serial walk's bit for
-bit, so outcomes do not depend on the worker count.  Pool workers are
-daemonic and so never fan a walk out again.
+process pool (``workers``), one task per cycle position.  By default it
+starts one process per eval cycle while there are fewer than twice as many
+eval cycles as usable CPUs, so a short walk's last fits do not run while a
+CPU idles, and one per usable CPU beyond that.  Each task cuts its own
+prior with ``history_prefix``, whose registry sums equal the serial walk's
+bit for bit, so outcomes do not depend on the worker count.  Pool workers
+are daemonic and so never fan a walk out again.
 
 Timing: ``train_seconds`` / ``rank_seconds`` are a deterministic work-based
 cost model (counted arithmetic operations divided by a nominal op rate), so
@@ -353,6 +355,21 @@ def pool_map(task, items: list, workers: int, state: tuple) -> list:
         return pool.map(task, items, chunksize=1)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (``os.cpu_count()`` where the
+    platform has no affinity call)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def default_workers(n_tasks: int, cpus: int) -> int:
+    """Processes for ``n_tasks`` equal tasks on ``cpus`` CPUs: one per task
+    while there are fewer than ``2 * cpus``, so the last round does not
+    leave CPUs idle while its few tasks run; else one per CPU."""
+    return n_tasks if n_tasks < 2 * cpus else cpus
+
+
 def _replay_in_worker(pos: int) -> list[CycleOutcome]:
     """Replay cycle position ``pos`` of the walk this worker holds."""
     h, coded, cfg, budgets = pool_state()
@@ -369,14 +386,18 @@ def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig, budgets: list[float]
     Returns one chronological outcome list per budget.  The budgets are
     checked before anything is fitted: at least one, each positive and
     finite.  A ranker that trains replays its eval cycles on ``workers``
-    processes (None: every CPU this process may use) when there are two or
-    more of each and this process is not itself a pool worker; the
-    outcomes are the serial walk's either way.
+    processes when there are two or more of each and this process is not
+    itself a pool worker; the outcomes are the serial walk's either way.
+    ``workers=None`` starts one process per eval cycle while there are
+    fewer than twice as many cycles as usable CPUs, else one per usable CPU
+    (:func:`default_workers`).
     """
     if not budgets:
         raise ValueError("budgets must not be empty")
     for budget in budgets:
         check_budget(budget)
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     n = h.n_cycles
     if n < 5:
         raise HistoryTooShort(f"need >= 5 cycles, history has {n}")
@@ -384,7 +405,7 @@ def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig, budgets: list[float]
     positions = range(n - n_eval, n)
     coded = _coded(h, cfg.ranker, n - 1)
     if workers is None:
-        workers = len(os.sched_getaffinity(0))
+        workers = default_workers(n_eval, usable_cpus())
     if (cfg.ranker.trains and n_eval > 1 and workers > 1
             and not multiprocessing.current_process().daemon):
         per_cycle = pool_map(_replay_in_worker, list(positions), workers,

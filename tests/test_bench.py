@@ -100,6 +100,13 @@ class TestRunGrid:
         assert run_grid(_tiny_history(), _light_spec(), workers=1).cells == grid_result.cells
         assert forks() == before
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_raise(self, workers):
+        before = forks()
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_grid(_tiny_history(), _light_spec(), workers=workers)
+        assert forks() == before
+
     def test_walks_in_pool_units_stay_serial(self, grid_result, monkeypatch):
         def no_pool(*_):
             raise AssertionError("a walk fanned out")

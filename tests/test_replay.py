@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from testprio.rankers import FITTERS, RankedTest, RankerKind, params_from_config
 from testprio.replay import (
     ReplayConfig,
     cut_by_budget,
+    default_workers,
     pool_map,
     pool_state,
     replay_cycle,
@@ -380,6 +382,13 @@ def _walk_on_two_workers(_):
     return walk_forward(h, cfg, workers=2)
 
 
+@pytest.mark.parametrize("n_tasks, cpus, processes", [
+    (2, 2, 2), (3, 2, 3), (4, 2, 2), (5, 2, 2), (2, 8, 2), (7, 4, 7), (8, 4, 4),
+])
+def test_default_workers(n_tasks, cpus, processes):
+    assert default_workers(n_tasks, cpus) == processes
+
+
 class TestWorkers:
     """A trained walk's eval cycles on worker processes give the serial
     walk's outcomes; everything else stays in this process."""
@@ -412,6 +421,42 @@ class TestWorkers:
         assert forks() > before
         assert multiprocessing.active_children() == []
 
+    def test_default_pool_has_one_process_per_cycle_below_twice_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(replay, "usable_cpus", lambda: 2)
+        h = churn_history(2)
+        cfg = self._cfg(RankerKind.SVM, 0.5, 0.04)  # 3 eval cycles
+        serial = walk_forward(h, cfg, workers=1)
+        assert len(serial) == 3
+        before = forks()
+        assert walk_forward(h, cfg) == serial
+        assert forks() == before + 3
+        assert walk_forward(h, cfg, workers=2) == serial
+        assert forks() == before + 5
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpu_count, processes", [(2, 3), (None, 0)])
+    def test_default_walk_without_an_affinity_call(self, monkeypatch, cpu_count, processes):
+        h = churn_history(2)
+        cfg = self._cfg(RankerKind.SVM, 0.5, 0.04)
+        serial = walk_forward(h, cfg, workers=1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        before = forks()
+        assert walk_forward(h, cfg) == serial
+        assert forks() == before + processes
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_raise(self, workers):
+        h = churn_history(2)
+        cfg = self._cfg(RankerKind.SVM, 0.5)
+        before = forks()
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            walk_forward_budgets(h, cfg, [5.0, 30.0], workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            walk_forward(h, cfg, workers=workers)
+        assert forks() == before
+
     @pytest.mark.parametrize("kind", [RankerKind.ROCKET, RankerKind.RANDOM])
     def test_untrained_walk_forks_nothing(self, kind):
         before = forks()
@@ -422,7 +467,9 @@ class TestWorkers:
     def test_one_eval_cycle_forks_nothing(self):
         h = churn_history(2)
         before = forks()
-        assert len(walk_forward(h, self._cfg(RankerKind.SVM, 0.5, 0.01), workers=2)) == 1
+        cfg = self._cfg(RankerKind.SVM, 0.5, 0.01)
+        assert len(walk_forward(h, cfg, workers=2)) == 1
+        assert len(walk_forward(h, cfg)) == 1
         assert forks() == before
 
     def test_a_pool_worker_walks_serially(self, monkeypatch):
