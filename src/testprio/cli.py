@@ -230,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--mapping")
     p_replay.add_argument("--workers", type=int, default=None,
                           help="processes for a trained ranker's eval cycles "
-                               "(default: one per eval cycle below twice the "
-                               "usable CPUs, else one per CPU); outputs do not "
-                               "depend on it")
+                               "(default: one per eval cycle up to one more "
+                               "than the usable CPUs, else one per CPU); "
+                               "outputs do not depend on it")
     p_replay.add_argument("--out", help="directory for cycles.csv and summary.json")
     p_replay.add_argument("--json", action="store_true")
     p_replay.set_defaults(func=_cmd_replay)

@@ -29,9 +29,9 @@ duration as its duration estimate.
 
 Worker processes: a walk whose ranker trains replays its eval cycles on a
 process pool (``workers``), one task per cycle position.  By default it
-starts one process per eval cycle while there are fewer than twice as many
-eval cycles as usable CPUs, so a short walk's last fits do not run while a
-CPU idles, and one per usable CPU beyond that.  Each task cuts its own
+starts one process per eval cycle while there is at most one more eval
+cycle than usable CPUs, so a lone last fit does not run while the other
+CPUs idle, and one per usable CPU beyond that.  Each task cuts its own
 prior with ``history_prefix``, whose registry sums equal the serial walk's
 bit for bit, so outcomes do not depend on the worker count.  Pool workers
 are daemonic and so never fan a walk out again.
@@ -365,9 +365,11 @@ def usable_cpus() -> int:
 
 def default_workers(n_tasks: int, cpus: int) -> int:
     """Processes for ``n_tasks`` equal tasks on ``cpus`` CPUs: one per task
-    while there are fewer than ``2 * cpus``, so the last round does not
-    leave CPUs idle while its few tasks run; else one per CPU."""
-    return n_tasks if n_tasks < 2 * cpus else cpus
+    up to one more than ``cpus`` (when there are other CPUs to share the
+    last task with), so a lone last task does not run while the other
+    CPUs idle; else one per CPU.  Time-sliced tasks cost more than an even
+    CPU share, so a larger excess is not assumed to pay."""
+    return n_tasks if n_tasks <= cpus or (cpus > 1 and n_tasks == cpus + 1) else cpus
 
 
 def _replay_in_worker(pos: int) -> list[CycleOutcome]:
@@ -388,8 +390,8 @@ def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig, budgets: list[float]
     finite.  A ranker that trains replays its eval cycles on ``workers``
     processes when there are two or more of each and this process is not
     itself a pool worker; the outcomes are the serial walk's either way.
-    ``workers=None`` starts one process per eval cycle while there are
-    fewer than twice as many cycles as usable CPUs, else one per usable CPU
+    ``workers=None`` starts one process per eval cycle while there is at
+    most one more cycle than usable CPUs, else one per usable CPU
     (:func:`default_workers`).
     """
     if not budgets:

@@ -383,7 +383,8 @@ def _walk_on_two_workers(_):
 
 
 @pytest.mark.parametrize("n_tasks, cpus, processes", [
-    (2, 2, 2), (3, 2, 3), (4, 2, 2), (5, 2, 2), (2, 8, 2), (7, 4, 7), (8, 4, 4),
+    (2, 2, 2), (3, 2, 3), (4, 2, 2), (5, 2, 2), (2, 8, 2), (5, 4, 5), (6, 4, 4),
+    (7, 4, 4), (8, 4, 4), (9, 8, 9), (10, 8, 8), (1, 1, 1), (2, 1, 1), (3, 1, 1),
 ])
 def test_default_workers(n_tasks, cpus, processes):
     assert default_workers(n_tasks, cpus) == processes
@@ -421,7 +422,7 @@ class TestWorkers:
         assert forks() > before
         assert multiprocessing.active_children() == []
 
-    def test_default_pool_has_one_process_per_cycle_below_twice_the_cpus(self, monkeypatch):
+    def test_default_pool_has_one_process_per_cycle_up_to_one_over_the_cpus(self, monkeypatch):
         monkeypatch.setattr(replay, "usable_cpus", lambda: 2)
         h = churn_history(2)
         cfg = self._cfg(RankerKind.SVM, 0.5, 0.04)  # 3 eval cycles
