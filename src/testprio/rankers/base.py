@@ -311,7 +311,8 @@ def class_weights(y: np.ndarray) -> np.ndarray:
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))  # never overflows
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def apply_tree(tree: GbdtTree, X: np.ndarray) -> np.ndarray:

@@ -21,7 +21,14 @@ from testprio.rankers.base import (
     apply_tree,
     constant_model,
 )
-from testprio.rankers.gbdt import _EPS_HESSIAN, _weighted_logloss
+from testprio.rankers.gbdt import _EPS_HESSIAN
+
+
+def _weighted_logloss(y: np.ndarray, p: np.ndarray, c: np.ndarray) -> float:
+    """Class-weighted logloss, both log terms for every row."""
+    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    losses = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+    return float((c * losses).sum() / c.sum())
 
 
 class ReferenceTreeBuilder:

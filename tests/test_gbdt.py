@@ -3,9 +3,9 @@ import pytest
 
 from testprio.domain import history_prefix, slice_recent
 from testprio.features import FeatureConfig, build_training_set
-from testprio.rankers import GbdtParams, apply_tree, fit_gbdt, score_matrix, serialize_model
+from testprio.rankers import GbdtParams, apply_tree, fit_gbdt, gbdt, score_matrix, serialize_model
 from testprio.rankers.base import _stable_sigmoid
-from testprio.rankers.gbdt import _TreeBuilder
+from testprio.rankers.gbdt import _Node, _TreeBuilder
 
 from .conftest import toy_training_set
 from .gbdt_reference import ReferenceTreeBuilder, reference_fit_gbdt
@@ -44,6 +44,23 @@ def _tied_set(n, seed):
     return toy_training_set(X, y)
 
 
+def _google_shaped_set(n, n_pos, seed):
+    """A wide-history window: few failing rows, four binary columns and a
+    duration-like column with thousands of distinct values."""
+    rng = np.random.default_rng(seed)
+    y = np.zeros(n)
+    y[rng.choice(n, n_pos, replace=False)] = 1.0
+    fails = y > 0.5
+    X = np.column_stack([
+        (rng.random(n) < np.where(fails, 0.7, 0.01)).astype(float),
+        (rng.random(n) < np.where(fails, 0.5, 0.05)).astype(float),
+        (rng.random(n) < 0.3).astype(float),
+        (rng.random(n) < 0.02).astype(float),
+        np.round(rng.lognormal(1.5, 0.8, n), 3),
+    ])
+    return toy_training_set(X, y)
+
+
 def _leaf_nodes(tree, X):
     """Leaf node each row reaches, walked one row at a time."""
     out = []
@@ -59,6 +76,11 @@ def _leaf_nodes(tree, X):
 def _builder_inputs(X):
     cols = [np.ascontiguousarray(X[:, f]) for f in range(X.shape[1])]
     return cols, [np.argsort(col, kind="stable") for col in cols]
+
+
+def _builder(X, residual, hessian, max_depth, min_leaf):
+    cols, presorted = _builder_inputs(X)
+    return _TreeBuilder(cols, _Node(presorted), residual, hessian, max_depth, min_leaf)
 
 
 def brute_force_best_split(X, residual, min_leaf=2):
@@ -140,11 +162,22 @@ class TestTreeFitting:
         assert s[0] == s[1] > s[2] == s[3]
 
         residual = np.array([1.0, 1.0, -1.0, -1.0])
-        builder = _TreeBuilder(*_builder_inputs(X), residual, np.ones(4),
-                               max_depth=1, min_leaf=1)
+        builder = _builder(X, residual, np.ones(4), max_depth=1, min_leaf=1)
         tree = builder.build()
         assert np.array_equal(builder.leaf_of, _leaf_nodes(tree, X))
         assert np.array_equal(tree.value[builder.leaf_of], apply_tree(tree, X))
+
+    def test_paired_prefix_sums_equal_float_cumsums(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(500, 5))
+        residual = rng.normal(size=500) * np.exp(rng.normal(0, 20, 500))
+        builder = _builder(X, residual, np.ones(500), max_depth=1, min_leaf=1)
+        rows = builder.root.rows
+        for live in ([0, 1, 2, 3, 4], [1, 3], [2]):
+            sums = list(builder._prefix_sums(builder.root, live))
+            assert [f for f, _ in sums] == live
+            for f, prefix in sums:
+                assert prefix.tobytes() == np.cumsum(residual[rows[f]]).tobytes()
 
 
 class TestMatchesReferenceBuild:
@@ -167,11 +200,10 @@ class TestMatchesReferenceBuild:
             rng = np.random.default_rng(seed)
             residual = np.round(rng.normal(size=len(X)), 1 + seed % 2)
             hessian = rng.random(len(X))
-            cols, presorted = _builder_inputs(X)
-            builder = _TreeBuilder(cols, presorted, residual, hessian, max_depth, min_leaf)
+            builder = _builder(X, residual, hessian, max_depth, min_leaf)
             tree = builder.build()
-            ref = ReferenceTreeBuilder(X, presorted, residual, hessian, max_depth,
-                                       min_leaf).build()
+            ref = ReferenceTreeBuilder(X, _builder_inputs(X)[1], residual, hessian,
+                                       max_depth, min_leaf).build()
             for name in ("feature", "threshold", "left", "right", "value"):
                 assert np.array_equal(getattr(tree, name), getattr(ref, name)), name
             assert np.array_equal(builder.leaf_of, _leaf_nodes(tree, X))
@@ -185,6 +217,63 @@ class TestMatchesReferenceBuild:
         hp = GbdtParams(n_estimators=40)
         assert serialize_model(fit_gbdt(ts, hp)) == serialize_model(
             reference_fit_gbdt(ts, hp))
+
+    def test_google_shaped_window(self):
+        ts = _google_shaped_set(4000, 14, seed=0)
+        assert ts.y.mean() <= 0.005
+        assert len(np.unique(ts.X[:, 4])) >= 2000
+        hp = GbdtParams()
+        assert serialize_model(fit_gbdt(ts, hp)) == serialize_model(
+            reference_fit_gbdt(ts, hp))
+
+
+class TestStageReuse:
+    """A stage takes the previous tree's row lists where the split path
+    repeats, and partitions afresh where it does not."""
+
+    @staticmethod
+    def _recorded_fit(ts, hp, monkeypatch):
+        stages = []  # per stage: {path: (record, split, left rows, right rows)}
+
+        class Recording(_TreeBuilder):
+            def build(self):
+                tree = super().build()
+                grown, todo = {}, [((), self.root)]
+                while todo:
+                    path, rec = todo.pop()
+                    if rec.split is not None:
+                        grown[path] = (rec, rec.split, rec.left.rows, rec.right.rows)
+                        todo += [(path + ("L",), rec.left), (path + ("R",), rec.right)]
+                stages.append(grown)
+                return tree
+
+        monkeypatch.setattr(gbdt, "_TreeBuilder", Recording)
+        model = fit_gbdt(ts, hp)
+        return model, stages
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5])
+    @pytest.mark.parametrize("max_depth", [2, 3, 4])
+    def test_many_stage_fits_reuse_and_match_reference(self, min_leaf, max_depth,
+                                                       monkeypatch):
+        hp = GbdtParams(n_estimators=60, max_depth=max_depth, min_samples_leaf=min_leaf)
+        kept, fresh = {0: 0, 1: 0}, {0: 0, 1: 0}  # by level: root, below it
+        # the tied set's root split changes often; the sparse one's never
+        for ts in (_tied_set(120, 0), _google_shaped_set(600, 3, seed=1)):
+            model, stages = self._recorded_fit(ts, hp, monkeypatch)
+            assert serialize_model(model) == serialize_model(reference_fit_gbdt(ts, hp))
+            for before, after in zip(stages, stages[1:]):
+                for path, (rec, split, left, right) in after.items():
+                    if path not in before or before[path][0] is not rec:
+                        continue  # an ancestor's split changed: a new record
+                    _, old_split, old_left, old_right = before[path]
+                    level = min(len(path), 1)
+                    if split == old_split:
+                        assert left is old_left and right is old_right
+                        kept[level] += 1
+                    else:
+                        assert left is not old_left and right is not old_right
+                        fresh[level] += 1
+        assert kept[0] and fresh[0] and kept[1] and fresh[1]
 
 
 class TestLossTrace:

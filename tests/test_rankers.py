@@ -484,3 +484,13 @@ def test_stable_sigmoid_equals_masked_formula():
     rng = np.random.default_rng(0)
     x = np.concatenate([edges, rng.normal(0, 30, 5000), rng.uniform(-800, 800, 2000)])
     assert np.array_equal(_stable_sigmoid(x), _masked_sigmoid(x), equal_nan=True)
+
+
+def test_stable_sigmoid_equals_two_denominator_form():
+    """One ``1 + e`` serves both branches, bit for bit."""
+    x = np.array([0.0, -0.0, 710.0, -710.0, 1e-300, -1e-300, np.nan])
+    e = np.exp(-np.abs(x))
+    two = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = _stable_sigmoid(x)
+    assert out.tobytes() == two.tobytes()
+    assert np.isnan(out[-1]) and out[0] == out[1] == 0.5
