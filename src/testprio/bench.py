@@ -21,10 +21,11 @@ files regardless of worker count.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -89,10 +90,7 @@ class GridSpec:
         parts.append(f"budget_fractions={self.budget_fractions!r}")
         parts.append(f"eval_fraction={self.eval_fraction!r}")
         parts.append(f"base_seed={self.base_seed}")
-        parts.append(
-            f"features=({self.features.verdict_window},{self.features.decay!r},"
-            f"{self.features.standardize})"
-        )
+        parts.append(f"features=({','.join(map(repr, astuple(self.features)))})")
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
@@ -236,28 +234,19 @@ def _csv_rows(result: GridResult) -> list[str]:
     for ranker in result.ranker_names:
         for h_idx, h_frac in enumerate(result.history_fractions):
             for b_idx, b_s in enumerate(result.budgets_s):
-                cell = _summary_dict(result.cells[(ranker, h_idx, b_idx)])
+                cell = summary_dict(result.cells[(ranker, h_idx, b_idx)])
                 rows.append(",".join([ranker, str(h_idx + 1), _fmt(h_frac), str(b_idx + 1),
                                       _fmt(b_s), *(_fmt(cell[k]) for k in summary_columns)]))
     return rows
 
 
-def _summary_dict(s: AggregateSummary) -> dict:
-    return {
-        "mean_apfd": s.mean_apfd,
-        "std_apfd": s.std_apfd,
-        "apfd_defined": s.apfd_defined,
-        "mean_napfd": s.mean_napfd,
-        "napfd_defined": s.napfd_defined,
-        "mean_tdff_pct": s.mean_tdff_pct,
-        "tdff_defined": s.tdff_defined,
-        "mean_tdlf_pct": s.mean_tdlf_pct,
-        "tdlf_defined": s.tdlf_defined,
-        "mean_train_s": s.mean_train_s,
-        "mean_rank_s": s.mean_rank_s,
-        "cycles_evaluated": s.cycles,
-        "degenerate_cells": s.degenerate_count,
-    }
+# The two summary fields that reports carry under another name.
+_REPORT_NAMES = {"cycles": "cycles_evaluated", "degenerate_count": "degenerate_cells"}
+
+
+def summary_dict(s: AggregateSummary) -> dict:
+    """A cell summary's fields under their report names."""
+    return {_REPORT_NAMES.get(name, name): value for name, value in asdict(s).items()}
 
 
 def report_json_doc(result: GridResult) -> dict:
@@ -267,7 +256,7 @@ def report_json_doc(result: GridResult) -> dict:
         for h_idx, h_frac in enumerate(result.history_fractions):
             by_b: dict = {}
             for b_idx, b_s in enumerate(result.budgets_s):
-                cell = _summary_dict(result.cells[(ranker, h_idx, b_idx)])
+                cell = summary_dict(result.cells[(ranker, h_idx, b_idx)])
                 cell["b_seconds"] = b_s
                 by_b[f"B{b_idx + 1}"] = cell
             by_h[f"H{h_idx + 1}"] = {"h_fraction": h_frac, "budgets": by_b}
@@ -312,6 +301,8 @@ def _write_atomic(path: Path, data: bytes) -> None:
         tmp.write_bytes(data)
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 

@@ -3,7 +3,8 @@
 Exit codes are a stable contract: 0 success, 2 usage/config/parse errors,
 3 dataset-shape errors (too little history to replay), 1 internal failures.
 All commands honor ``--seed``; when omitted, a fixed documented constant is
-used so default runs are reproducible.
+used so default runs are reproducible (``grid`` first takes its config's
+``seed``).
 """
 
 from __future__ import annotations
@@ -17,9 +18,13 @@ from . import __version__
 from .bench import (
     DEFAULT_FRACTIONS,
     GridSpec,
+    _fmt,
+    _make_out_dir,
+    _write_atomic,
     default_grid_spec,
     emit_report,
     run_grid,
+    summary_dict,
     write_canonical,
 )
 from .config import get_float, get_floats, get_int, load_config, subkeys
@@ -44,6 +49,7 @@ from .ingest import (
     parse_canonical,
     preset_mapping_path,
 )
+from .metrics import aggregate
 from .rankers import RankerKind, params_from_config
 from .replay import DEFAULT_SEED, ReplayConfig, walk_forward
 
@@ -115,9 +121,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         base_seed=args.seed,
     )
     outcomes = walk_forward(history, cfg, workers=args.workers)
-
-    from .metrics import aggregate  # local import keeps CLI deps minimal
-
     summary = aggregate(outcomes)
     doc = {
         "ranker": kind.value,
@@ -125,23 +128,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         "budget_fraction": args.budget_frac,
         "budget_s": budget,
         "seed": args.seed,
-        "cycles_evaluated": summary.cycles,
-        "mean_apfd": summary.mean_apfd,
-        "std_apfd": summary.std_apfd,
-        "apfd_defined": summary.apfd_defined,
-        "mean_napfd": summary.mean_napfd,
-        "mean_tdff_pct": summary.mean_tdff_pct,
-        "tdff_defined": summary.tdff_defined,
-        "mean_tdlf_pct": summary.mean_tdlf_pct,
-        "tdlf_defined": summary.tdlf_defined,
-        "mean_train_s": summary.mean_train_s,
-        "mean_rank_s": summary.mean_rank_s,
-        "degenerate_cells": summary.degenerate_count,
+        **summary_dict(summary),
     }
+    del doc["napfd_defined"]  # not in replay's summary; the golden summary pins its keys
 
     if args.out:
-        from .bench import _fmt, _make_out_dir, _write_atomic
-
         out = _make_out_dir(args.out)
         _write_atomic(out / "summary.json",
                       (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
@@ -149,12 +140,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 "apfd,napfd,tdff_pct,tdlf_pct,train_s,rank_s,degenerate"]
         for o in outcomes:
             met = o.metrics
-            rows.append(",".join([
-                str(o.cycle_id), str(o.faults_present), str(o.faults_detected),
-                str(o.executed), repr(o.elapsed_s), _fmt(met.apfd), _fmt(met.napfd),
-                _fmt(met.tdff_pct), _fmt(met.tdlf_pct), repr(o.train_seconds),
-                repr(o.rank_seconds), str(int(o.degenerate)),
-            ]))
+            rows.append(",".join(map(_fmt, (
+                o.cycle_id, o.faults_present, o.faults_detected, o.executed, o.elapsed_s,
+                met.apfd, met.napfd, met.tdff_pct, met.tdlf_pct, o.train_seconds,
+                o.rank_seconds, int(o.degenerate),
+            ))))
         _write_atomic(out / "cycles.csv", ("\n".join(rows) + "\n").encode())
 
     if args.json:
@@ -168,19 +158,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _grid_spec_from_args(args: argparse.Namespace) -> GridSpec:
     if not args.config:
-        return default_grid_spec(base_seed=args.seed)
+        return default_grid_spec(base_seed=DEFAULT_SEED if args.seed is None else args.seed)
     cfg = load_config(args.config)
     names = [t.strip() for t in cfg.get("rankers", "").split(",") if t.strip()]
     kinds = [_ranker_kind(n) for n in names] if names else list(RankerKind)
     rankers = tuple((k, params_from_config(k, cfg)) for k in kinds)
-    seed = get_int(cfg, "seed", args.seed) if args.seed == DEFAULT_SEED else args.seed
     features = FeatureConfig.from_config(subkeys(cfg, "features"))
     return GridSpec(
         rankers=rankers,
         history_fractions=get_floats(cfg, "history_fractions", DEFAULT_FRACTIONS),
         budget_fractions=get_floats(cfg, "budget_fractions", DEFAULT_FRACTIONS),
         eval_fraction=get_float(cfg, "eval_fraction", 0.2),
-        base_seed=seed,
+        base_seed=get_int(cfg, "seed", DEFAULT_SEED) if args.seed is None else args.seed,
         features=features,
     )
 
@@ -242,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--config", help="grid spec in key-value config format")
     p_grid.add_argument("--workers", type=int, default=1)
     p_grid.add_argument("--out-dir", default="grid-report")
-    p_grid.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_grid.add_argument("--seed", type=int, default=None,
+                        help=f"default: the config's seed, else {DEFAULT_SEED}")
     p_grid.add_argument("--mapping")
     p_grid.set_defaults(func=_cmd_grid)
     return parser

@@ -15,7 +15,7 @@ import io
 import logging
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -203,12 +203,7 @@ class DatasetStats:
     failed_execution_fraction: float
 
     def as_dict(self) -> dict:
-        return {
-            "n_tests": self.n_tests,
-            "n_executions": self.n_executions,
-            "n_cycles": self.n_cycles,
-            "failed_execution_fraction": self.failed_execution_fraction,
-        }
+        return asdict(self)
 
 
 def _read_bytes(stream: bytes | str | IO) -> bytes:
@@ -449,11 +444,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> TestHistory:
 
 
 def dataset_stats(h: TestHistory) -> DatasetStats:
-    n_exec = 0
-    n_fail = 0
-    for c in h.cycles:
-        n_exec += len(c)
-        n_fail += int(c.failed.sum())
+    n_exec = h.n_executions
+    n_fail = sum(int(c.failed.sum()) for c in h.cycles)
     return DatasetStats(
         n_tests=h.n_tests,
         n_executions=n_exec,

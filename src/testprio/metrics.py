@@ -125,40 +125,21 @@ class AggregateSummary:
     degenerate_count: int
 
 
-def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
-    if not values:
-        return None, None
-    mean = float(np.mean(values))
-    std = float(np.std(values, ddof=1)) if len(values) > 1 else None
-    return mean, std
-
-
 def aggregate(outcomes: Iterable) -> AggregateSummary:
     """Aggregate a list of replay cycle outcomes (see ``replay.CycleOutcome``)."""
     outcomes = list(outcomes)
     if not outcomes:
         raise EmptyOutcomeList("nothing to aggregate")
 
-    apfds = [o.metrics.apfd for o in outcomes if o.metrics.apfd is not None]
-    napfds = [o.metrics.napfd for o in outcomes if o.metrics.napfd is not None]
-    tdffs = [o.metrics.tdff_pct for o in outcomes if o.metrics.tdff_pct is not None]
-    tdlfs = [o.metrics.tdlf_pct for o in outcomes if o.metrics.tdlf_pct is not None]
-
-    mean_apfd, std_apfd = _mean_std(apfds)
-    mean_napfd, _ = _mean_std(napfds)
-    mean_tdff, _ = _mean_std(tdffs)
-    mean_tdlf, _ = _mean_std(tdlfs)
+    # each optional metric's values where defined; tdff_pct counts as tdff_defined
+    defined = {name: [v for o in outcomes if (v := getattr(o.metrics, name)) is not None]
+               for name in ("apfd", "napfd", "tdff_pct", "tdlf_pct")}
+    apfds = defined["apfd"]
     return AggregateSummary(
         cycles=len(outcomes),
-        mean_apfd=mean_apfd,
-        std_apfd=std_apfd,
-        apfd_defined=len(apfds),
-        mean_napfd=mean_napfd,
-        napfd_defined=len(napfds),
-        mean_tdff_pct=mean_tdff,
-        tdff_defined=len(tdffs),
-        mean_tdlf_pct=mean_tdlf,
-        tdlf_defined=len(tdlfs),
+        std_apfd=float(np.std(apfds, ddof=1)) if len(apfds) > 1 else None,
+        **{f"mean_{name}": float(np.mean(v)) if v else None for name, v in defined.items()},
+        **{f"{name.removesuffix('_pct')}_defined": len(v) for name, v in defined.items()},
         mean_train_s=float(np.mean([o.train_seconds for o in outcomes])),
         mean_rank_s=float(np.mean([o.rank_seconds for o in outcomes])),
         degenerate_count=sum(1 for o in outcomes if o.degenerate),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -414,11 +414,7 @@ def serialize_model(model: Model) -> bytes:
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": model.kind.value,
         "degenerate": model.degenerate,
-        "feature_config": {
-            "verdict_window": model.config.verdict_window,
-            "decay": model.config.decay,
-            "standardize": model.config.standardize,
-        },
+        "feature_config": asdict(model.config),
         "stats": {"mean": _arr(model.stats.mean), "std": _arr(model.stats.std)},
         "payload": body,
     }

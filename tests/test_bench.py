@@ -1,6 +1,6 @@
 import json
 import multiprocessing
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -216,6 +216,23 @@ class TestEmitReport:
         assert set(doc["grid"]) == {"random", "rocket", "svm", "ann", "gbdt", "lrn"}
         assert set(doc["grid"]["svm"]) == {f"H{i}" for i in range(1, 6)}
         assert set(doc["grid"]["svm"]["H1"]["budgets"]) == {f"B{i}" for i in range(1, 6)}
+
+    def test_csv_and_json_cells_carry_the_same_fields(self, grid_result, tmp_path):
+        """report.csv's summary columns plus napfd_defined are the keys of a
+        report.json cell without b_seconds, and those are the AggregateSummary
+        fields under their report names: a new field goes in both on purpose."""
+        paths = emit_report(grid_result, tmp_path)
+        csv_fields = set(CSV_COLUMNS.split(",")[5:])
+        report_names = {"cycles": "cycles_evaluated", "degenerate_count": "degenerate_cells"}
+        summary_fields = {report_names.get(f.name, f.name) for f in fields(AggregateSummary)}
+        assert "napfd_defined" not in csv_fields
+        assert csv_fields | {"napfd_defined"} == summary_fields
+        doc = json.loads(paths["report.json"].read_bytes())
+        cells = [cell for by_h in doc["grid"].values() for h in by_h.values()
+                 for cell in h["budgets"].values()]
+        assert len(cells) == len(grid_result.cells)
+        for cell in cells:
+            assert set(cell) - {"b_seconds"} == summary_fields
 
     @pytest.mark.parametrize("axis", ["history_fractions", "budget_fractions"])
     @pytest.mark.parametrize("values", [(0.5, 0.5), (1.0, 0.5), (0.2, 0.6, 0.4)])

@@ -102,6 +102,15 @@ class TestSynth:
         spec.write_text(SYNTH_SPEC_TEXT.replace("n_cycles = 12", "n_cycles = 0"))
         assert main(["synth", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_out_is_a_directory_exit_1_leaves_no_temp_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SYNTH_SPEC_TEXT)
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main(["synth", str(spec), "--out", str(out)]) == 1
+        assert "cannot write" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.cfg", "taken"]
+
     def test_round_trip_through_stats(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
         spec.write_text(SYNTH_SPEC_TEXT)
@@ -226,6 +235,23 @@ class TestGrid:
                      "--out-dir", str(out)]) == 0
         lines = (out / "report.csv").read_text().splitlines()
         assert len(lines) == 1 + 6 * 1 * 5  # 30 data rows
+
+    @pytest.mark.parametrize("config_seed, flag, expected", [
+        ("seed = 5\n", None, 5),
+        ("seed = 5\n", "1729", 1729),
+        ("seed = 5\n", "1730", 1730),
+        ("", None, 1729),
+    ], ids=["config", "flag-1729", "flag-1730", "default"])
+    def test_seed_flag_then_config_then_default(self, history_file, tmp_path, capsys,
+                                                 config_seed, flag, expected):
+        path, _ = history_file
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("rankers = random\n" + config_seed)
+        out = tmp_path / "r"
+        argv = ["grid", str(path), "--config", str(cfg), "--out-dir", str(out)]
+        assert main(argv + (["--seed", flag] if flag else [])) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["provenance"]["base_seed"] == expected
 
     def test_decay_out_of_range_exit_2(self, history_file, tmp_path, capsys):
         path, _ = history_file

@@ -471,6 +471,15 @@ class TestDatasetStats:
         h = history(cyc(0, ("A", "pass", 1.0)))
         assert dataset_stats(h).failed_execution_fraction == 0.0
 
+    def test_as_dict_is_pinned(self, small_history):
+        # oracle: 9 executions; A fails in all 3 cycles, B in one -> 4/9
+        assert list(dataset_stats(small_history).as_dict().items()) == [
+            ("n_tests", 3),
+            ("n_executions", 9),
+            ("n_cycles", 3),
+            ("failed_execution_fraction", 0.4444444444444444),
+        ]
+
     def test_counts_match_brute_force(self, persistent_history):
         s = dataset_stats(persistent_history)
         execs = sum(len(c) for c in persistent_history.cycles)

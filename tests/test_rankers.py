@@ -10,8 +10,12 @@ from testprio.features import FeatureConfig, StandardizationStats
 from testprio.rankers import (
     PARAM_TYPES,
     AnnParams,
+    ConstantPayload,
     GbdtParams,
+    GbdtPayload,
+    GbdtTree,
     LrnParams,
+    MlpPayload,
     Model,
     RankedSuite,
     RankedTest,
@@ -375,6 +379,58 @@ class TestScoreAndSerialization:
         with pytest.raises(ModelFormatError) as exc:
             deserialize_model(json.dumps(mutate(doc)).encode())
         assert exc.value.__cause__ is not None
+
+    # The exact bytes of one hand-built model per payload kind, so that a
+    # change of the document format shows even where a model round-trips.
+    PINNED_DOCS = {
+        "constant": b'{"degenerate":true,"feature_config":{"decay":0.5,"standardize":false,'
+                    b'"verdict_window":2},"kind":"svm","payload":{"type":"constant","value":0.0},'
+                    b'"schema_version":1,"stats":{"mean":[0.1,-2.0],"std":[1.0,0.25]}}\n',
+        "svm": b'{"degenerate":false,"feature_config":{"decay":0.5,"standardize":false,'
+               b'"verdict_window":2},"kind":"svm","payload":{"bias":0.1,"type":"svm",'
+               b'"weights":[0.5,-1.25]},"schema_version":1,'
+               b'"stats":{"mean":[0.1,-2.0],"std":[1.0,0.25]}}\n',
+        "mlp": b'{"degenerate":false,"feature_config":{"decay":0.5,"standardize":false,'
+               b'"verdict_window":2},"kind":"ann","payload":{"layers":[{"W":[[1.0,-0.5],'
+               b'[0.25,2.0]],"b":[0.0,0.1]},{"W":[[1.5],[-1.0]],"b":[0.3]}],'
+               b'"sigmoid_output":true,"type":"mlp"},"schema_version":1,'
+               b'"stats":{"mean":[0.1,-2.0],"std":[1.0,0.25]}}\n',
+        "gbdt": b'{"degenerate":false,"feature_config":{"decay":0.5,"standardize":false,'
+                b'"verdict_window":2},"kind":"gbdt","payload":{"base_score":-1.2,'
+                b'"shrinkage":0.1,"train_loss_trace":[0.69,0.5],"trees":[{"feature":[0,-1,-1],'
+                b'"left":[1,-1,-1],"right":[2,-1,-1],"threshold":[0.5,0.0,0.0],'
+                b'"value":[0.0,-0.3,1.5]}],"type":"gbdt"},"schema_version":1,'
+                b'"stats":{"mean":[0.1,-2.0],"std":[1.0,0.25]}}\n',
+    }
+
+    @staticmethod
+    def _pinned_model(name):
+        tree = GbdtTree(feature=np.array([0, -1, -1], dtype=np.int32),
+                        threshold=np.array([0.5, 0.0, 0.0]),
+                        left=np.array([1, -1, -1], dtype=np.int32),
+                        right=np.array([2, -1, -1], dtype=np.int32),
+                        value=np.array([0.0, -0.3, 1.5]))
+        kind, payload = {
+            "constant": (RankerKind.SVM, ConstantPayload()),
+            "svm": (RankerKind.SVM, SvmPayload(weights=np.array([0.5, -1.25]), bias=0.1)),
+            "mlp": (RankerKind.ANN, MlpPayload(
+                layers=((np.array([[1.0, -0.5], [0.25, 2.0]]), np.array([0.0, 0.1])),
+                        (np.array([[1.5], [-1.0]]), np.array([0.3]))),
+                sigmoid_output=True)),
+            "gbdt": (RankerKind.GBDT, GbdtPayload(base_score=-1.2, shrinkage=0.1, trees=(tree,),
+                                                   train_loss_trace=(0.69, 0.5))),
+        }[name]
+        return Model(kind=kind, payload=payload,
+                     stats=StandardizationStats(mean=np.array([0.1, -2.0]),
+                                                std=np.array([1.0, 0.25])),
+                     config=FeatureConfig(verdict_window=2, decay=0.5, standardize=False),
+                     degenerate=name == "constant")
+
+    @pytest.mark.parametrize("name", ["constant", "svm", "mlp", "gbdt"])
+    def test_serialized_bytes_are_pinned(self, name):
+        data = serialize_model(self._pinned_model(name))
+        assert data == self.PINNED_DOCS[name]
+        assert serialize_model(deserialize_model(data)) == data
 
     def test_constant_model_rank_falls_back_to_tie_rule(self):
         m = constant_model(RankerKind.SVM, FeatureConfig())
