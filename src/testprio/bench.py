@@ -312,6 +312,8 @@ def _make_out_dir(out_dir: str | Path) -> Path:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {out}: {exc}") from exc
+    if not os.access(out, os.W_OK | os.X_OK):
+        raise IoFailure(f"cannot write to {out}")
     return out
 
 

@@ -120,6 +120,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         eval_fraction=args.eval_frac,
         base_seed=args.seed,
     )
+    out = _make_out_dir(args.out) if args.out else None  # fail before the walk, not after
     outcomes = walk_forward(history, cfg, workers=args.workers)
     summary = aggregate(outcomes)
     doc = {
@@ -132,8 +133,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     }
     del doc["napfd_defined"]  # not in replay's summary; the golden summary pins its keys
 
-    if args.out:
-        out = _make_out_dir(args.out)
+    if out is not None:
         _write_atomic(out / "summary.json",
                       (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
         rows = ["cycle_id,faults_present,faults_detected,executed,elapsed_s,"
@@ -177,6 +177,7 @@ def _grid_spec_from_args(args: argparse.Namespace) -> GridSpec:
 def _cmd_grid(args: argparse.Namespace) -> int:
     history = _load_history(args.input, args.mapping)
     spec = _grid_spec_from_args(args)
+    _make_out_dir(args.out_dir)  # fail before the grid, not after
     result = run_grid(history, spec, workers=args.workers)
     paths = emit_report(result, args.out_dir)
     for name in sorted(paths):

@@ -101,8 +101,9 @@ class TrainingSet:
     def single_class(self) -> bool:
         return len(np.unique(self.y)) < 2
 
-    def standardized(self) -> np.ndarray:
-        return (self.X - self.stats.mean) / self.stats.std
+    def standardized(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows standardized by ``stats``, into ``out`` when given."""
+        return np.divide(np.subtract(self.X, self.stats.mean, out=out), self.stats.std, out=out)
 
     def group_slices(self) -> list[slice]:
         ids = self.group_cycle_ids

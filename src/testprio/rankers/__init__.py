@@ -40,10 +40,20 @@ from .nets import (
 )
 from .svm import fit_svm
 
+
+def _each(fit):
+    """A one-set fitter as a ``FITTERS`` entry: one fit per training set."""
+    def fit_each(tss, hps):
+        return [fit(ts, hp) for ts, hp in zip(tss, hps, strict=True)]
+    return fit_each
+
+
+# kind -> (training sets, params) -> one model per set; the nets train the
+# sets together (see .nets), svm and gbdt one after another
 FITTERS = {
-    RankerKind.SVM: fit_svm,
+    RankerKind.SVM: _each(fit_svm),
     RankerKind.ANN: fit_ann,
-    RankerKind.GBDT: fit_gbdt,
+    RankerKind.GBDT: _each(fit_gbdt),
     RankerKind.LRN: fit_lambdarank,
 }
 

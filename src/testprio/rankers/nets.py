@@ -2,11 +2,25 @@
 pairwise learning-to-rank scorer.
 
 Both use the same shape (input -> hidden1 -> hidden2 -> 1, ReLU hidden
-activations, three weight layers).  Training runs several restarts from
-different seeded initializations; to keep that affordable, all restarts are
-trained simultaneously as one stacked tensor computation (leading axis =
-restart).  The best restart is kept: minimal final training error for the
-probability net, maximal training NDCG for the ranking net.
+activations, three weight layers).  ``fit_ann`` and ``fit_lambdarank`` take
+a list of training sets whose params differ only in seed, and train every
+fit's restarts (seeded initializations) in lockstep as one stacked tensor
+computation: every tensor has leading axes (fit, restart), so one numpy
+call serves all F x R of them.  Each fit keeps its best restart: minimal
+final training error for the probability net, maximal training NDCG for
+the ranking net.  A single fit is the F = 1 case.
+
+The parameters live in one (F * R, P) buffer, a row of P parameters per
+(fit, restart), so the fits of a block [a, b) are its contiguous rows
+[a * R, b * R) and an SGD step on them is one ufunc call per buffer.  Fits
+are ordered by decreasing size, so at each step the fits that still have a
+minibatch (an lrn group) form a leading block.  Those whose minibatch or
+group at that step has one width run as one call; a fit with another width
+(a remainder batch, fewer rows than ``batch_size``, an lrn group of another
+width) runs that step in its own call.  lrn lambdas are computed per fit.
+A fit's layers do not depend on what it is stacked with: each restart's
+matmuls are separate BLAS calls on the same operands, and every other
+operation is elementwise or reduces within one restart.
 
 One buffered pass, :class:`_Net`, computes every forward and backward here:
 the minibatch steps of ``fit_ann``, the per-group steps of
@@ -15,16 +29,20 @@ the minibatch steps of ``fit_ann``, the per-group steps of
 the raw output into its own output gradient (sigmoid-MSE or lambdas), so the
 finite-difference gradient checks exercise the same code that trains.
 
-A fit allocates one buffer set, for its widest pass, and runs every narrower
-pass on contiguous prefix views of it (:meth:`_Net.rows`).  So the buffers
-of ``fit_ann`` scale with ``restarts x max(batch_size, _SELECT_ROWS + 1)``,
-not with the number of training rows, as its final loss pass walks the rows
-in blocks of ``_SELECT_ROWS``.  Those of ``fit_lambdarank`` scale with
-``restarts x`` the widest cycle group, not with the number of groups or of
-distinct group widths.
+A call allocates one buffer set, for its widest pass over all its fits, and
+runs every narrower pass on contiguous prefix views of it (:meth:`_Net.rows`).
+So the buffers of ``fit_ann`` scale with ``F x restarts x max(batch_size,
+_SELECT_ROWS + 1)``, not with the number of training rows, as its final loss
+pass walks each fit's rows in blocks of ``_SELECT_ROWS``.  Those of
+``fit_lambdarank`` scale with ``F x restarts x`` the widest cycle group, not
+with the number of groups or of distinct group widths.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+from typing import Sequence
 
 import numpy as np
 
@@ -37,52 +55,58 @@ from .base import (
     Model,
     MlpPayload,
     RankerKind,
+    RankerParams,
     class_weights,
     constant_model,
+    with_seed,
     _stable_sigmoid,
 )
 
-Params = list[tuple[np.ndarray, np.ndarray]]  # [(W, b), ...] stacked over restarts
+Params = list[tuple[np.ndarray, np.ndarray]]  # [(W, b), ...], leading axes (fit, restart)
 
 _SELECT_ROWS = 512  # rows per block of fit_ann's final loss pass
 
 
-def _flatten(params: Params) -> tuple[np.ndarray, Params]:
-    """The arrays of ``params`` copied, in order, into one flat buffer, and
-    (W, b) views of it, so that an SGD step is one ufunc call per buffer."""
-    arrays = [a for layer in params for a in layer]
-    flat = np.concatenate([a.ravel() for a in arrays])
+def _n_params(sizes: tuple[int, ...]) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+def _layer_views(flat: np.ndarray, R: int, sizes: tuple[int, ...]) -> Params:
+    """(W, b) views of a (c * R, P) parameter or gradient buffer, shaped
+    (c, R, fan_in, fan_out) and (c, R, 1, fan_out)."""
+    c = len(flat) // R
     views, at = [], 0
-    for a in arrays:
-        views.append(flat[at:at + a.size].reshape(a.shape))
-        at += a.size
-    return flat, list(zip(views[::2], views[1::2]))
-
-
-def _init_stacked(seed: int, restarts: int, sizes: tuple[int, ...]) -> Params:
-    """He-scaled normal init; restart r draws from generator seed + r."""
-    params: Params = []
-    per_restart = [np.random.default_rng(seed + r) for r in range(restarts)]
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        W = np.stack(
-            [rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-             for rng in per_restart]
-        )
-        b = np.zeros((restarts, 1, fan_out))
-        params.append((W, b))
-    return params
+        W = flat[:, at:at + fan_in * fan_out].reshape(c, R, fan_in, fan_out, copy=False)
+        at += fan_in * fan_out
+        b = flat[:, at:at + fan_out].reshape(c, R, 1, fan_out, copy=False)
+        at += fan_out
+        views.append((W, b))
+    return views
 
 
-def _prefix(buf: np.ndarray, m: int) -> np.ndarray:
-    """The leading elements of a C-contiguous (R, M, ...) buffer, laid out as
-    (R, m, ...) for m <= M: a contiguous view of the first m/M of it."""
-    R, M, *rest = buf.shape
-    return buf.reshape(-1)[: buf.size // M * m].reshape(R, m, *rest)
+def _init_flat(seeds: Sequence[int], restarts: int, sizes: tuple[int, ...]) -> np.ndarray:
+    """He-scaled normal init of one fit per seed, as a (fits * restarts, P)
+    buffer; restart r of the fit seeded s draws from generator s + r."""
+    flat = np.zeros((len(seeds) * restarts, _n_params(sizes)))
+    for row, (seed, r) in enumerate(itertools.product(seeds, range(restarts))):
+        rng = np.random.default_rng(seed + r)
+        for W, _ in _layer_views(flat[row:row + 1], 1, sizes):
+            fan_in = W.shape[2]
+            W[0, 0] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=W.shape[2:])
+    return flat
+
+
+def _prefix(buf: np.ndarray, c: int, m: int) -> np.ndarray:
+    """The leading elements of a C-contiguous (F, R, M, ...) buffer, laid out
+    as (c, R, m, ...) for c <= F and m <= M: a contiguous view of them."""
+    F, R, M, *rest = buf.shape
+    return buf.reshape(-1)[: buf.size // (F * M) * c * m].reshape(c, R, m, *rest)
 
 
 class _Net:
     """The one forward/backward pass of the stacked ReLU MLP, with buffers
-    for ``R`` restarts on ``m`` rows of layer widths ``sizes``.
+    for ``F`` fits of ``R`` restarts on ``m`` rows of layer widths ``sizes``.
 
     Training runs hundreds of thousands of tiny steps; allocating the
     intermediate tensors fresh each step costs several times the arithmetic
@@ -90,35 +114,37 @@ class _Net:
     the loss: it turns the output into dLoss/dZ_out and hands that back.
     """
 
-    def __init__(self, R: int, m: int, sizes: tuple[int, ...]):
+    def __init__(self, F: int, R: int, m: int, sizes: tuple[int, ...]):
         hidden = sizes[1:-1]
-        self.Z = [np.empty((R, m, h)) for h in sizes[1:]]
-        self.A = [np.empty((R, m, h)) for h in hidden]
-        self.mask = [np.empty((R, m, h), dtype=bool) for h in hidden]
-        self.dA = [np.empty((R, m, h)) for h in hidden]
-        # laid out like the parameters' flat buffer, for _sgd_step
-        self.flat_grads, self.grads = _flatten(
-            [(np.empty((R, fan_in, fan_out)), np.empty((R, 1, fan_out)))
-             for fan_in, fan_out in zip(sizes[:-1], sizes[1:])])
-        self._views: dict[int, _Net] = {}
+        self.Z = [np.empty((F, R, m, h)) for h in sizes[1:]]
+        self.A = [np.empty((F, R, m, h)) for h in hidden]
+        self.mask = [np.empty((F, R, m, h), dtype=bool) for h in hidden]
+        self.dA = [np.empty((F, R, m, h)) for h in hidden]
+        # laid out like the parameters' (F * R, P) buffer, for _sgd_step
+        self.flat_grads = np.empty((F * R, _n_params(sizes)))
+        self.grads = _layer_views(self.flat_grads, R, sizes)
+        self._views: dict[tuple[int, int], _Net] = {}
 
-    def rows(self, m: int) -> "_Net":
-        """A net for ``m`` rows, at most this one's, whose activation buffers
-        are contiguous prefixes of this net's and whose gradient buffers are
-        this net's.  Views are kept for reuse and hand out no views: no view
-        refers back to this net, so no reference cycle keeps the buffers
-        alive past the fit."""
-        view = self._views.get(m)
+    def rows(self, m: int, c: int) -> "_Net":
+        """A net for the first ``c`` fits on ``m`` rows, at most this one's,
+        whose activation buffers are contiguous prefixes of this net's and
+        whose gradient buffers are the leading rows of this net's.  Views
+        are kept for reuse and hand out no views: no view refers back to
+        this net, so no reference cycle keeps the buffers alive past the
+        fit."""
+        R = self.Z[0].shape[1]
+        view = self._views.get((m, c))
         if view is None:
             view = object.__new__(_Net)
             view.Z, view.A, view.mask, view.dA = (
-                [_prefix(buf, m) for buf in bufs] for bufs in (self.Z, self.A, self.mask, self.dA))
-            view.flat_grads, view.grads = self.flat_grads, self.grads
-            self._views[m] = view
+                [_prefix(buf, c, m) for buf in bufs] for bufs in (self.Z, self.A, self.mask, self.dA))
+            view.flat_grads = self.flat_grads[: c * R]
+            view.grads = [(dW[:c], db[:c]) for dW, db in self.grads]
+            self._views[(m, c)] = view
         return view
 
     def forward(self, params: Params, X: np.ndarray) -> np.ndarray:
-        """Raw output Z_out (R, m, 1) for inputs X of shape (R|1, m, d)."""
+        """Raw output Z_out (c, R, m, 1) for inputs X of shape (c, R|1, m, d)."""
         act = X
         for i, (W, b) in enumerate(params):
             z = self.Z[i]
@@ -130,16 +156,16 @@ class _Net:
         return self.Z[-1]
 
     def backward(self, params: Params, X: np.ndarray, dz: np.ndarray) -> Params:
-        """Gradients of every (W, b) given dLoss/dZ_out (R, m, 1), for the
+        """Gradients of every (W, b) given dLoss/dZ_out (c, R, m, 1), for the
         last ``forward`` on X; they live in this net's buffers."""
         for i in range(len(params) - 1, -1, -1):
             dW, db = self.grads[i]
             act_in = self.A[i - 1] if i else X
-            np.matmul(act_in.transpose(0, 2, 1), dz, out=dW)
-            np.add.reduce(dz, axis=1, keepdims=True, out=db)
+            np.matmul(act_in.swapaxes(2, 3), dz, out=dW)
+            np.add.reduce(dz, axis=2, keepdims=True, out=db)
             if i:
                 da, mask = self.dA[i - 1], self.mask[i - 1]
-                np.matmul(dz, params[i][0].transpose(0, 2, 1), out=da)
+                np.matmul(dz, params[i][0].swapaxes(2, 3), out=da)
                 np.greater(self.Z[i - 1], 0.0, out=mask)
                 np.multiply(da, mask, out=da)
                 dz = da
@@ -154,15 +180,52 @@ def _sgd_step(flat: np.ndarray, flat_grads: np.ndarray, lr: float) -> None:
 
 
 def _one_restart(layers, m: int) -> tuple[Params, _Net]:
-    """One unstacked parameter set as stacked params (R = 1), and a net for
-    ``m`` rows of it."""
-    params = [(W[None], b[None, None]) for W, b in layers]
+    """One unstacked parameter set as stacked params (F = R = 1), and a net
+    for ``m`` rows of it."""
+    params = [(W[None, None], b[None, None, None]) for W, b in layers]
     sizes = (layers[0][0].shape[0], *(W.shape[1] for W, _ in layers))
-    return params, _Net(1, m, sizes)
+    return params, _Net(1, 1, m, sizes)
 
 
 def _unstack(params: Params, r: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    return tuple((W[r].copy(), b[r, 0].copy()) for W, b in params)
+    """Restart ``r`` of a one-fit stack, as plain (W, b) arrays."""
+    return tuple((W[0, r].copy(), b[0, r, 0].copy()) for W, b in params)
+
+
+def _shared(tss: Sequence[TrainingSet], hps: Sequence[RankerParams]) -> RankerParams:
+    """The params every fit of one call uses; they may differ only in seed,
+    and the training sets only in their rows."""
+    if len(tss) != len(hps):
+        raise ValueError(f"{len(tss)} training sets but {len(hps)} params")
+    hp = hps[0]
+    if (any(with_seed(p, hp.seed) != hp for p in hps)
+            or len({ts.dimension for ts in tss}) > 1):
+        raise ValueError("stacked fits must differ only in seed and training rows")
+    return hp
+
+
+def _block_work(flat: np.ndarray, R: int, sizes: tuple[int, ...], net: _Net,
+                scratch: tuple[np.ndarray, ...]):
+    """A cached maker of what the run of fits a..b-1 steps with on m rows:
+    their parameter rows and the rows' layer views, the net, and
+    (b - a, R, m, ...) prefixes of the (F, R, M, ...) scratch buffers."""
+    @functools.cache
+    def work(a: int, b: int, m: int) -> tuple:
+        rows = flat[a * R:b * R]
+        return (rows, _layer_views(rows, R, sizes), net.rows(m, b - a),
+                *(_prefix(buf, b - a, m) for buf in scratch))
+    return work
+
+
+def _runs(items: list, width) -> list[tuple[int, int, list]]:
+    """(a, b, items[a:b]) for each maximal run of consecutive items of one
+    ``width``."""
+    runs, a = [], 0
+    for _, run in itertools.groupby(items, key=width):
+        run = list(run)
+        runs.append((a, a + len(run), run))
+        a += len(run)
+    return runs
 
 
 # --- probability net -----------------------------------------------------------
@@ -170,18 +233,20 @@ def _unstack(params: Params, r: int) -> tuple[tuple[np.ndarray, np.ndarray], ...
 def _mse_grad(out: np.ndarray, y: np.ndarray, cw: np.ndarray,
               g: np.ndarray, tmp: np.ndarray) -> None:
     """g = dLoss/dZ_out of the class-weighted MSE mean over B rows:
-    (2/B) * cw * (out - y) * out * (1 - out); out is (R, B, 1), y and cw (R, B)."""
+    (2/B) * cw * (out - y) * out * (1 - out); out is (..., B, 1), y and cw
+    (..., B)."""
     np.subtract(out, y[..., None], out=g)
     np.multiply(g, cw[..., None], out=g)
     np.multiply(g, out, out=g)
     np.subtract(1.0, out, out=tmp)
     np.multiply(g, tmp, out=g)
-    np.multiply(g, 2.0 / out.shape[1], out=g)
+    np.multiply(g, 2.0 / out.shape[-2], out=g)
 
 
 def _stable_sigmoid_into(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """out = sigmoid(x) without overflow, using ``scratch`` as workspace."""
-    np.clip(x, -500.0, 500.0, out=scratch)
+    np.maximum(x, -500.0, out=scratch)  # clip to +-500, without np.clip's wrappers
+    np.minimum(scratch, 500.0, out=scratch)
     np.negative(scratch, out=scratch)
     np.exp(scratch, out=scratch)
     np.add(scratch, 1.0, out=scratch)
@@ -189,66 +254,93 @@ def _stable_sigmoid_into(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) ->
 
 
 def _forward_blocks(net: _Net, params: Params, X: np.ndarray) -> np.ndarray:
-    """Raw outputs (R, n) for all n rows of X, forwarded in row blocks
-    through ``net`` (at least min(_SELECT_ROWS + 1, n) rows wide).
+    """Raw outputs (R, n) of one fit's restarts for all n rows of X,
+    forwarded in row blocks through ``net`` (at least
+    min(_SELECT_ROWS + 1, n) rows wide).
 
     Blocks start at multiples of _SELECT_ROWS, so each row meets the same
     BLAS kernel as in one pass over all n rows.  A one-row remainder joins
     the block before it: numpy multiplies a single row by the matrix-vector
     routine, which sums in another order."""
     n = len(X)
-    z = np.empty((len(params[0][0]), n))
+    z = np.empty((params[0][0].shape[1], n))
     start = 0
     for stop in [*range(_SELECT_ROWS, n - 1, _SELECT_ROWS), n]:
-        z[:, start:stop] = net.rows(stop - start).forward(params, X[None, start:stop])[..., 0]
+        z[:, start:stop] = net.rows(stop - start, 1).forward(
+            params, X[None, None, start:stop])[0, ..., 0]
         start = stop
     return z
 
 
-def fit_ann(ts: TrainingSet, hp: AnnParams = AnnParams()) -> Model:
-    """Sigmoid-output net trained on class-weighted MSE by minibatch gradient
-    descent; keeps the restart with the lowest final training error."""
-    if ts.single_class:
-        return constant_model(RankerKind.ANN, ts.config, ts.stats)
+def fit_ann(tss: Sequence[TrainingSet], hps: Sequence[AnnParams]) -> list[Model]:
+    """One sigmoid-output net per training set, trained on class-weighted
+    MSE by minibatch gradient descent; each keeps the restart with the
+    lowest final training error.  A single-class set gets a constant
+    model."""
+    if not tss:
+        return []
+    hp = _shared(tss, hps)
+    models = [constant_model(RankerKind.ANN, ts.config, ts.stats) if ts.single_class else None
+              for ts in tss]
+    fits = sorted((j for j, m in enumerate(models) if m is None),
+                  key=lambda j: -tss[j].n_examples)
+    if not fits:
+        return models
 
-    X = ts.standardized()
-    y = ts.y
-    weights = class_weights(y)
-    n, d = X.shape
-    R = hp.restarts
+    ns = [tss[j].n_examples for j in fits]
+    ends = np.cumsum(ns)
+    starts = ends - ns
+    X = np.empty((ends[-1], tss[fits[0]].dimension))
+    for j, lo, hi in zip(fits, starts, ends):
+        tss[j].standardized(out=X[lo:hi])
+    y = np.concatenate([tss[j].y for j in fits])
+    weights = np.concatenate([class_weights(tss[j].y) for j in fits])
+    d = X.shape[1]
+    F, R, B = len(fits), hp.restarts, hp.batch_size
     sizes = (d, hp.hidden1, hp.hidden2, 1)
-    flat, params = _flatten(_init_stacked(hp.seed, R, sizes))
-    shuffles = [np.random.default_rng(mix_seed(hp.seed + r, "shuffle")) for r in range(R)]
+    flat = _init_flat([hps[j].seed for j in fits], R, sizes)
+    shuffles = [np.random.default_rng(mix_seed(hps[j].seed + r, "shuffle"))
+                for j in fits for r in range(R)]
 
     # one net for the widest pass, a minibatch or a block of the final loss;
-    # per minibatch width (B, and the remainder when B does not divide n):
-    # the net, the gathered X / y / class weight, and output/gradient scratch
-    B = min(hp.batch_size, n)
-    net = _Net(R, max(B, min(_SELECT_ROWS + 1, n)), sizes)
-    scratch = (np.empty((R, B, d)), np.empty((R, B)), np.empty((R, B)),
-               np.empty((R, B, 1)), np.empty((R, B, 1)), np.empty((R, B, 1)))
-    work = {m: (net.rows(m), *(_prefix(buf, m) for buf in scratch))
-            for m in {B, n % B} - {0}}
+    # scratch for the gathered X / y / class weight and the output/gradient;
+    # and per batch start, its runs of fits whose batches there have one width
+    widest = min(B, ns[0])
+    net = _Net(F, R, max(widest, min(_SELECT_ROWS + 1, ns[0])), sizes)
+    scratch = (np.empty((F, R, widest, d)), np.empty((F, R, widest)), np.empty((F, R, widest)),
+               np.empty((F, R, widest, 1)), np.empty((F, R, widest, 1)),
+               np.empty((F, R, widest, 1)))
+    work = _block_work(flat, R, sizes, net, scratch)
+    steps = [(start, [(a, b, m, work(a, b, m)) for a, b, (m, *_) in
+                      _runs([min(B, n - start) for n in ns if n > start], lambda w: w)])
+             for start in range(0, ns[0], B)]
+    order = np.empty((F * R, ns[0]), dtype=np.int64)  # rows of X, by (fit, restart)
 
     for _ in range(hp.epochs):
-        orders = np.stack([rng.permutation(n) for rng in shuffles])
-        for start in range(0, n, B):
-            batch_net, Xb, yb, cb, out, g, tmp = work[min(B, n - start)]
-            rows = orders[:, start : start + B].reshape(-1)
-            X.take(rows, axis=0, out=Xb.reshape(-1, d))
-            y.take(rows, axis=0, out=yb.reshape(-1))
-            weights.take(rows, axis=0, out=cb.reshape(-1))
-            _stable_sigmoid_into(batch_net.forward(params, Xb), out, tmp)
-            _mse_grad(out, yb, cb, g, tmp)
-            batch_net.backward(params, Xb, g)
-            _sgd_step(flat, net.flat_grads, hp.learning_rate)
+        for row, rng in enumerate(shuffles):
+            j = row // R
+            np.add(rng.permutation(ns[j]), starts[j], out=order[row, :ns[j]])
+        for start, runs in steps:
+            for a, b, m, (block, params, run_net, Xb, yb, cb, out, g, tmp) in runs:
+                rows = order[a * R:b * R, start:start + m].reshape(-1)
+                X.take(rows, axis=0, out=Xb.reshape(-1, d))
+                y.take(rows, axis=0, out=yb.reshape(-1))
+                weights.take(rows, axis=0, out=cb.reshape(-1))
+                _stable_sigmoid_into(run_net.forward(params, Xb), out, tmp)
+                _mse_grad(out, yb, cb, g, tmp)
+                run_net.backward(params, Xb, g)
+                _sgd_step(block, run_net.flat_grads, hp.learning_rate)
 
-    # final weighted MSE per restart on the whole training set
-    out = _stable_sigmoid(_forward_blocks(net, params, X))
-    losses = (weights * (out - y) ** 2).mean(axis=1)
-    best = int(np.argmin(losses))
-    payload = MlpPayload(layers=_unstack(params, best), sigmoid_output=True)
-    return Model(kind=RankerKind.ANN, payload=payload, stats=ts.stats, config=ts.config)
+    # per fit, final weighted MSE per restart on its whole training set
+    for k, (j, lo, hi) in enumerate(zip(fits, starts, ends)):
+        params = _layer_views(flat[k * R:(k + 1) * R], R, sizes)
+        out = _stable_sigmoid(_forward_blocks(net, params, X[lo:hi]))
+        losses = (weights[lo:hi] * (out - y[lo:hi]) ** 2).mean(axis=1)
+        best = int(np.argmin(losses))
+        payload = MlpPayload(layers=_unstack(params, best), sigmoid_output=True)
+        models[j] = Model(kind=RankerKind.ANN, payload=payload, stats=tss[j].stats,
+                          config=tss[j].config)
+    return models
 
 
 def ann_loss_and_grads(layers, X: np.ndarray, y: np.ndarray,
@@ -256,21 +348,21 @@ def ann_loss_and_grads(layers, X: np.ndarray, y: np.ndarray,
     """Class-weighted MSE and parameter gradients for one parameter set
     (used directly by finite-difference checks)."""
     params, net = _one_restart(layers, len(y))
-    X1 = X[None]
+    X1 = X[None, None]
     z = net.forward(params, X1)
     out, g, tmp = np.empty_like(z), np.empty_like(z), np.empty_like(z)
     _stable_sigmoid_into(z, out, tmp)
-    loss = float((class_weights * (out[0, :, 0] - y) ** 2).mean())
-    _mse_grad(out, y[None], class_weights[None], g, tmp)
+    loss = float((class_weights * (out[0, 0, :, 0] - y) ** 2).mean())
+    _mse_grad(out, y[None, None], class_weights[None, None], g, tmp)
     grads = net.backward(params, X1, g)
-    return loss, [(dW[0], db[0, 0]) for dW, db in grads]
+    return loss, [(dW[0, 0], db[0, 0, 0]) for dW, db in grads]
 
 
 # --- pairwise ranking net --------------------------------------------------------
 
 def _ranks_matrix(s: np.ndarray) -> np.ndarray:
     """Row-wise 1-based descending ranks, ties by index (stable sort)."""
-    return np.argsort(np.argsort(-s, axis=1, kind="stable"), axis=1) + 1
+    return (-s).argsort(axis=1, kind="stable").argsort(axis=1) + 1
 
 
 def _gains(m: int) -> np.ndarray:
@@ -295,58 +387,84 @@ def _group_lambdas(s: np.ndarray, pos: np.ndarray, neg: np.ndarray,
         delta = frozen_delta
     sdiff = s[:, pos][:, :, None] - s[:, neg][:, None, :]
     lam = -sigma * delta / (1.0 + np.exp(sigma * sdiff))
-    dc = np.zeros_like(s)
+    dc = np.zeros(s.shape)
     dc[:, pos] = np.add.reduce(lam, axis=2)
     dc[:, neg] = -np.add.reduce(lam, axis=1)
     return dc, delta, sdiff
 
 
-def fit_lambdarank(ts: TrainingSet, hp: LrnParams = LrnParams()) -> Model:
-    """Linear-output net trained with pairwise lambda gradients per cycle
-    group; groups lacking a failing or a passing example are skipped.
-    Restarts differ in initialization and share the per-epoch group order;
-    the restart with the best final training NDCG wins."""
-    slices = ts.group_slices()
-    X = ts.standardized()
-    y = ts.y
+def _rankable_groups(ts: TrainingSet, lo: int) -> list[tuple]:
+    """(first row, width, positives, negatives, ideal DCG) of each cycle
+    group of ``ts`` holding both verdict classes; rows count from ``lo``."""
     groups = []
-    for sl in slices:
-        pos = np.flatnonzero(y[sl] > 0.5)
-        neg = np.flatnonzero(y[sl] < 0.5)
+    for sl in ts.group_slices():
+        pos = np.flatnonzero(ts.y[sl] > 0.5)
+        neg = np.flatnonzero(ts.y[sl] < 0.5)
         if len(pos) and len(neg):
-            groups.append((sl, pos, neg, _ideal_dcg(len(pos))))
-    if not groups:
+            groups.append((lo + sl.start, sl.stop - sl.start, pos, neg, _ideal_dcg(len(pos))))
+    return groups
+
+
+def fit_lambdarank(tss: Sequence[TrainingSet], hps: Sequence[LrnParams]) -> list[Model]:
+    """One linear-output net per training set, trained with pairwise lambda
+    gradients per cycle group; groups lacking a failing or a passing example
+    are skipped, and a set without any other group raises
+    :class:`NoRankableGroup` before anything is trained.  A fit's restarts
+    differ in initialization and share its per-epoch group order; the
+    restart with the best final training NDCG wins."""
+    if not tss:
+        return []
+    hp = _shared(tss, hps)
+    ns = [ts.n_examples for ts in tss]
+    starts = np.cumsum([0, *ns[:-1]])
+    groups = [_rankable_groups(ts, int(lo)) for ts, lo in zip(tss, starts)]
+    if not all(groups):
         raise NoRankableGroup("no cycle group contains both verdict classes")
+    fits = sorted(range(len(tss)), key=lambda j: -len(groups[j]))
+    groups = [groups[j] for j in fits]
 
+    X = np.empty((sum(ns), tss[0].dimension))
+    for ts, lo, n in zip(tss, starts, ns):
+        ts.standardized(out=X[lo:lo + n])
     d = X.shape[1]
-    R = hp.restarts
+    F, R = len(fits), hp.restarts
     sizes = (d, hp.hidden1, hp.hidden2, 1)
-    flat, params = _flatten(_init_stacked(hp.seed, R, sizes))
-    order_rng = np.random.default_rng(mix_seed(hp.seed, "group-order"))
+    flat = _init_flat([hps[j].seed for j in fits], R, sizes)
+    order_rngs = [np.random.default_rng(mix_seed(hps[j].seed, "group-order")) for j in fits]
 
-    inputs = [np.ascontiguousarray(X[sl][None]) for sl, _, _, _ in groups]
-    widest = max(Xg.shape[1] for Xg in inputs)
-    net = _Net(R, widest, sizes)
+    widest = max(width for gs in groups for _, width, *_ in gs)
+    net = _Net(F, R, widest, sizes)
+    inputs, dz = np.empty((F, 1, widest, d)), np.empty((F, R, widest, 1))
     gains = _gains(widest)
+    work = _block_work(flat, R, sizes, net, (inputs, dz))
     with np.errstate(over="ignore"):
         for _ in range(hp.epochs):
-            for g in order_rng.permutation(len(groups)):
-                _, pos, neg, idcg = groups[g]
-                Xg = inputs[g]
-                gnet = net.rows(Xg.shape[1])
-                s = gnet.forward(params, Xg)[..., 0]
-                dc, _, _ = _group_lambdas(s, pos, neg, hp.sigma, idcg, gains)
-                gnet.backward(params, Xg, dc[..., None])
-                _sgd_step(flat, net.flat_grads, hp.learning_rate)
+            perms = [rng.permutation(len(gs)) for rng, gs in zip(order_rngs, groups)]
+            for k in range(len(groups[0])):
+                picked = [gs[p[k]] for gs, p in zip(groups, perms) if len(p) > k]
+                for a, b, run in _runs(picked, lambda g: g[1]):
+                    m = run[0][1]
+                    block, params, run_net, Xg, dzg = work(a, b, m)
+                    np.concatenate([X[lo:lo + m] for lo, *_ in run], out=Xg.reshape(-1, d))
+                    s = run_net.forward(params, Xg)[..., 0]
+                    for i, (_, _, pos, neg, idcg) in enumerate(run):
+                        dzg[i, ..., 0] = _group_lambdas(s[i], pos, neg, hp.sigma, idcg, gains)[0]
+                    run_net.backward(params, Xg, dzg)
+                    _sgd_step(block, run_net.flat_grads, hp.learning_rate)
 
-    # mean training NDCG per restart
-    ndcg = np.zeros(R)
-    for (_, pos, _, idcg), Xg in zip(groups, inputs):
-        ranks = _ranks_matrix(net.rows(Xg.shape[1]).forward(params, Xg)[..., 0])
-        ndcg += gains[ranks[:, pos] - 1].sum(axis=1) / idcg
-    best = int(np.argmax(ndcg))
-    payload = MlpPayload(layers=_unstack(params, best), sigmoid_output=False)
-    return Model(kind=RankerKind.LRN, payload=payload, stats=ts.stats, config=ts.config)
+    models = [None] * F
+    for k, (j, gs) in enumerate(zip(fits, groups)):
+        # mean training NDCG per restart
+        params = _layer_views(flat[k * R:(k + 1) * R], R, sizes)
+        ndcg = np.zeros(R)
+        for lo, m, pos, _, idcg in gs:
+            s = net.rows(m, 1).forward(params, X[None, None, lo:lo + m])[0, ..., 0]
+            ndcg += gains[_ranks_matrix(s)[:, pos] - 1].sum(axis=1) / idcg
+        best = int(np.argmax(ndcg))
+        payload = MlpPayload(layers=_unstack(params, best), sigmoid_output=False)
+        models[j] = Model(kind=RankerKind.LRN, payload=payload, stats=tss[j].stats,
+                          config=tss[j].config)
+    return models
 
 
 def lambdarank_cost_and_grads(layers, X: np.ndarray, y: np.ndarray,
@@ -367,11 +485,11 @@ def lambdarank_cost_and_grads(layers, X: np.ndarray, y: np.ndarray,
     idcg = _ideal_dcg(len(pos))
 
     params, net = _one_restart(layers, len(y))
-    X1 = X[None]
-    s = net.forward(params, X1)[..., 0]
+    X1 = X[None, None]
+    s = net.forward(params, X1)[0, ..., 0]
     with np.errstate(over="ignore"):
         dc, delta, sdiff = _group_lambdas(s, pos, neg, sigma, idcg, _gains(len(y)),
                                           frozen_delta)
     cost = float((delta * np.logaddexp(0.0, -sigma * sdiff)).sum())
-    grads = net.backward(params, X1, dc[..., None])
-    return cost, [(dW[0], db[0, 0]) for dW, db in grads], delta
+    grads = net.backward(params, X1, dc[None, ..., None])
+    return cost, [(dW[0, 0], db[0, 0, 0]) for dW, db in grads], delta

@@ -36,16 +36,28 @@ prior with ``history_prefix``, whose registry sums equal the serial walk's
 bit for bit, so outcomes do not depend on the worker count.  Pool workers
 are daemonic and so never fan a walk out again.
 
+Stacked fits: a serial walk builds each eval cycle's window and training
+set in order and fits consecutive cycles together, in one ``FITTERS`` call,
+while their training rows total at most ``_STACK_ROWS`` (a window over it is
+fitted alone); then it ranks each cycle of the group.  ``ann`` and ``lrn``
+train such a list as one stacked computation, and every model is bit for
+bit the one its window gets alone, so the grouping changes no outcome.
+Pool tasks and ``replay_cycle`` fit a list of one.
+
 Timing: ``train_seconds`` / ``rank_seconds`` are a deterministic work-based
 cost model (counted arithmetic operations divided by a nominal op rate), so
 replays and grid reports are bit-reproducible across runs, worker counts
 and machines.  Wall-clock measurements are captured alongside in
 ``wall_train_seconds`` / ``wall_rank_seconds``; they are informational and
-excluded from outcome comparison and report serialization.
+excluded from outcome comparison and report serialization.  A cycle's
+``wall_train_seconds`` is its window's feature time plus its share of its
+fit call's wall time, split in proportion to training rows among the
+windows the call did not degrade (see ``_replay_group``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import os
@@ -208,17 +220,10 @@ def _rank_units(kind: RankerKind, params: RankerParams, n_tests: int,
 
 # --- replay ---------------------------------------------------------------------
 
-def _train_for_cycle(kind: RankerKind, params: RankerParams, window: HistoryWindow,
-                     arrays: _WindowArrays, features: FeatureConfig, seed: int):
-    """Fit a model on the window (its feature ``arrays``); degraded fits
-    yield a flagged constant model instead of aborting the replay."""
-    ts = None
-    try:
-        ts = build_training_set(window, features, arrays)
-        model = FITTERS[kind](ts, with_seed(params, seed))
-    except (WindowTooSmall, NoRankableGroup):
-        model = constant_model(kind, features)
-    return model, ts
+# A serial walk fits consecutive eval cycles together while their training
+# rows total at most this many (one window over it is fitted alone), so the
+# windows it holds at once stay bounded.
+_STACK_ROWS = 65_536
 
 
 class _Coded(NamedTuple):
@@ -238,30 +243,88 @@ def _coded(h: TestHistory, kind: RankerKind, end: int) -> _Coded:
     return _Coded(np.array(h.test_ids, dtype=object), sorted_ranks(h.test_ids), failing)
 
 
-def _replay_at(prior: TestHistory, cycle: Cycle, codes: np.ndarray, coded: _Coded,
-               cfg: ReplayConfig, budgets: list[float]) -> list[CycleOutcome]:
-    """Rank ``cycle`` (its tests' registry ``codes``) from ``prior`` and
-    replay it at each budget."""
+class _Pending(NamedTuple):
+    """One eval cycle, ready to fit: its prior, window and, for a ranker
+    that trains, the window's feature arrays and training set (None when
+    the window is too small) and the seconds building them took."""
+
+    prior: TestHistory
+    cycle: Cycle
+    codes: np.ndarray
+    window: HistoryWindow
+    arrays: _WindowArrays | None
+    ts: TrainingSet | None
+    wall_features: float
+
+
+def _prepare(prior: TestHistory, cycle: Cycle, codes: np.ndarray,
+             cfg: ReplayConfig) -> _Pending:
     window = slice_recent(prior, cfg.history_fraction)
-    kind = cfg.ranker
-    params = cfg.params
-
-    fit_seed = mix_seed(cfg.base_seed, "fit", cycle.cycle_id)
-    rank_seed = mix_seed(cfg.base_seed, "rank", cycle.cycle_id)
-
-    model: Model | None = None
-    ts = arrays = None
-    wall_train = 0.0
-    if kind.trains:
+    arrays = ts = None
+    wall = 0.0
+    if cfg.ranker.trains:
         t0 = time.perf_counter()
         arrays = _WindowArrays(window, cfg.features.decay)  # training and ranking rows
-        model, ts = _train_for_cycle(kind, params, window, arrays, cfg.features, fit_seed)
-        wall_train = time.perf_counter() - t0
+        with contextlib.suppress(WindowTooSmall):
+            ts = build_training_set(window, cfg.features, arrays)
+        wall = time.perf_counter() - t0
+    return _Pending(prior, cycle, codes, window, arrays, ts, wall)
+
+
+def _fit(kind: RankerKind, params: RankerParams, features: FeatureConfig,
+         tss: list[TrainingSet], seeds: list[int]) -> list[Model]:
+    """One model per training set, from one ``FITTERS`` call.  A set with no
+    rankable group fails the whole call before anything is trained; the sets
+    are then fitted one per call, so that only it degrades, to a flagged
+    constant model."""
+    try:
+        return FITTERS[kind](tss, [with_seed(params, seed) for seed in seeds])
+    except NoRankableGroup:
+        if len(tss) == 1:
+            return [constant_model(kind, features)]
+        return [model for ts, seed in zip(tss, seeds)
+                for model in _fit(kind, params, features, [ts], [seed])]
+
+
+def _replay_group(group: list[_Pending], coded: _Coded, cfg: ReplayConfig,
+                  budgets: list[float]) -> list[list[CycleOutcome]]:
+    """Fit the trainable windows of ``group`` in one call, then rank and
+    replay each cycle at each budget.
+
+    A cycle's ``wall_train_seconds`` is the time its window's features took
+    plus a share of the call's wall time, in proportion to its training rows
+    among the windows the call did not degrade."""
+    kind = cfg.ranker
+    fitted = [p for p in group if p.ts is not None]
+    models, shares = [], []
+    if fitted:
+        t0 = time.perf_counter()
+        models = _fit(kind, cfg.params, cfg.features, [p.ts for p in fitted],
+                      [mix_seed(cfg.base_seed, "fit", p.cycle.cycle_id) for p in fitted])
+        fit_s = time.perf_counter() - t0
+        rows = [0 if m.degenerate else p.ts.n_examples for p, m in zip(fitted, models)]
+        shares = [fit_s * r / (sum(rows) or 1) for r in rows]
+    results = zip(models, shares)
+    too_small = constant_model(kind, cfg.features) if kind.trains else None
+    return [_rank_at(p, *(next(results) if p.ts is not None else (too_small, 0.0)),
+                     coded, cfg, budgets)
+            for p in group]
+
+
+def _rank_at(p: _Pending, model: Model | None, wall_fit: float, coded: _Coded,
+             cfg: ReplayConfig, budgets: list[float]) -> list[CycleOutcome]:
+    """Rank the cycle of ``p`` with ``model`` (None for a ranker that does
+    not train) and replay it at each budget."""
+    kind = cfg.ranker
+    params = cfg.params
+    window, codes = p.window, p.codes
+    rank_seed = mix_seed(cfg.base_seed, "rank", p.cycle.cycle_id)
+    wall_train = p.wall_features + wall_fit
     degenerate = bool(model is not None and model.degenerate)
-    train_units = _train_units(kind, params, ts, degenerate) if kind.trains else 0
+    train_units = _train_units(kind, params, p.ts, degenerate) if kind.trains else 0
 
     # a test the prior never ran has a code past its registry
-    means = prior.means
+    means = p.prior.means
     mean_duration = float(np.mean(means))
     durations = np.where(codes < len(means), means.take(codes, mode="clip"), mean_duration)
 
@@ -272,7 +335,7 @@ def _replay_at(prior: TestHistory, cycle: Cycle, codes: np.ndarray, coded: _Code
         failing = coded.failing[window.lo:window.hi][::-1]
         scores = rocket_priorities(failing, len(coded.id_ranks), params)[codes]
     else:
-        rows = feature_matrix(window, codes, cfg.features, arrays)
+        rows = feature_matrix(window, codes, cfg.features, p.arrays)
         scores = score_matrix(model, rows)
     ranking, order = rank_with_tie_break(coded.ids[codes], scores, durations,
                                          coded.id_ranks[codes])
@@ -283,7 +346,7 @@ def _replay_at(prior: TestHistory, cycle: Cycle, codes: np.ndarray, coded: _Code
     train_s = train_units / NOMINAL_OPS_PER_SECOND
     rank_s = rank_units / NOMINAL_OPS_PER_SECOND
 
-    failed = cycle.failed[order]
+    failed = p.cycle.failed[order]
     fault_positions = (np.flatnonzero(failed) + 1).tolist()
     m = len(fault_positions)
     apfd_v = apfd(fault_positions, len(ranking)) if m else None
@@ -302,7 +365,7 @@ def _replay_at(prior: TestHistory, cycle: Cycle, codes: np.ndarray, coded: _Code
             faults_detected=len(detected),
         )
         outcomes.append(CycleOutcome(
-            cycle_id=cycle.cycle_id,
+            cycle_id=p.cycle.cycle_id,
             ranking=ranking,
             executed=executed,
             elapsed_s=elapsed,
@@ -325,8 +388,8 @@ def replay_cycle(h: TestHistory, c: int, cfg: ReplayConfig) -> CycleOutcome:
         raise IndexError(f"cycle position {c} out of range")
     if c == 0:
         raise NoPriorHistory("cycle has no preceding history to train on")
-    return _replay_at(history_prefix(h, c), h.cycles[c], h.codes[c], _coded(h, cfg.ranker, c), cfg,
-                      [cfg.budget_s])[0]
+    pending = _prepare(history_prefix(h, c), h.cycles[c], h.codes[c], cfg)
+    return _replay_group([pending], _coded(h, cfg.ranker, c), cfg, [cfg.budget_s])[0][0]
 
 
 # --- worker processes -----------------------------------------------------------
@@ -375,8 +438,8 @@ def default_workers(n_tasks: int, cpus: int) -> int:
 def _replay_in_worker(pos: int) -> list[CycleOutcome]:
     """Replay cycle position ``pos`` of the walk this worker holds."""
     h, coded, cfg, budgets = pool_state()
-    return _replay_at(history_prefix(h, pos), h.cycles[pos], h.codes[pos], coded, cfg,
-                      budgets)
+    pending = _prepare(history_prefix(h, pos), h.cycles[pos], h.codes[pos], cfg)
+    return _replay_group([pending], coded, cfg, budgets)[0]
 
 
 def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig, budgets: list[float],
@@ -413,8 +476,17 @@ def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig, budgets: list[float]
         per_cycle = pool_map(_replay_in_worker, list(positions), workers,
                              (h, coded, cfg, budgets))
     else:
-        per_cycle = [_replay_at(prior, h.cycles[pos], h.codes[pos], coded, cfg, budgets)
-                     for pos, prior in zip(positions, history_prefixes(h, positions))]
+        per_cycle, group, rows = [], [], 0
+        for pos, prior in zip(positions, history_prefixes(h, positions)):
+            pending = _prepare(prior, h.cycles[pos], h.codes[pos], cfg)
+            n = pending.ts.n_examples if pending.ts is not None else 0
+            # a ranker that does not train has nothing to fit together
+            if group and (rows + n > _STACK_ROWS or not cfg.ranker.trains):
+                per_cycle += _replay_group(group, coded, cfg, budgets)
+                group, rows = [], 0
+            group.append(pending)
+            rows += n
+        per_cycle += _replay_group(group, coded, cfg, budgets)
     return [list(outcomes) for outcomes in zip(*per_cycle)]
 
 

@@ -206,8 +206,8 @@ def replay_ranking(prior: TestHistory, cycle: Cycle, cfg) -> tuple[RankedTest, .
         scores = rocket_loop(window, ids, cfg.params)
     else:
         try:
-            model = FITTERS[cfg.ranker](build_training_set(window, cfg.features), with_seed(
-                cfg.params, mix_seed(cfg.base_seed, "fit", cycle.cycle_id)))
+            model = FITTERS[cfg.ranker]([build_training_set(window, cfg.features)], [with_seed(
+                cfg.params, mix_seed(cfg.base_seed, "fit", cycle.cycle_id))])[0]
         except (WindowTooSmall, NoRankableGroup):
             model = constant_model(cfg.ranker, cfg.features)
         rows = np.zeros((len(ids), cfg.features.dimension))

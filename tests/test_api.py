@@ -104,3 +104,26 @@ def test_benchmark_spans_time_the_replays_ranking_steps(spans):
     assert counts["rankers.random"] == n_eval[RankerKind.RANDOM] > 0
     assert counts["rankers.tie_break"] == sum(n_eval.values())
     assert counts["replay.cut"] == sum(n_eval.values()) * len(budgets)
+
+
+def test_benchmark_spans_time_the_stacked_net_fits(spans):
+    """Traced serial ann and lrn walks fit their eval cycles in one stacked
+    call each, which the fit span records, and every trained, non-degenerate
+    outcome carries a share of that call's wall time."""
+    h = churn_history(0)
+    tracer = spans.Tracer()
+    installation = spans.install(tracer)
+    try:
+        walks = {kind: replay.walk_forward(h, replay.ReplayConfig(
+                     kind, 30.0, history_fraction=0.5, params=dataclasses.replace(
+                         testprio.rankers.default_params(kind), epochs=2, restarts=2)),
+                     workers=1)
+                 for kind in (RankerKind.ANN, RankerKind.LRN)}
+    finally:
+        installation.restore()
+    counts = Counter(s.name for s in tracer.spans)
+    assert counts["rankers.fit.ann"] == counts["rankers.fit.lrn"] == 1
+    for outcomes in walks.values():
+        trained = [o for o in outcomes if not o.degenerate]
+        assert len(trained) == len(outcomes) > 1
+        assert all(o.wall_train_seconds > 0 for o in trained)

@@ -171,6 +171,16 @@ class TestReplay:
         assert main(["replay", str(path), "--ranker", "rocket", "--out", str(out)]) == 1
         assert "cannot create" in capsys.readouterr().err
 
+    def test_out_path_is_a_file_exit_1_before_the_walk(self, history_file, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr("testprio.cli.walk_forward", _must_not_run)
+        path, _ = history_file
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["replay", str(path), "--ranker", "gbdt", "--out", str(out)]) == 1
+        assert "cannot create" in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
+
     def test_worker_count_changes_no_byte(self, history_file, tmp_path, capsys):
         path, _ = history_file
         outs = [tmp_path / f"w{w}" for w in (1, 2)]
@@ -324,6 +334,29 @@ class TestGrid:
                      "--out-dir", str(tmp_path / "r")]) == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+
+    def test_out_dir_is_a_file_exit_1_before_the_grid(self, history_file, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr("testprio.cli.run_grid", _must_not_run)
+        path, _ = history_file
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["grid", str(path), "--out-dir", str(out)]) == 1
+        assert "cannot create" in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
+
+    def test_unwritable_out_dir_exit_1_before_the_grid(self, history_file, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr("testprio.cli.run_grid", _must_not_run)
+        monkeypatch.setattr("os.access", lambda *_: False)  # root may write anywhere
+        path, _ = history_file
+        assert main(["grid", str(path), "--out-dir", str(tmp_path / "r")]) == 1
+        assert "cannot write to" in capsys.readouterr().err
+
+
+def _must_not_run(*_, **__):
+    raise AssertionError("the run started before its output path was checked")
 
 
 def test_unknown_flag_is_an_error(history_file, capsys):

@@ -14,14 +14,17 @@ import numpy as np
 import pytest
 
 from testprio.rankers import (
+    FITTERS,
     AnnParams,
     LrnParams,
+    RankerKind,
     ann_loss_and_grads,
     fit_ann,
     fit_lambdarank,
     lambdarank_cost_and_grads,
     score_matrix,
     serialize_model,
+    with_seed,
 )
 from testprio.rankers.base import _stable_sigmoid, class_weights
 from testprio.rankers.nets import (
@@ -31,7 +34,8 @@ from testprio.rankers.nets import (
     _gains,
     _group_lambdas,
     _ideal_dcg,
-    _init_stacked,
+    _init_flat,
+    _layer_views,
     _ranks_matrix,
     _unstack,
 )
@@ -41,6 +45,11 @@ from .conftest import toy_training_set
 
 STEP = 1e-5
 REL_TOL = 1e-4
+
+
+def _init_stacked(seed, restarts, sizes):
+    """One fit's initial layers, stacked over its restarts."""
+    return _layer_views(_init_flat([seed], restarts, sizes), restarts, sizes)
 
 
 def _random_layers(rng, sizes):
@@ -125,7 +134,7 @@ class TestAnnTraining:
         X = corners[idx] + rng.normal(0, 0.05, size=(240, 2))
         y = labels[idx]
         ts = toy_training_set(X, y)
-        model = fit_ann(ts, AnnParams(epochs=300, learning_rate=0.05, restarts=5, seed=0))
+        model = fit_ann([ts], [AnnParams(epochs=300, learning_rate=0.05, restarts=5, seed=0)])[0]
         out = score_matrix(model, ts.X)
         assert np.mean((out - y) ** 2) < 0.05
 
@@ -137,11 +146,11 @@ class TestAnnTraining:
             y[0] = 1.0
         ts = toy_training_set(X, y)
         hp = AnnParams(epochs=5, restarts=3, seed=21)
-        assert serialize_model(fit_ann(ts, hp)) == serialize_model(fit_ann(ts, hp))
+        assert serialize_model(fit_ann([ts], [hp])[0]) == serialize_model(fit_ann([ts], [hp])[0])
 
     def test_single_class_degenerates(self):
         ts = toy_training_set(np.zeros((6, 2)), np.zeros(6))
-        assert fit_ann(ts).degenerate
+        assert fit_ann([ts], [AnnParams()])[0].degenerate
 
 
 class TestLambdaGradients:
@@ -183,7 +192,7 @@ class TestLambdaTraining:
         X = rng.normal(size=(5, 3))
         y = np.array([0.0, 0, 1, 0, 0])
         ts = toy_training_set(X, y)
-        model = fit_lambdarank(ts, LrnParams(epochs=200, restarts=4, seed=2))
+        model = fit_lambdarank([ts], [LrnParams(epochs=200, restarts=4, seed=2)])[0]
         scores = score_matrix(model, ts.X)
         assert int(np.argmax(scores)) == 2
 
@@ -195,26 +204,82 @@ class TestLambdaTraining:
         y1 = np.array([1.0, 0, 0, 1, 0, 0])
         X_noise = rng.normal(size=(4, 3))
         hp = LrnParams(epochs=30, restarts=2, seed=4)
-        lone = fit_lambdarank(toy_training_set(X1, y1, standardize=False), hp)
-        both = fit_lambdarank(
-            toy_training_set(
+        lone, = fit_lambdarank([toy_training_set(X1, y1, standardize=False)], [hp])
+        both, = fit_lambdarank(
+            [toy_training_set(
                 np.vstack([X1, X_noise]),
                 np.concatenate([y1, np.zeros(4)]),
                 groups=np.concatenate([np.zeros(6), np.ones(4)]),
                 standardize=False,
-            ),
-            hp,
+            )],
+            [hp],
         )
         probes = rng.normal(size=(8, 3))
         assert np.array_equal(score_matrix(lone, probes), score_matrix(both, probes))
 
     def test_no_rankable_group_raises(self):
         with pytest.raises(NoRankableGroup):
-            fit_lambdarank(toy_training_set(np.zeros((4, 2)), np.zeros(4)))
+            fit_lambdarank([toy_training_set(np.zeros((4, 2)), np.zeros(4))], [LrnParams()])
 
     def test_ranks_tie_break_by_index(self):
         ranks = _ranks_matrix(np.array([[0.5, 0.9, 0.5]]))
         assert ranks[0].tolist() == [2, 1, 3]
+
+
+class TestStackedFits:
+    """Training sets fitted in one call give the bytes each gives alone,
+    whatever their row counts, batch remainders and group widths."""
+
+    BATCH = 16
+    ROWS = (21, 53, 9, 45)  # remainders 5, 5, a set under one batch, 13
+
+    @classmethod
+    def _sets(cls, F):
+        tss = []
+        for j, n in enumerate(cls.ROWS[:F]):
+            rng = np.random.default_rng(j)
+            X = rng.normal(size=(n, 4))
+            y = (rng.random(n) < 0.3).astype(float)
+            y[:2] = 1.0, 0.0
+            tss.append(toy_training_set(X, y, groups=np.arange(n) // (3 + 2 * j)))
+        return tss
+
+    @staticmethod
+    def _bytes(models):
+        return [serialize_model(m) for m in models]
+
+    @pytest.mark.parametrize("F", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", [RankerKind.ANN, RankerKind.LRN])
+    def test_stacked_fits_equal_lone_fits(self, kind, F):
+        hp = (AnnParams(hidden1=6, hidden2=3, epochs=3, batch_size=self.BATCH, restarts=2)
+              if kind is RankerKind.ANN else
+              LrnParams(hidden1=6, hidden2=3, epochs=3, restarts=2))
+        tss = self._sets(F)
+        ps = [with_seed(hp, 40 + j) for j in range(F)]
+        alone = [FITTERS[kind]([ts], [p])[0] for ts, p in zip(tss, ps)]
+        assert self._bytes(FITTERS[kind](tss, ps)) == self._bytes(alone)
+
+    def test_single_class_set_among_stacked_ann_fits(self):
+        tss = self._sets(3)
+        tss[1] = toy_training_set(np.ones((7, 4)), np.zeros(7))
+        ps = [AnnParams(epochs=2, restarts=2, seed=s) for s in (1, 2, 3)]
+        models = fit_ann(tss, ps)
+        assert [m.degenerate for m in models] == [False, True, False]
+        assert self._bytes(models) == self._bytes(
+            [fit_ann([ts], [p])[0] for ts, p in zip(tss, ps)])
+
+    def test_unrankable_set_fails_the_lrn_call(self):
+        tss = self._sets(2) + [toy_training_set(np.ones((5, 4)), np.zeros(5))]
+        with pytest.raises(NoRankableGroup):
+            fit_lambdarank(tss, [LrnParams(seed=s) for s in (1, 2, 3)])
+
+    @pytest.mark.parametrize("other", [AnnParams(seed=1, epochs=3), AnnParams(seed=1, restarts=2)])
+    def test_fits_must_differ_only_in_seed(self, other):
+        with pytest.raises(ValueError):
+            fit_ann(self._sets(2), [AnnParams(seed=0), other])
+
+    def test_empty_call_fits_nothing(self):
+        assert fit_ann([], []) == [] and fit_lambdarank([], []) == []
 
 
 class TestTrainingAppliesCheckedGradient:
@@ -242,7 +307,7 @@ class TestTrainingAppliesCheckedGradient:
                        learning_rate=0.1, restarts=1, seed=3)
         init = self._init(hp.seed)
         _, grads = ann_loss_and_grads(init, ts.standardized(), y, class_weights(y))
-        self._assert_step(fit_ann(ts, hp), init, hp.learning_rate, grads)
+        self._assert_step(fit_ann([ts], [hp])[0], init, hp.learning_rate, grads)
 
     def test_lrn_step_is_checked_gradient(self):
         rng = np.random.default_rng(17)
@@ -254,7 +319,7 @@ class TestTrainingAppliesCheckedGradient:
         init = self._init(hp.seed)
         _, grads, _ = lambdarank_cost_and_grads(init, ts.standardized(), y,
                                                 sigma=hp.sigma)
-        self._assert_step(fit_lambdarank(ts, hp), init, hp.learning_rate, grads)
+        self._assert_step(fit_lambdarank([ts], [hp])[0], init, hp.learning_rate, grads)
 
 
 class TestSharedBuffers:
@@ -265,20 +330,20 @@ class TestSharedBuffers:
 
     def _data(self, seed, R, m):
         rng = np.random.default_rng(seed)
-        return rng.normal(size=(1, m, self.SIZES[0])), rng.normal(size=(R, m, 1))
+        return rng.normal(size=(1, 1, m, self.SIZES[0])), rng.normal(size=(1, R, m, 1))
 
     def test_view_matches_a_fresh_net_after_a_wider_pass(self):
         R, widest = 3, 97
         params = _init_stacked(5, R, self.SIZES)
-        shared = _Net(R, widest, self.SIZES)
+        shared = _Net(1, R, widest, self.SIZES)
         X, dz = self._data(0, R, widest)
         shared.forward(params, X)
         shared.backward(params, X, dz)  # leaves the buffers dirty
         for m in (1, 2, 31, 64, 96, 97, 5):
             X, dz = self._data(m, R, m)
-            fresh = _Net(R, m, self.SIZES)
-            view = shared.rows(m)
-            assert view.Z[-1].shape == (R, m, 1)
+            fresh = _Net(1, R, m, self.SIZES)
+            view = shared.rows(m, 1)
+            assert view.Z[-1].shape == (1, R, m, 1)
             assert np.array_equal(view.forward(params, X), fresh.forward(params, X))
             for (dW, db), (fW, fb) in zip(view.backward(params, X, dz),
                                           fresh.backward(params, X, dz)):
@@ -286,8 +351,8 @@ class TestSharedBuffers:
             assert np.array_equal(shared.flat_grads, fresh.flat_grads)
 
     def test_a_net_and_its_views_are_freed_without_the_cycle_collector(self):
-        net = _Net(3, 64, self.SIZES)
-        net.rows(8), net.rows(64)
+        net = _Net(1, 3, 64, self.SIZES)
+        net.rows(8, 1), net.rows(64, 1)
         freed = weakref.ref(net)
         gc.disable()
         try:
@@ -310,8 +375,8 @@ class TestSharedBuffers:
         y = (rng.random(n) < 0.3).astype(float)
         weights = rng.uniform(0.5, 3.0, n)
         params = _init_stacked(7, R, self.SIZES)
-        one_pass = _Net(R, n, self.SIZES).forward(params, X[None])[..., 0]
-        blocked = _forward_blocks(_Net(R, min(_SELECT_ROWS + 1, n), self.SIZES), params, X)
+        one_pass = _Net(1, R, n, self.SIZES).forward(params, X[None, None])[0, ..., 0]
+        blocked = _forward_blocks(_Net(1, R, min(_SELECT_ROWS + 1, n), self.SIZES), params, X)
         assert np.array_equal(blocked, one_pass)
         losses = [(weights * (_stable_sigmoid(z) - y) ** 2).mean(axis=1)
                   for z in (blocked, one_pass)]
@@ -338,7 +403,7 @@ class TestFitMemory:
         X = rng.normal(size=(n, 8))
         y = (rng.random(n) < 0.1).astype(float)
         ts = toy_training_set(X, y)
-        peak = _peak_bytes(lambda: fit_ann(ts, AnnParams(epochs=1, restarts=10)))
+        peak = _peak_bytes(lambda: fit_ann([ts], [AnnParams(epochs=1, restarts=10)]))
         assert peak < 20 * X.nbytes
 
     def test_lrn_fit_holds_one_net_for_every_group_width(self):
@@ -352,6 +417,6 @@ class TestFitMemory:
         ts = toy_training_set(X, y, groups=groups)
         hp = LrnParams(epochs=1)
         sizes = (8, hp.hidden1, hp.hidden2, 1)
-        one_net = _peak_bytes(lambda: _Net(hp.restarts, max(widths), sizes))
-        peak = _peak_bytes(lambda: fit_lambdarank(ts, hp))
+        one_net = _peak_bytes(lambda: _Net(1, hp.restarts, max(widths), sizes))
+        peak = _peak_bytes(lambda: fit_lambdarank([ts], [hp]))
         assert peak < 2 * one_net

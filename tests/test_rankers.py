@@ -8,6 +8,7 @@ from testprio.domain import history_prefix, slice_recent
 from testprio.errors import ModelFormatError
 from testprio.features import FeatureConfig, StandardizationStats
 from testprio.rankers import (
+    FITTERS,
     PARAM_TYPES,
     AnnParams,
     ConstantPayload,
@@ -276,6 +277,17 @@ def _separable_set(n=60, d=4, seed=0):
     return toy_training_set(X, y)
 
 
+_KIND_OF = {fit_svm: RankerKind.SVM, fit_gbdt: RankerKind.GBDT, fit_ann: RankerKind.ANN,
+            fit_lambdarank: RankerKind.LRN}
+
+
+def _fit_alone(fitter, ts):
+    """The default-params model of ``fitter``'s kind on ``ts``, fitted
+    through ``FITTERS`` (whose entries take lists of training sets)."""
+    kind = _KIND_OF[fitter]
+    return FITTERS[kind]([ts], [default_params(kind)])[0]
+
+
 class TestSvm:
     def test_separable_set_reaches_full_training_accuracy(self):
         ts = _separable_set()
@@ -349,7 +361,7 @@ class TestScoreAndSerialization:
 
     def test_ann_scores_within_unit_interval(self):
         ts = _separable_set(n=40)
-        m = fit_ann(ts, default_params(RankerKind.ANN))
+        m, = fit_ann([ts], [default_params(RankerKind.ANN)])
         s = score_matrix(m, np.random.default_rng(1).normal(size=(50, ts.dimension)))
         assert np.all((s > 0) & (s < 1))
 
@@ -361,7 +373,7 @@ class TestScoreAndSerialization:
         y = (rng.random(60) < 0.4).astype(float)
         X[:, 0] += np.where(y > 0.5, 1.0, -1.0)
         ts = toy_training_set(X, y, groups)
-        m = fitter(ts)
+        m = _fit_alone(fitter, ts)
         restored = deserialize_model(serialize_model(m))
         probes = rng.normal(size=(25, 4))
         assert np.array_equal(score_matrix(m, probes), score_matrix(restored, probes))
@@ -451,7 +463,7 @@ class TestScoreAndSerialization:
         columns = [random_rank(len(ids), 1),
                    rocket_priorities(_failing(w), persistent_history.n_tests)[codes]]
         for fitter in (fit_svm, fit_gbdt, fit_ann, fit_lambdarank):
-            columns.append(score_matrix(fitter(ts), rows))
+            columns.append(score_matrix(_fit_alone(fitter, ts), rows))
         for scores in columns:
             rs, _ = rank_with_tie_break(ids, scores, persistent_history.means[codes],
                                         sorted_ranks(ids))

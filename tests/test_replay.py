@@ -313,13 +313,23 @@ class TestReplayMatchesPerTestOracle:
     @pytest.mark.parametrize("fraction", [0.05, 0.4, 1.0])
     @pytest.mark.parametrize("kind", list(RankerKind))
     def test_walk_forward_equals_oracle(self, kind, fraction):
+        self._check(kind, fraction, workers=None)
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.4, 1.0])
+    @pytest.mark.parametrize("kind", [k for k in RankerKind if k.trains])
+    def test_serial_walk_equals_oracle(self, kind, fraction):
+        """The serial walk fits its eval cycles in one stacked call."""
+        self._check(kind, fraction, workers=1)
+
+    @staticmethod
+    def _check(kind, fraction, workers):
         h = churn_history(4)  # two evaluated cycles each run a test new to them
         avg = np.mean([c.duration_s.sum() for c in h.cycles])
         budgets = [avg * f for f in (0.05, 0.3, 1.0)]
         cfg = ReplayConfig(ranker=kind, budget_s=budgets[-1], history_fraction=fraction,
                            eval_fraction=0.1, base_seed=11,
                            params=params_from_config(kind, _EFFORT))
-        per_budget = walk_forward_budgets(h, cfg, budgets)
+        per_budget = walk_forward_budgets(h, cfg, budgets, workers)
         positions = range(h.n_cycles - len(per_budget[0]), h.n_cycles)
         unseen = 0
         for j, (pos, prior) in enumerate(zip(positions, history_prefixes(h, positions))):
@@ -487,3 +497,69 @@ class TestWorkers:
         # a daemonic worker asked for two workers still walks in itself
         assert pool_map(_walk_on_two_workers, [0], 2, (h, cfg)) == [serial]
         assert multiprocessing.active_children() == []
+
+
+def _spy_fits(monkeypatch, kind):
+    """Record each ``FITTERS[kind]`` call's training-set row counts."""
+    calls, fit = [], FITTERS[kind]
+
+    def spy(tss, params):
+        calls.append([ts.n_examples for ts in tss])
+        return fit(tss, params)
+
+    monkeypatch.setitem(FITTERS, kind, spy)
+    return calls
+
+
+class TestSerialWalkStacksFits:
+    """A serial walk fits its eval cycles' windows together, and each cycle's
+    outcome is the one it gets fitted alone."""
+
+    @staticmethod
+    def _gapped_history():
+        """20 cycles of six tests; T0 fails in every cycle but each third.
+
+        At history fraction 0.1 the eval cycles at positions 10-14 have
+        one-cycle windows (too small), and each later window labels only
+        the cycle before its eval cycle: single-class (no failure) at
+        positions 16 and 19, trainable at 15, 17 and 18."""
+        return history(*(
+            cyc(i, *((f"T{t}", "fail" if t == 0 and i % 3 else "pass", 1.0 + 0.1 * t)
+                     for t in range(6)))
+            for i in range(20)))
+
+    @pytest.mark.parametrize("kind", [k for k in RankerKind if k.trains])
+    def test_degenerate_windows_degrade_only_their_cycle(self, kind, monkeypatch):
+        h = self._gapped_history()
+        cfg = ReplayConfig(ranker=kind, budget_s=5.0, history_fraction=0.1,
+                           eval_fraction=0.5, base_seed=3,
+                           params=params_from_config(kind, _EFFORT))
+        calls = _spy_fits(monkeypatch, kind)
+        serial = walk_forward(h, cfg, workers=1)
+        assert [o.degenerate for o in serial] == [True] * 5 + [False, True, False, False, True]
+        # one call for all five windows; lrn's fails on the two with no
+        # rankable group and is repeated one window per call
+        assert calls[0] == [6] * 5
+        assert len(calls) == (6 if kind is RankerKind.LRN else 1)
+        assert walk_forward(h, cfg, workers=2) == serial
+        for pos, outcome in zip(range(10, 20), serial):
+            assert replay_cycle(h, pos, cfg) == outcome
+
+    @pytest.mark.parametrize("kind", [RankerKind.ANN, RankerKind.LRN, RankerKind.SVM])
+    def test_row_cap_splits_the_fits(self, kind, monkeypatch):
+        h = churn_history(2)
+        cfg = ReplayConfig(ranker=kind, budget_s=30.0, history_fraction=0.5,
+                           eval_fraction=0.1, base_seed=5,
+                           params=params_from_config(kind, _EFFORT))
+        whole = walk_forward(h, cfg, workers=1)
+        calls = _spy_fits(monkeypatch, kind)
+        # the six windows hold 523 to 597 rows: by twos under the larger
+        # cap, alone (some over the cap) under the smaller
+        for cap, most in ((1200, 2), (550, 1)):
+            monkeypatch.setattr(replay, "_STACK_ROWS", cap)
+            calls.clear()
+            assert walk_forward(h, cfg, workers=1) == whole
+            assert sum(map(len, calls)) == len(whole) == 6
+            assert max(map(len, calls)) == most
+            assert all(sum(rows) <= cap or len(rows) == 1 for rows in calls)
+        assert any(sum(rows) > cap for rows in calls)
