@@ -34,7 +34,7 @@ from .errors import IncompleteGrid, IoFailure
 from .features import FeatureConfig
 from .ingest import dataset_stats
 from .metrics import AggregateSummary, aggregate
-from .rankers import RankerKind, RankerParams, default_params
+from .rankers import RankerKind, RankerParams
 from .replay import (
     DEFAULT_SEED,
     ReplayConfig,
@@ -92,11 +92,6 @@ class GridSpec:
         parts.append(f"base_seed={self.base_seed}")
         parts.append(f"features=({','.join(map(repr, astuple(self.features)))})")
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()
-
-
-def default_grid_spec(base_seed: int = DEFAULT_SEED, **kwargs) -> GridSpec:
-    rankers = tuple((kind, default_params(kind)) for kind in RankerKind)
-    return GridSpec(rankers=rankers, base_seed=base_seed, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import make_dataclass
 from pathlib import Path
 
 from . import __version__
@@ -21,13 +22,12 @@ from .bench import (
     _fmt,
     _make_out_dir,
     _write_atomic,
-    default_grid_spec,
     emit_report,
     run_grid,
     summary_dict,
     write_canonical,
 )
-from .config import get_float, get_floats, get_int, load_config, subkeys
+from .config import load_config, read_dataclass
 from .domain import TestHistory, average_suite_duration
 from .errors import (
     AlphaOutOfRange,
@@ -50,8 +50,8 @@ from .ingest import (
     preset_mapping_path,
 )
 from .metrics import aggregate
-from .rankers import RankerKind, params_from_config
-from .replay import DEFAULT_SEED, ReplayConfig, walk_forward
+from .rankers import PARAM_TYPES, RankerKind
+from .replay import DEFAULT_SEED, ReplayConfig, check_history_length, walk_forward
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -120,6 +120,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         eval_fraction=args.eval_frac,
         base_seed=args.seed,
     )
+    check_history_length(history)
     out = _make_out_dir(args.out) if args.out else None  # fail before the walk, not after
     outcomes = walk_forward(history, cfg, workers=args.workers)
     summary = aggregate(outcomes)
@@ -156,27 +157,36 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The keys of a grid config; ``<kind>.*`` is read for every kind, listed or not.
+_GridFile = make_dataclass("_GridFile", [
+    ("rankers", str, ""),  # comma-separated kinds; blank for all six
+    ("history_fractions", tuple[float, ...], DEFAULT_FRACTIONS),
+    ("budget_fractions", tuple[float, ...], DEFAULT_FRACTIONS),
+    ("eval_fraction", float, 0.2),
+    ("seed", int, DEFAULT_SEED),
+    ("features", FeatureConfig, FeatureConfig()),
+    *((kind.value, cls, cls()) for kind, cls in PARAM_TYPES.items()),
+], frozen=True)
+
+
 def _grid_spec_from_args(args: argparse.Namespace) -> GridSpec:
-    if not args.config:
-        return default_grid_spec(base_seed=DEFAULT_SEED if args.seed is None else args.seed)
-    cfg = load_config(args.config)
-    names = [t.strip() for t in cfg.get("rankers", "").split(",") if t.strip()]
+    cfg = read_dataclass(_GridFile, load_config(args.config) if args.config else {})
+    names = [t.strip() for t in cfg.rankers.split(",") if t.strip()]
     kinds = [_ranker_kind(n) for n in names] if names else list(RankerKind)
-    rankers = tuple((k, params_from_config(k, cfg)) for k in kinds)
-    features = FeatureConfig.from_config(subkeys(cfg, "features"))
     return GridSpec(
-        rankers=rankers,
-        history_fractions=get_floats(cfg, "history_fractions", DEFAULT_FRACTIONS),
-        budget_fractions=get_floats(cfg, "budget_fractions", DEFAULT_FRACTIONS),
-        eval_fraction=get_float(cfg, "eval_fraction", 0.2),
-        base_seed=get_int(cfg, "seed", DEFAULT_SEED) if args.seed is None else args.seed,
-        features=features,
+        rankers=tuple((k, getattr(cfg, k.value)) for k in kinds),
+        history_fractions=cfg.history_fractions,
+        budget_fractions=cfg.budget_fractions,
+        eval_fraction=cfg.eval_fraction,
+        base_seed=cfg.seed if args.seed is None else args.seed,
+        features=cfg.features,
     )
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     history = _load_history(args.input, args.mapping)
     spec = _grid_spec_from_args(args)
+    check_history_length(history)
     _make_out_dir(args.out_dir)  # fail before the grid, not after
     result = run_grid(history, spec, workers=args.workers)
     paths = emit_report(result, args.out_dir)

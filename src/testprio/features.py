@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config as cfgmod
 from .domain import HistoryWindow
 from .errors import AlphaOutOfRange, WindowTooSmall
 
@@ -53,14 +52,6 @@ class FeatureConfig:
     @property
     def dimension(self) -> int:
         return self.verdict_window + 4
-
-    @classmethod
-    def from_config(cls, cfg: dict[str, str]) -> "FeatureConfig":
-        return cls(
-            verdict_window=cfgmod.get_int(cfg, "verdict_window", 4),
-            decay=cfgmod.get_float(cfg, "decay", 0.8),
-            standardize=cfgmod.get_bool(cfg, "standardize", True),
-        )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import io
 import logging
 import re
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -60,24 +60,27 @@ class ColumnMapping:
     """Declarative description of an external results file.
 
     ``cycle_col`` etc. name header columns when ``has_header`` is true,
-    otherwise they are 0-based column indices.  ``verdict_map`` sends every
-    source token to one of ``pass|fail|drop``.  ``duration_unit_s`` converts
-    recorded durations to seconds; ``clamp_min_duration_s`` (optional) lifts
+    otherwise they are 0-based column indices; :meth:`from_file` requires
+    all four.  ``verdict_map`` sends every source token to one of
+    ``pass|fail|drop`` (any case).  ``duration_unit_s`` converts recorded
+    durations to seconds; ``clamp_min_duration_s`` (optional) lifts
     zero/negative durations up to a floor so files with truncated timings
     still satisfy the strictly-positive-duration invariant.
     """
 
-    cycle_col: str
-    test_col: str
-    verdict_col: str
-    duration_col: str
-    verdict_map: dict[str, str]
+    cycle_col: str = ""
+    test_col: str = ""
+    verdict_col: str = ""
+    duration_col: str = ""
+    verdict_map: dict[str, str] = field(default_factory=dict)
     delimiter: str = ","
     duration_unit_s: float = 1.0
     has_header: bool = True
     clamp_min_duration_s: float | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "verdict_map",
+                           {token: role.lower() for token, role in self.verdict_map.items()})
         for token, role in self.verdict_map.items():
             if role not in _ROLES:
                 raise ConfigError(
@@ -91,32 +94,13 @@ class ColumnMapping:
 
     @classmethod
     def from_config(cls, cfg: dict[str, str]) -> "ColumnMapping":
-        return cls(
-            cycle_col=cfg.get("cycle_col", ""),
-            test_col=cfg.get("test_col", ""),
-            verdict_col=cfg.get("verdict_col", ""),
-            duration_col=cfg.get("duration_col", ""),
-            verdict_map={k: v.lower() for k, v in cfgmod.subkeys(cfg, "verdict_map").items()},
-            delimiter=cfg.get("delimiter", ","),
-            duration_unit_s=cfgmod.get_float(cfg, "duration_unit_s", 1.0),
-            has_header=cfgmod.get_bool(cfg, "has_header", True),
-            clamp_min_duration_s=(cfgmod.get_float(cfg, "clamp_min_duration_s")
-                                  if "clamp_min_duration_s" in cfg else None),
-        )
+        return cfgmod.read_dataclass(cls, cfg)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ColumnMapping":
         mapping = cls.from_config(cfgmod.load_config(path))
-        missing = [
-            name
-            for name, val in (
-                ("cycle_col", mapping.cycle_col),
-                ("test_col", mapping.test_col),
-                ("verdict_col", mapping.verdict_col),
-                ("duration_col", mapping.duration_col),
-            )
-            if not val
-        ]
+        missing = [name for name in ("cycle_col", "test_col", "verdict_col", "duration_col")
+                   if not getattr(mapping, name)]
         if missing:
             raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
         return mapping
@@ -179,20 +163,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_config(cls, cfg: dict[str, str]) -> "SyntheticSpec":
-        return cls(
-            n_tests=cfgmod.get_int(cfg, "n_tests"),
-            n_cycles=cfgmod.get_int(cfg, "n_cycles"),
-            base_failure_prob=cfgmod.get_float(cfg, "base_failure_prob"),
-            persistence=cfgmod.get_float(cfg, "persistence", 0.9),
-            flip_prob=cfgmod.get_float(cfg, "flip_prob", 0.05),
-            duration_min_s=cfgmod.get_float(cfg, "duration_min_s", 0.5),
-            duration_max_s=cfgmod.get_float(cfg, "duration_max_s", 2.0),
-            regime_shift_cycle=(cfgmod.get_int(cfg, "regime_shift_cycle")
-                                if "regime_shift_cycle" in cfg else None),
-            regime_shift_period=(cfgmod.get_int(cfg, "regime_shift_period")
-                                 if "regime_shift_period" in cfg else None),
-            noise_failure_prob=cfgmod.get_float(cfg, "noise_failure_prob", 0.0),
-        )
+        return cfgmod.read_dataclass(cls, cfg)
 
 
 @dataclass(frozen=True)

@@ -56,24 +56,20 @@ _INT_MINIMUM = {
 }
 
 
-def _range_error(name: str, value: object) -> str | None:
-    """Why ``value`` is out of range for hyperparameter ``name``, or None."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return f"must be finite, got {value!r}"
-    if isinstance(value, int) and value < _INT_MINIMUM.get(name, value):
-        return f"must be >= {_INT_MINIMUM[name]}, got {value!r}"
-    return None
-
-
 class _CheckedParams:
     """Range checks run whenever a params dataclass is built (``with_seed``
-    included): every float finite, every integer at least its minimum."""
+    included): every float finite, every integer at least its minimum.  An
+    error names the value by its config key, ``<kind>.<name>``."""
 
     def __post_init__(self) -> None:
+        kind = type(self).__name__.removesuffix("Params").lower()
         for f in fields(self):
-            problem = _range_error(f.name, getattr(self, f.name))
-            if problem:
-                raise ValueError(f"{type(self).__name__}.{f.name} {problem}")
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{kind}.{f.name} must be finite, got {value!r}")
+            if isinstance(value, int) and value < _INT_MINIMUM.get(f.name, value):
+                raise ValueError(f"{kind}.{f.name} must be >= {_INT_MINIMUM[f.name]}, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -148,25 +144,8 @@ def default_params(kind: RankerKind) -> RankerParams:
 
 
 def params_from_config(kind: RankerKind, cfg: Mapping[str, str]) -> RankerParams:
-    """Build hyperparameters from dotted config keys (``svm.epochs = 20``);
-    a value of the wrong type or out of range raises ConfigError."""
-    cls = PARAM_TYPES[kind]
-    overrides = {}
-    prefix = kind.value + "."
-    for key in cfg:
-        if not key.startswith(prefix):
-            continue
-        name = key[len(prefix):]
-        spec = {f.name: f for f in fields(cls)}.get(name)
-        if spec is None:
-            raise cfgmod.ConfigError(f"unknown hyperparameter {key!r}")
-        get = cfgmod.get_int if isinstance(spec.default, int) else cfgmod.get_float
-        v = get(cfg, key)
-        problem = _range_error(name, v)
-        if problem:
-            raise cfgmod.ConfigError(f"key {key!r}: {problem}")
-        overrides[name] = v
-    return cls(**overrides)
+    """Hyperparameters from the dotted config keys ``<kind>.<name>``."""
+    return cfgmod.read_dataclass(PARAM_TYPES[kind], cfg, kind.value + ".")
 
 
 def with_seed(params: RankerParams, seed: int) -> RankerParams:

@@ -31,9 +31,9 @@ finite-difference gradient checks exercise the same code that trains.
 
 A call allocates one buffer set, for its widest pass over all its fits, and
 runs every narrower pass on contiguous prefix views of it (:meth:`_Net.rows`).
-So the buffers of ``fit_ann`` scale with ``F x restarts x max(batch_size,
+So the buffers of ``fit_ann`` scale with ``restarts x max(F x batch_size,
 _SELECT_ROWS + 1)``, not with the number of training rows, as its final loss
-pass walks each fit's rows in blocks of ``_SELECT_ROWS``.  Those of
+pass walks one fit's rows at a time in blocks of ``_SELECT_ROWS``.  Those of
 ``fit_lambdarank`` scale with ``F x restarts x`` the widest cycle group, not
 with the number of groups or of distinct group widths.
 """
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -99,7 +100,7 @@ def _init_flat(seeds: Sequence[int], restarts: int, sizes: tuple[int, ...]) -> n
 
 def _prefix(buf: np.ndarray, c: int, m: int) -> np.ndarray:
     """The leading elements of a C-contiguous (F, R, M, ...) buffer, laid out
-    as (c, R, m, ...) for c <= F and m <= M: a contiguous view of them."""
+    as (c, R, m, ...) for c * m <= F * M: a contiguous view of them."""
     F, R, M, *rest = buf.shape
     return buf.reshape(-1)[: buf.size // (F * M) * c * m].reshape(c, R, m, *rest)
 
@@ -126,12 +127,12 @@ class _Net:
         self._views: dict[tuple[int, int], _Net] = {}
 
     def rows(self, m: int, c: int) -> "_Net":
-        """A net for the first ``c`` fits on ``m`` rows, at most this one's,
-        whose activation buffers are contiguous prefixes of this net's and
-        whose gradient buffers are the leading rows of this net's.  Views
-        are kept for reuse and hand out no views: no view refers back to
-        this net, so no reference cycle keeps the buffers alive past the
-        fit."""
+        """A net for the first ``c`` fits on ``m`` rows (``c * m`` at most
+        this one's ``F * M``), whose activation buffers are contiguous
+        prefixes of this net's and whose gradient buffers are the leading
+        rows of this net's.  Views are kept for reuse and hand out no views:
+        no view refers back to this net, so no reference cycle keeps the
+        buffers alive past the fit."""
         R = self.Z[0].shape[1]
         view = self._views.get((m, c))
         if view is None:
@@ -302,11 +303,11 @@ def fit_ann(tss: Sequence[TrainingSet], hps: Sequence[AnnParams]) -> list[Model]
     shuffles = [np.random.default_rng(mix_seed(hps[j].seed + r, "shuffle"))
                 for j in fits for r in range(R)]
 
-    # one net for the widest pass, a minibatch or a block of the final loss;
+    # one net for every fit's minibatch or one fit's block of the final loss;
     # scratch for the gathered X / y / class weight and the output/gradient;
     # and per batch start, its runs of fits whose batches there have one width
     widest = min(B, ns[0])
-    net = _Net(F, R, max(widest, min(_SELECT_ROWS + 1, ns[0])), sizes)
+    net = _Net(F, R, max(widest, math.ceil(min(_SELECT_ROWS + 1, ns[0]) / F)), sizes)
     scratch = (np.empty((F, R, widest, d)), np.empty((F, R, widest)), np.empty((F, R, widest)),
                np.empty((F, R, widest, 1)), np.empty((F, R, widest, 1)),
                np.empty((F, R, widest, 1)))

@@ -108,6 +108,7 @@ from .rankers import (
 from .seeding import mix_seed
 
 DEFAULT_SEED = 1729  # fixed default so unseeded runs are reproducible
+_MIN_CYCLES = 5  # the shortest history a replay accepts
 
 # Deterministic cost model: counted multiply-accumulates per nominal second.
 NOMINAL_OPS_PER_SECOND = 5.0e7
@@ -442,6 +443,12 @@ def _replay_in_worker(pos: int) -> list[CycleOutcome]:
     return _replay_group([pending], coded, cfg, budgets)[0]
 
 
+def check_history_length(h: TestHistory) -> None:
+    """Raise :class:`HistoryTooShort` unless ``h`` is long enough to replay."""
+    if h.n_cycles < _MIN_CYCLES:
+        raise HistoryTooShort(f"need >= {_MIN_CYCLES} cycles, history has {h.n_cycles}")
+
+
 def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig, budgets: list[float],
                          workers: int | None = None) -> list[list[CycleOutcome]]:
     """Replay the evaluation cycles once per budget, sharing each cycle's
@@ -463,9 +470,8 @@ def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig, budgets: list[float]
         check_budget(budget)
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    check_history_length(h)
     n = h.n_cycles
-    if n < 5:
-        raise HistoryTooShort(f"need >= 5 cycles, history has {n}")
     n_eval = min(int(math.ceil(cfg.eval_fraction * n)), n - 1)
     positions = range(n - n_eval, n)
     coded = _coded(h, cfg.ranker, n - 1)

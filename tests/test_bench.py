@@ -1,3 +1,4 @@
+import argparse
 import json
 import multiprocessing
 from dataclasses import fields, replace
@@ -9,12 +10,12 @@ from testprio.bench import (
     CSV_COLUMNS,
     GridResult,
     GridSpec,
-    default_grid_spec,
     emit_canonical,
     emit_report,
     run_grid,
     select_best_history,
 )
+from testprio.cli import _grid_spec_from_args
 from testprio.errors import IncompleteGrid
 from testprio.ingest import SyntheticSpec, generate_synthetic, parse_canonical
 from testprio.metrics import AggregateSummary
@@ -26,7 +27,9 @@ from testprio.rankers import (
     RankerKind,
     RocketParams,
     SvmParams,
+    default_params,
 )
+from testprio.replay import DEFAULT_SEED
 from testprio.seeding import fnv1a64, mix_seed, splitmix64
 
 from .conftest import forks
@@ -293,5 +296,7 @@ class TestEmitCanonical:
 
 
 def test_default_grid_spec_covers_all_kinds():
-    spec = default_grid_spec()
-    assert [k.value for k, _ in spec.rankers] == [k.value for k in RankerKind]
+    # without --config the grid reads an empty config: every kind, stock params
+    spec = _grid_spec_from_args(argparse.Namespace(config=None, seed=None))
+    assert spec.rankers == tuple((k, default_params(k)) for k in RankerKind)
+    assert spec.base_seed == DEFAULT_SEED

@@ -6,6 +6,7 @@ import pytest
 from testprio.bench import emit_canonical
 from testprio.cli import main
 from testprio.ingest import dataset_stats
+from testprio.rankers import RankerKind
 
 from .conftest import cyc, history
 
@@ -87,6 +88,16 @@ class TestStats:
         assert main(["stats", str(f), "--mapping", str(mapping)]) == 2
         assert "delimiter" in capsys.readouterr().err
 
+    def test_unknown_mapping_key_exit_2_names_it(self, tmp_path, capsys):
+        # a misspelt duration_unit_s would otherwise read milliseconds as seconds
+        f = tmp_path / "h.csv"
+        f.write_text("c;t;v;d\n1;A;1;1.0\n")
+        mapping = tmp_path / "m.map"
+        mapping.write_text("cycle_col = c\ntest_col = t\nverdict_col = v\nduration_col = d\n"
+                           "verdict_map.1 = fail\ndelimiter = ;\nduration_units_s = 0.001\n")
+        assert main(["stats", str(f), "--mapping", str(mapping)]) == 2
+        assert capsys.readouterr().err == "error: unknown key 'duration_units_s'\n"
+
 
 class TestSynth:
     def test_deterministic_output_files(self, tmp_path, capsys):
@@ -101,6 +112,14 @@ class TestSynth:
         spec = tmp_path / "spec.cfg"
         spec.write_text(SYNTH_SPEC_TEXT.replace("n_cycles = 12", "n_cycles = 0"))
         assert main(["synth", str(spec), "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_unknown_key_exit_2_names_it(self, tmp_path, capsys):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(SYNTH_SPEC_TEXT + "persistance = 0.5\n")
+        out = tmp_path / "x.csv"
+        assert main(["synth", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown key 'persistance'\n"
+        assert not out.exists()
 
     def test_out_is_a_directory_exit_1_leaves_no_temp_file(self, tmp_path, capsys):
         spec = tmp_path / "spec.cfg"
@@ -147,6 +166,17 @@ class TestReplay:
         path = tmp_path / "short.csv"
         path.write_bytes(emit_canonical(h))
         assert main(["replay", str(path), "--ranker", "random"]) == 3
+
+    @pytest.mark.parametrize("command, flag", [("replay", "--out"), ("grid", "--out-dir")])
+    def test_history_too_short_exit_3_makes_no_out_dir(self, tmp_path, capsys, command, flag):
+        h = history(*[cyc(i, ("A", "fail" if i % 2 else "pass", 1.0)) for i in range(3)])
+        path = tmp_path / "short.csv"
+        path.write_bytes(emit_canonical(h))
+        out = tmp_path / "out"
+        extra = ["--ranker", "random"] if command == "replay" else []
+        assert main([command, str(path), *extra, flag, str(out)]) == 3
+        assert capsys.readouterr().err == "error: need >= 5 cycles, history has 3\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("frac", ["0", "-1"])
     def test_non_positive_budget_exit_2(self, history_file, frac, capsys):
@@ -285,6 +315,25 @@ class TestGrid:
         assert main(["grid", str(path), "--config", str(cfg),
                      "--out-dir", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == f"error: {text}\n"
+
+    @pytest.mark.parametrize("rankers, line", [
+        ("random", "history_fraction = 0.5"),
+        ("random", "eval_fracton = 0.3"),
+        ("random", "features.decy = 0.5"),
+        ("random", "features = 0.5"),
+        ("rocket,ann", "svm.epohcs = 3"),  # checked though svm is not in the grid
+        *(("random", f"{kind.value}.bogus = 1") for kind in RankerKind),
+    ])
+    def test_unknown_grid_key_exit_2_names_it(self, history_file, tmp_path, capsys,
+                                              rankers, line):
+        path, _ = history_file
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"rankers = {rankers}\n{line}\n")
+        assert main(["grid", str(path), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "r")]) == 2
+        key = line.partition(" =")[0]
+        assert capsys.readouterr().err == f"error: unknown key {key!r}\n"
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("key", ["history_fractions", "budget_fractions"])
     def test_repeated_fraction_exit_2_names_its_key(self, history_file, tmp_path, capsys,

@@ -406,6 +406,19 @@ class TestFitMemory:
         peak = _peak_bytes(lambda: fit_ann([ts], [AnnParams(epochs=1, restarts=10)]))
         assert peak < 20 * X.nbytes
 
+    def test_stacked_ann_fit_buffers_scale_with_the_batch_not_the_select_block(self):
+        # the final loss pass runs one fit at a time, so F fits need no
+        # F x restarts x (_SELECT_ROWS + 1) rows of activations
+        rng = np.random.default_rng(29)
+        F, n, hp = 8, 600, AnnParams(epochs=1, restarts=2)
+        tss = [toy_training_set(rng.normal(size=(n, 8)), np.arange(n) % 7 == 0)
+               for _ in range(F)]
+        sizes = (8, hp.hidden1, hp.hidden2, 1)
+        select_net = _peak_bytes(lambda: _Net(F, hp.restarts, _SELECT_ROWS + 1, sizes))
+        batch_net = _peak_bytes(lambda: _Net(F, hp.restarts, hp.batch_size, sizes))
+        peak = _peak_bytes(lambda: fit_ann(tss, [with_seed(hp, s) for s in range(F)]))
+        assert peak < batch_net + select_net / 2
+
     def test_lrn_fit_holds_one_net_for_every_group_width(self):
         rng = np.random.default_rng(23)
         widths = [300 + 25 * k for k in range(12)]
