@@ -6,7 +6,10 @@ axis (budgets only cut the ranking, so detected faults nest as budgets
 grow).  The random ranker ignores history, so it is computed once and
 replicated across the history axis.  With ``workers`` above 1 the units run
 on a process pool, the likely longest first; each unit's walk then runs its
-eval cycles serially, so pools never nest.
+eval cycles serially, so pools never nest.  Serially, each trained ranker's
+eval windows are first fitted across all its units, in groups under the
+serial walk's row cap (``replay.fit_walks``), and each unit's walk then
+ranks its fitted cycles; every model is the one its unit alone fits.
 
 Seeds: every unit's base seed is ``mix_seed(base_seed, ranker_name,
 h_index)`` (the random ranker pins ``h_index`` to 0).  The budget axis
@@ -23,10 +26,12 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .domain import DEFAULT_FRACTIONS, TestHistory, average_suite_duration
@@ -38,6 +43,7 @@ from .rankers import RankerKind, RankerParams
 from .replay import (
     DEFAULT_SEED,
     ReplayConfig,
+    fit_walks,
     pool_map,
     pool_state,
     walk_forward_budgets,
@@ -122,10 +128,9 @@ def _unit_seed(base_seed: int, kind: RankerKind, h_idx: int) -> int:
     return mix_seed(base_seed, kind.value, h_idx)
 
 
-def _run_unit(history: TestHistory, spec: GridSpec, budgets: tuple[float, ...],
-              kind: RankerKind, params: RankerParams,
-              h_idx: int) -> list[AggregateSummary]:
-    cfg = ReplayConfig(
+def _unit_cfg(spec: GridSpec, budgets: tuple[float, ...], kind: RankerKind,
+              params: RankerParams, h_idx: int) -> ReplayConfig:
+    return ReplayConfig(
         ranker=kind,
         budget_s=budgets[-1],
         history_fraction=spec.history_fractions[h_idx],
@@ -134,7 +139,15 @@ def _run_unit(history: TestHistory, spec: GridSpec, budgets: tuple[float, ...],
         params=params,
         features=spec.features,
     )
-    per_budget = walk_forward_budgets(history, cfg, list(budgets), workers=1)
+
+
+def _run_unit(history: TestHistory, spec: GridSpec, budgets: tuple[float, ...],
+              kind: RankerKind, params: RankerParams, h_idx: int,
+              cycles: Iterator | None = None) -> list[AggregateSummary]:
+    """One unit's walk, on ``cycles`` from :func:`replay.fit_walks` when
+    given."""
+    cfg = _unit_cfg(spec, budgets, kind, params, h_idx)
+    per_budget = walk_forward_budgets(history, cfg, list(budgets), workers=1, cycles=cycles)
     return [aggregate(outcomes) for outcomes in per_budget]
 
 
@@ -163,10 +176,16 @@ def run_grid(history: TestHistory, spec: GridSpec, workers: int = 1) -> GridResu
 
     results: dict[tuple[int, int], list[AggregateSummary]] = {}
     if workers <= 1 or len(tasks) == 1:
-        for task in tasks:
-            r_idx, h_idx = task
+        # a trained ranker's windows are fitted across its units first
+        for r_idx, units in itertools.groupby(tasks, key=lambda t: t[0]):
+            units = list(units)
             kind, params = spec.rankers[r_idx]
-            results[task] = _run_unit(history, spec, budgets, kind, params, h_idx)
+            fitted = (fit_walks(history, [_unit_cfg(spec, budgets, kind, params, h_idx)
+                                          for _, h_idx in units])
+                      if kind.trains else [None] * len(units))
+            for task, cycles in zip(units, fitted):
+                results[task] = _run_unit(history, spec, budgets, kind, params, task[1],
+                                          cycles)
     else:
         results.update(pool_map(_run_unit_in_worker, tasks, workers, (history, spec, budgets)))
 

@@ -93,7 +93,13 @@ class DimensionMismatch(TestPrioError):
 # --- rankers ------------------------------------------------------------------
 
 class NoRankableGroup(TestPrioError):
-    """No training group contains both a failing and a passing example."""
+    """No training group contains both a failing and a passing example.
+    ``sets`` are the positions, in a stacked fit's list of training sets,
+    of the sets that have no such group."""
+
+    def __init__(self, message: str, sets: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.sets = sets
 
 
 class ModelFormatError(TestPrioError):

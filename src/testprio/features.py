@@ -176,6 +176,12 @@ def build_training_set(window: HistoryWindow, cfg: FeatureConfig,
     return TrainingSet(X=X, y=y, group_cycle_ids=groups, stats=stats, config=cfg)
 
 
+def training_rows(window: HistoryWindow) -> int:
+    """The number of examples :func:`build_training_set` makes of
+    ``window``, without building them (0 for a window too small)."""
+    return sum(len(cyc) for cyc in window.cycles[1:])
+
+
 def compute_stats(X: np.ndarray) -> StandardizationStats:
     mean = X.mean(axis=0)
     std = X.std(axis=0)

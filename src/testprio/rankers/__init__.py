@@ -48,10 +48,10 @@ def _each(fit):
     return fit_each
 
 
-# kind -> (training sets, params) -> one model per set; the nets train the
-# sets together (see .nets), svm and gbdt one after another
+# kind -> (training sets, params) -> one model per set; svm and the nets
+# train the sets together (see .svm and .nets), gbdt one after another
 FITTERS = {
-    RankerKind.SVM: _each(fit_svm),
+    RankerKind.SVM: fit_svm,
     RankerKind.ANN: fit_ann,
     RankerKind.GBDT: _each(fit_gbdt),
     RankerKind.LRN: fit_lambdarank,

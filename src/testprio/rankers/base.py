@@ -13,6 +13,7 @@ The tie-break, the random scores and the rocket sums work on columns
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
@@ -23,7 +24,7 @@ import numpy as np
 
 from .. import config as cfgmod
 from ..errors import DimensionMismatch, ModelFormatError
-from ..features import FeatureConfig, StandardizationStats
+from ..features import FeatureConfig, StandardizationStats, TrainingSet
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -349,6 +350,64 @@ def constant_model(kind: RankerKind, config: FeatureConfig,
         stats = StandardizationStats(mean=np.zeros(d), std=np.ones(d))
     return Model(kind=kind, payload=ConstantPayload(), stats=stats,
                  config=config, degenerate=True)
+
+
+# --- fits trained in lockstep (svm, ann, lrn) -----------------------------------
+
+def _shared(tss: Sequence[TrainingSet], hps: Sequence[RankerParams]) -> RankerParams:
+    """The params every fit of one call uses; they may differ only in seed,
+    and the training sets only in their rows."""
+    if len(tss) != len(hps):
+        raise ValueError(f"{len(tss)} training sets but {len(hps)} params")
+    hp = hps[0]
+    if (any(with_seed(p, hp.seed) != hp for p in hps)
+            or len({ts.dimension for ts in tss}) > 1):
+        raise ValueError("stacked fits must differ only in seed and training rows")
+    return hp
+
+
+def _runs(items: list, width) -> list[tuple[int, int, list]]:
+    """(a, b, items[a:b]) for each maximal run of consecutive items of one
+    ``width``."""
+    runs, a = [], 0
+    for _, run in itertools.groupby(items, key=width):
+        run = list(run)
+        runs.append((a, a + len(run), run))
+        a += len(run)
+    return runs
+
+
+def _minibatch_fits(kind: RankerKind, tss: Sequence[TrainingSet]) -> tuple[list, list[int]]:
+    """A constant model for each single-class set and None for the others,
+    and the others' positions by decreasing row count (the order a
+    minibatch fit stacks them in)."""
+    models = [constant_model(kind, ts.config, ts.stats) if ts.single_class else None
+              for ts in tss]
+    fits = sorted((j for j, m in enumerate(models) if m is None),
+                  key=lambda j: -tss[j].n_examples)
+    return models, fits
+
+
+def _stacked_rows(tss: Sequence[TrainingSet],
+                  fits: list[int]) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The standardized rows of the sets at ``fits``, stacked in that order,
+    with each one's row count and first stacked row."""
+    ns = [tss[j].n_examples for j in fits]
+    ends = np.cumsum(ns)
+    starts = ends - ns
+    X = np.empty((ends[-1], tss[fits[0]].dimension))
+    for j, lo, hi in zip(fits, starts, ends):
+        tss[j].standardized(out=X[lo:hi])
+    return X, ns, starts
+
+
+def _batch_runs(ns: list[int], batch_size: int) -> list[tuple[int, list[tuple[int, int, int]]]]:
+    """Per minibatch start, the runs (a, b, m) of fits a..b-1 whose batches
+    there have m rows, for fits of ``ns`` rows in decreasing order: a fit
+    whose remainder batch is narrower steps in a run of its own."""
+    return [(start, [(a, b, m) for a, b, (m, *_) in
+                     _runs([min(batch_size, n - start) for n in ns if n > start], lambda w: w)])
+            for start in range(0, ns[0], batch_size)]
 
 
 # --- serialization -------------------------------------------------------------

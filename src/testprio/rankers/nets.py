@@ -17,10 +17,12 @@ are ordered by decreasing size, so at each step the fits that still have a
 minibatch (an lrn group) form a leading block.  Those whose minibatch or
 group at that step has one width run as one call; a fit with another width
 (a remainder batch, fewer rows than ``batch_size``, an lrn group of another
-width) runs that step in its own call.  lrn lambdas are computed per fit.
-A fit's layers do not depend on what it is stacked with: each restart's
-matmuls are separate BLAS calls on the same operands, and every other
-operation is elementwise or reduces within one restart.
+width) runs that step in its own call.  The lrn lambdas of a call's groups
+that also share a failure count are computed in one pass
+(:func:`_stacked_lambdas`), which sums over pairs in the order a lone
+group does.  A fit's layers do not depend on what it is stacked with: each
+restart's matmuls are separate BLAS calls on the same operands, and every
+other operation is elementwise or reduces within one restart.
 
 One buffered pass, :class:`_Net`, computes every forward and backward here:
 the minibatch steps of ``fit_ann``, the per-group steps of
@@ -35,7 +37,8 @@ So the buffers of ``fit_ann`` scale with ``restarts x max(F x batch_size,
 _SELECT_ROWS + 1)``, not with the number of training rows, as its final loss
 pass walks one fit's rows at a time in blocks of ``_SELECT_ROWS``.  Those of
 ``fit_lambdarank`` scale with ``F x restarts x`` the widest cycle group, not
-with the number of groups or of distinct group widths.
+with the number of groups or of distinct group widths.  Shuffled row orders
+are int32.
 """
 
 from __future__ import annotations
@@ -56,11 +59,13 @@ from .base import (
     Model,
     MlpPayload,
     RankerKind,
-    RankerParams,
-    class_weights,
-    constant_model,
-    with_seed,
+    _batch_runs,
+    _minibatch_fits,
+    _runs,
+    _shared,
     _stable_sigmoid,
+    _stacked_rows,
+    class_weights,
 )
 
 Params = list[tuple[np.ndarray, np.ndarray]]  # [(W, b), ...], leading axes (fit, restart)
@@ -193,18 +198,6 @@ def _unstack(params: Params, r: int) -> tuple[tuple[np.ndarray, np.ndarray], ...
     return tuple((W[0, r].copy(), b[0, r, 0].copy()) for W, b in params)
 
 
-def _shared(tss: Sequence[TrainingSet], hps: Sequence[RankerParams]) -> RankerParams:
-    """The params every fit of one call uses; they may differ only in seed,
-    and the training sets only in their rows."""
-    if len(tss) != len(hps):
-        raise ValueError(f"{len(tss)} training sets but {len(hps)} params")
-    hp = hps[0]
-    if (any(with_seed(p, hp.seed) != hp for p in hps)
-            or len({ts.dimension for ts in tss}) > 1):
-        raise ValueError("stacked fits must differ only in seed and training rows")
-    return hp
-
-
 def _block_work(flat: np.ndarray, R: int, sizes: tuple[int, ...], net: _Net,
                 scratch: tuple[np.ndarray, ...]):
     """A cached maker of what the run of fits a..b-1 steps with on m rows:
@@ -216,17 +209,6 @@ def _block_work(flat: np.ndarray, R: int, sizes: tuple[int, ...], net: _Net,
         return (rows, _layer_views(rows, R, sizes), net.rows(m, b - a),
                 *(_prefix(buf, b - a, m) for buf in scratch))
     return work
-
-
-def _runs(items: list, width) -> list[tuple[int, int, list]]:
-    """(a, b, items[a:b]) for each maximal run of consecutive items of one
-    ``width``."""
-    runs, a = [], 0
-    for _, run in itertools.groupby(items, key=width):
-        run = list(run)
-        runs.append((a, a + len(run), run))
-        a += len(run)
-    return runs
 
 
 # --- probability net -----------------------------------------------------------
@@ -281,19 +263,11 @@ def fit_ann(tss: Sequence[TrainingSet], hps: Sequence[AnnParams]) -> list[Model]
     if not tss:
         return []
     hp = _shared(tss, hps)
-    models = [constant_model(RankerKind.ANN, ts.config, ts.stats) if ts.single_class else None
-              for ts in tss]
-    fits = sorted((j for j, m in enumerate(models) if m is None),
-                  key=lambda j: -tss[j].n_examples)
+    models, fits = _minibatch_fits(RankerKind.ANN, tss)
     if not fits:
         return models
 
-    ns = [tss[j].n_examples for j in fits]
-    ends = np.cumsum(ns)
-    starts = ends - ns
-    X = np.empty((ends[-1], tss[fits[0]].dimension))
-    for j, lo, hi in zip(fits, starts, ends):
-        tss[j].standardized(out=X[lo:hi])
+    X, ns, starts = _stacked_rows(tss, fits)
     y = np.concatenate([tss[j].y for j in fits])
     weights = np.concatenate([class_weights(tss[j].y) for j in fits])
     d = X.shape[1]
@@ -312,10 +286,9 @@ def fit_ann(tss: Sequence[TrainingSet], hps: Sequence[AnnParams]) -> list[Model]
                np.empty((F, R, widest, 1)), np.empty((F, R, widest, 1)),
                np.empty((F, R, widest, 1)))
     work = _block_work(flat, R, sizes, net, scratch)
-    steps = [(start, [(a, b, m, work(a, b, m)) for a, b, (m, *_) in
-                      _runs([min(B, n - start) for n in ns if n > start], lambda w: w)])
-             for start in range(0, ns[0], B)]
-    order = np.empty((F * R, ns[0]), dtype=np.int64)  # rows of X, by (fit, restart)
+    steps = [(start, [(a, b, m, work(a, b, m)) for a, b, m in runs])
+             for start, runs in _batch_runs(ns, B)]
+    order = np.empty((F * R, ns[0]), dtype=np.int32)  # rows of X, by (fit, restart)
 
     for _ in range(hp.epochs):
         for row, rng in enumerate(shuffles):
@@ -323,7 +296,7 @@ def fit_ann(tss: Sequence[TrainingSet], hps: Sequence[AnnParams]) -> list[Model]
             np.add(rng.permutation(ns[j]), starts[j], out=order[row, :ns[j]])
         for start, runs in steps:
             for a, b, m, (block, params, run_net, Xb, yb, cb, out, g, tmp) in runs:
-                rows = order[a * R:b * R, start:start + m].reshape(-1)
+                rows = order[a * R:b * R, start:start + m].astype(np.intp).reshape(-1)
                 X.take(rows, axis=0, out=Xb.reshape(-1, d))
                 y.take(rows, axis=0, out=yb.reshape(-1))
                 weights.take(rows, axis=0, out=cb.reshape(-1))
@@ -332,12 +305,17 @@ def fit_ann(tss: Sequence[TrainingSet], hps: Sequence[AnnParams]) -> list[Model]
                 run_net.backward(params, Xb, g)
                 _sgd_step(block, run_net.flat_grads, hp.learning_rate)
 
-    # per fit, final weighted MSE per restart on its whole training set
-    for k, (j, lo, hi) in enumerate(zip(fits, starts, ends)):
+    # per fit, final weighted MSE per restart on its whole training set; the
+    # loss terms overwrite the outputs a block at a time, so that the pass
+    # holds one (restarts, n) array while a group's training sets are held
+    for k, (j, lo, n) in enumerate(zip(fits, starts, ns)):
         params = _layer_views(flat[k * R:(k + 1) * R], R, sizes)
-        out = _stable_sigmoid(_forward_blocks(net, params, X[lo:hi]))
-        losses = (weights[lo:hi] * (out - y[lo:hi]) ** 2).mean(axis=1)
-        best = int(np.argmin(losses))
+        terms = _forward_blocks(net, params, X[lo:lo + n])
+        for a in range(0, n, _SELECT_ROWS):
+            b = min(a + _SELECT_ROWS, n)
+            terms[:, a:b] = weights[lo + a:lo + b] * (
+                _stable_sigmoid(terms[:, a:b]) - y[lo + a:lo + b]) ** 2
+        best = int(np.argmin(terms.mean(axis=1)))
         payload = MlpPayload(layers=_unstack(params, best), sigmoid_output=True)
         models[j] = Model(kind=RankerKind.ANN, payload=payload, stats=tss[j].stats,
                           config=tss[j].config)
@@ -362,8 +340,9 @@ def ann_loss_and_grads(layers, X: np.ndarray, y: np.ndarray,
 # --- pairwise ranking net --------------------------------------------------------
 
 def _ranks_matrix(s: np.ndarray) -> np.ndarray:
-    """Row-wise 1-based descending ranks, ties by index (stable sort)."""
-    return (-s).argsort(axis=1, kind="stable").argsort(axis=1) + 1
+    """Row-wise 1-based descending ranks along the last axis, ties by index
+    (stable sort)."""
+    return (-s).argsort(axis=-1, kind="stable").argsort(axis=-1) + 1
 
 
 def _gains(m: int) -> np.ndarray:
@@ -380,7 +359,13 @@ def _group_lambdas(s: np.ndarray, pos: np.ndarray, neg: np.ndarray,
                    frozen_delta: np.ndarray | None = None):
     """dCost/dscore (R, m) for one group with stacked scores s (R, m);
     ``gains`` is ``_gains(k)`` for some k >= m.  Callers ignore overflow in
-    ``exp``: a lambda whose exponent overflows is -0.0, as it should be."""
+    ``exp``: a lambda whose exponent overflows is -0.0, as it should be.
+
+    Summation order: ``g[:, pos]`` is laid out with the restarts innermost,
+    so for R > 1 the (R, P, N) pair arrays have strides (8, 8 N R, 8 R)
+    and both sums over pairs add one pair after another; for R = 1 they
+    are C-ordered and the sum over N is numpy's pairwise sum.  That order
+    fixes the bits of every lambda, and :func:`_stacked_lambdas` keeps it."""
     if frozen_delta is None:
         g = gains[_ranks_matrix(s) - 1]
         delta = np.abs(g[:, pos][:, :, None] - g[:, neg][:, None, :]) / idcg
@@ -394,33 +379,81 @@ def _group_lambdas(s: np.ndarray, pos: np.ndarray, neg: np.ndarray,
     return dc, delta, sdiff
 
 
-def _rankable_groups(ts: TrainingSet, lo: int) -> list[tuple]:
-    """(first row, width, positives, negatives, ideal DCG) of each cycle
-    group of ``ts`` holding both verdict classes; rows count from ``lo``."""
+def _stacked_lambdas(s: np.ndarray, take: np.ndarray, n_pos: int, sigma: float,
+                     idcg: float, gains: np.ndarray) -> np.ndarray:
+    """:func:`_group_lambdas` (k, R, m) of k groups of one width m and one
+    positive count P in one pass; s (k, R, m) are their scores and take
+    (k, m, R) their pair takes (:func:`_rankable_groups`).
+
+    The pair arrays are (k, P, N, R), restarts innermost, which is the
+    memory order of ``_group_lambdas``' own (R, P, N) arrays; so both sums
+    over pairs run in its order and every lambda is bit for bit its own."""
+    k, R, m = s.shape
+    take = take + (np.arange(k) * (R * m))[:, None, None]
+    g = gains[_ranks_matrix(s) - 1]
+    st, gt = s.reshape(-1)[take], g.reshape(-1)[take]  # (k, m, R), positives first
+    delta = np.abs(gt[:, :n_pos, None] - gt[:, None, n_pos:]) / idcg
+    sdiff = st[:, :n_pos, None] - st[:, None, n_pos:]
+    lam = -sigma * delta / (1.0 + np.exp(sigma * sdiff))
+    dc = np.empty(s.size)
+    dc[take[:, :n_pos]] = np.add.reduce(lam, axis=2)
+    dc[take[:, n_pos:]] = -np.add.reduce(lam, axis=1)
+    return dc.reshape(s.shape)
+
+
+def _run_lambdas(s: np.ndarray, run: list[tuple], sigma: float, gains: np.ndarray,
+                 dz: np.ndarray) -> None:
+    """dz (c, R, m) = the lambdas of the c groups of ``run``, of one width m,
+    for their scores s (c, R, m).  The groups that share a positive count
+    take one :func:`_stacked_lambdas` pass; a group whose count no other
+    shares takes :func:`_group_lambdas`."""
+    by_count: dict[int, list[int]] = {}
+    for i, (_, _, pos, *_) in enumerate(run):
+        by_count.setdefault(len(pos), []).append(i)
+    for n_pos, idx in by_count.items():
+        if len(idx) == 1:
+            i = idx[0]
+            _, _, pos, neg, idcg, _ = run[i]
+            dz[i] = _group_lambdas(s[i], pos, neg, sigma, idcg, gains)[0]
+        else:
+            idcg = run[idx[0]][4]  # one positive count, one ideal DCG
+            takes = np.stack([run[i][5] for i in idx])
+            dz[idx] = _stacked_lambdas(s[idx], takes, n_pos, sigma, idcg, gains)
+
+
+def _rankable_groups(ts: TrainingSet, lo: int, R: int) -> list[tuple]:
+    """(first row, width, positives, negatives, ideal DCG, pair take) of each
+    cycle group of ``ts`` holding both verdict classes; rows count from
+    ``lo``.  The pair take (m, R) holds the flat positions in the group's
+    (R, m) scores of its positives and then its negatives, restarts
+    innermost."""
     groups = []
     for sl in ts.group_slices():
         pos = np.flatnonzero(ts.y[sl] > 0.5)
         neg = np.flatnonzero(ts.y[sl] < 0.5)
         if len(pos) and len(neg):
-            groups.append((lo + sl.start, sl.stop - sl.start, pos, neg, _ideal_dcg(len(pos))))
+            m = sl.stop - sl.start
+            take = np.concatenate([pos, neg])[:, None] + np.arange(R) * m
+            groups.append((lo + sl.start, m, pos, neg, _ideal_dcg(len(pos)), take))
     return groups
 
 
 def fit_lambdarank(tss: Sequence[TrainingSet], hps: Sequence[LrnParams]) -> list[Model]:
     """One linear-output net per training set, trained with pairwise lambda
     gradients per cycle group; groups lacking a failing or a passing example
-    are skipped, and a set without any other group raises
-    :class:`NoRankableGroup` before anything is trained.  A fit's restarts
-    differ in initialization and share its per-epoch group order; the
-    restart with the best final training NDCG wins."""
+    are skipped.  If a set has no other group, :class:`NoRankableGroup` is
+    raised before anything is trained, naming every such set.  A fit's
+    restarts differ in initialization and share its per-epoch group order;
+    the restart with the best final training NDCG wins."""
     if not tss:
         return []
     hp = _shared(tss, hps)
     ns = [ts.n_examples for ts in tss]
     starts = np.cumsum([0, *ns[:-1]])
-    groups = [_rankable_groups(ts, int(lo)) for ts, lo in zip(tss, starts)]
-    if not all(groups):
-        raise NoRankableGroup("no cycle group contains both verdict classes")
+    groups = [_rankable_groups(ts, int(lo), hp.restarts) for ts, lo in zip(tss, starts)]
+    unrankable = tuple(j for j, gs in enumerate(groups) if not gs)
+    if unrankable:
+        raise NoRankableGroup("no cycle group contains both verdict classes", unrankable)
     fits = sorted(range(len(tss)), key=lambda j: -len(groups[j]))
     groups = [groups[j] for j in fits]
 
@@ -448,8 +481,7 @@ def fit_lambdarank(tss: Sequence[TrainingSet], hps: Sequence[LrnParams]) -> list
                     block, params, run_net, Xg, dzg = work(a, b, m)
                     np.concatenate([X[lo:lo + m] for lo, *_ in run], out=Xg.reshape(-1, d))
                     s = run_net.forward(params, Xg)[..., 0]
-                    for i, (_, _, pos, neg, idcg) in enumerate(run):
-                        dzg[i, ..., 0] = _group_lambdas(s[i], pos, neg, hp.sigma, idcg, gains)[0]
+                    _run_lambdas(s, run, hp.sigma, gains, dzg[..., 0])
                     run_net.backward(params, Xg, dzg)
                     _sgd_step(block, run_net.flat_grads, hp.learning_rate)
 
@@ -458,7 +490,7 @@ def fit_lambdarank(tss: Sequence[TrainingSet], hps: Sequence[LrnParams]) -> list
         # mean training NDCG per restart
         params = _layer_views(flat[k * R:(k + 1) * R], R, sizes)
         ndcg = np.zeros(R)
-        for lo, m, pos, _, idcg in gs:
+        for lo, m, pos, _, idcg, _ in gs:
             s = net.rows(m, 1).forward(params, X[None, None, lo:lo + m])[0, ..., 0]
             ndcg += gains[_ranks_matrix(s)[:, pos] - 1].sum(axis=1) / idcg
         best = int(np.argmax(ndcg))

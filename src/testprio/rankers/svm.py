@@ -7,40 +7,78 @@ Objective (labels y in {-1, +1}, positive class weighted by #neg/#pos):
 
 Minibatches are drawn from a seeded per-epoch shuffle; the step size decays
 as ``learning_rate / sqrt(epoch)``.
+
+``fit_svm`` takes a list of training sets whose params differ only in seed
+and trains them in lockstep, as ``fit_ann`` does: the sets are stacked by
+decreasing size, and at each batch start the fits whose batches there have
+one width take one step together, on (fits, batch, d) arrays.  Every step
+is elementwise, a matmul of each fit's batch with its own weights, or a sum
+within one fit's batch in the order its lone fit sums, so each model is bit
+for bit the one its set gets alone.
 """
 
 from __future__ import annotations
 
+import functools
+from typing import Sequence
+
 import numpy as np
 
 from ..features import TrainingSet
-from .base import Model, RankerKind, SvmParams, SvmPayload, class_weights, constant_model
+from .base import (
+    Model,
+    RankerKind,
+    SvmParams,
+    SvmPayload,
+    _batch_runs,
+    _minibatch_fits,
+    _shared,
+    _stacked_rows,
+    class_weights,
+)
 
 
-def fit_svm(ts: TrainingSet, hp: SvmParams = SvmParams()) -> Model:
-    if ts.single_class:
-        return constant_model(RankerKind.SVM, ts.config, ts.stats)
+def fit_svm(tss: Sequence[TrainingSet], hps: Sequence[SvmParams]) -> list[Model]:
+    """One linear model per training set; a single-class set gets a
+    constant model."""
+    if not tss:
+        return []
+    hp = _shared(tss, hps)
+    models, fits = _minibatch_fits(RankerKind.SVM, tss)
+    if not fits:
+        return models
 
-    X = ts.standardized()
-    y = np.where(ts.y > 0.5, 1.0, -1.0)
-    n, d = X.shape
-    weight = class_weights(ts.y)  # ts.y > 0.5 marks the rows where y is +1
+    X, ns, starts = _stacked_rows(tss, fits)
+    y = np.concatenate([np.where(tss[j].y > 0.5, 1.0, -1.0) for j in fits])
+    weight = np.concatenate([class_weights(tss[j].y) for j in fits])  # y > 0.5 where y is +1
+    F, d = len(fits), X.shape[1]
+    w = np.zeros((F, d))
+    b = np.zeros(F)
+    rngs = [np.random.default_rng(hps[j].seed) for j in fits]
+    # per batch start, its runs of fits a..c-1 with m rows each, and views of
+    # their weights and biases (updated in place), one set per run of fits
+    views = functools.cache(lambda a, c: (w[a:c], w[a:c, :, None], b[a:c], b[a:c, None]))
+    steps = [(start, [(a, c, m, *views(a, c)) for a, c, m in runs])
+             for start, runs in _batch_runs(ns, hp.batch_size)]
+    order = np.empty((F, ns[0]), dtype=np.int32)  # rows of X, by fit
 
-    w = np.zeros(d)
-    b = 0.0
-    rng = np.random.default_rng(hp.seed)
     for epoch in range(1, hp.epochs + 1):
         step = hp.learning_rate / np.sqrt(epoch)
-        order = rng.permutation(n)
-        for start in range(0, n, hp.batch_size):
-            batch = order[start : start + hp.batch_size]
-            Xb, yb, cb = X[batch], y[batch], weight[batch]
-            margins = yb * (Xb @ w + b)
-            active = cb * yb * (margins < 1.0)
-            grad_w = hp.l2 * w - (active[:, None] * Xb).sum(axis=0) / len(batch)
-            grad_b = -active.sum() / len(batch)
-            w -= step * grad_w
-            b -= step * grad_b
+        for k, rng in enumerate(rngs):
+            np.add(rng.permutation(ns[k]), starts[k], out=order[k, :ns[k]])
+        for start, runs in steps:
+            for a, c, m, wr, wcol, br, bcol in runs:
+                batch = order[a:c, start:start + m].astype(np.intp)
+                Xb, yb, cb = X.take(batch, axis=0), y.take(batch), weight.take(batch)
+                margins = yb * (np.matmul(Xb, wcol)[..., 0] + bcol)
+                active = cb * yb * (margins < 1.0)
+                grad_w = hp.l2 * wr - np.add.reduce(active[..., None] * Xb, axis=1) / m
+                grad_b = -np.add.reduce(active, axis=1) / m
+                wr -= step * grad_w
+                br -= step * grad_b
 
-    return Model(kind=RankerKind.SVM, payload=SvmPayload(weights=w, bias=float(b)),
-                 stats=ts.stats, config=ts.config)
+    for k, j in enumerate(fits):
+        models[j] = Model(kind=RankerKind.SVM,
+                          payload=SvmPayload(weights=w[k].copy(), bias=float(b[k])),
+                          stats=tss[j].stats, config=tss[j].config)
+    return models

@@ -39,10 +39,16 @@ are daemonic and so never fan a walk out again.
 Stacked fits: a serial walk builds each eval cycle's window and training
 set in order and fits consecutive cycles together, in one ``FITTERS`` call,
 while their training rows total at most ``_STACK_ROWS`` (a window over it is
-fitted alone); then it ranks each cycle of the group.  ``ann`` and ``lrn``
-train such a list as one stacked computation, and every model is bit for
-bit the one its window gets alone, so the grouping changes no outcome.
-Pool tasks and ``replay_cycle`` fit a list of one.
+fitted alone); a group is fitted before the next window's features are
+built.  A fitted cycle keeps only what ranking needs (its feature rows,
+model, modeled train units and wall-time share): its training set and
+window arrays are gone.  ``svm``, ``ann`` and ``lrn`` train such a list as
+one stacked computation, and every model is bit for bit the one its window
+gets alone, so the grouping changes no outcome.  :func:`fit_walks` groups
+the windows of several walks of one ranker the same way (the serial grid
+fits each trained ranker's windows across its history fractions so), and
+:func:`walk_forward_budgets` then only ranks a walk's fitted cycles.  Pool
+tasks and ``replay_cycle`` fit a list of one.
 
 Timing: ``train_seconds`` / ``rank_seconds`` are a deterministic work-based
 cost model (counted arithmetic operations divided by a nominal op rate), so
@@ -52,7 +58,7 @@ and machines.  Wall-clock measurements are captured alongside in
 excluded from outcome comparison and report serialization.  A cycle's
 ``wall_train_seconds`` is its window's feature time plus its share of its
 fit call's wall time, split in proportion to training rows among the
-windows the call did not degrade (see ``_replay_group``).
+windows the call did not degrade (see ``_fit_group``).
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -87,6 +93,7 @@ from .features import (
     _WindowArrays,
     build_training_set,
     feature_matrix,
+    training_rows,
 )
 from .metrics import CycleMetrics, apfd, check_budget, napfd, time_to_fault
 from .rankers import (
@@ -224,7 +231,7 @@ def _rank_units(kind: RankerKind, params: RankerParams, n_tests: int,
 # A serial walk fits consecutive eval cycles together while their training
 # rows total at most this many (one window over it is fitted alone), so the
 # windows it holds at once stay bounded.
-_STACK_ROWS = 65_536
+_STACK_ROWS = 32_768
 
 
 class _Coded(NamedTuple):
@@ -244,85 +251,147 @@ def _coded(h: TestHistory, kind: RankerKind, end: int) -> _Coded:
     return _Coded(np.array(h.test_ids, dtype=object), sorted_ranks(h.test_ids), failing)
 
 
-class _Pending(NamedTuple):
-    """One eval cycle, ready to fit: its prior, window and, for a ranker
-    that trains, the window's feature arrays and training set (None when
-    the window is too small) and the seconds building them took."""
+class _EvalCycle(NamedTuple):
+    """One eval cycle on its way to being ranked: its prior, cycle, codes
+    and window.  For a ranker that trains also its ranking feature rows, the
+    seed of its fit, and its window's training set (None when the window is
+    too small) until it is fitted, then its model and modeled train units;
+    ``wall_train`` is its features' seconds plus its share of its fit."""
 
     prior: TestHistory
     cycle: Cycle
     codes: np.ndarray
     window: HistoryWindow
-    arrays: _WindowArrays | None
-    ts: TrainingSet | None
-    wall_features: float
+    rows: np.ndarray | None = None
+    seed: int = 0
+    ts: TrainingSet | None = None
+    model: Model | None = None
+    train_units: int = 0
+    wall_train: float = 0.0
 
 
-def _prepare(prior: TestHistory, cycle: Cycle, codes: np.ndarray,
-             cfg: ReplayConfig) -> _Pending:
-    window = slice_recent(prior, cfg.history_fraction)
-    arrays = ts = None
-    wall = 0.0
-    if cfg.ranker.trains:
-        t0 = time.perf_counter()
-        arrays = _WindowArrays(window, cfg.features.decay)  # training and ranking rows
-        with contextlib.suppress(WindowTooSmall):
-            ts = build_training_set(window, cfg.features, arrays)
-        wall = time.perf_counter() - t0
-    return _Pending(prior, cycle, codes, window, arrays, ts, wall)
+def _prepare(prior: TestHistory, window: HistoryWindow, cycle: Cycle, codes: np.ndarray,
+             cfg: ReplayConfig) -> _EvalCycle:
+    """An eval cycle with the features of its ``window`` of ``prior``; the
+    window's arrays are dropped once the ranking rows and the training set
+    are built from them."""
+    if not cfg.ranker.trains:
+        return _EvalCycle(prior, cycle, codes, window)
+    t0 = time.perf_counter()
+    arrays = _WindowArrays(window, cfg.features.decay)
+    rows = feature_matrix(window, codes, cfg.features, arrays)
+    ts = None
+    with contextlib.suppress(WindowTooSmall):
+        ts = build_training_set(window, cfg.features, arrays)
+    return _EvalCycle(prior, cycle, codes, window, rows,
+                      mix_seed(cfg.base_seed, "fit", cycle.cycle_id), ts,
+                      wall_train=time.perf_counter() - t0)
 
 
 def _fit(kind: RankerKind, params: RankerParams, features: FeatureConfig,
          tss: list[TrainingSet], seeds: list[int]) -> list[Model]:
     """One model per training set, from one ``FITTERS`` call.  A set with no
-    rankable group fails the whole call before anything is trained; the sets
-    are then fitted one per call, so that only it degrades, to a flagged
-    constant model."""
+    rankable group fails the whole call before anything is trained, and the
+    error names every such set: those degrade to a flagged constant model,
+    and the others are fitted again in one call."""
     try:
         return FITTERS[kind](tss, [with_seed(params, seed) for seed in seeds])
-    except NoRankableGroup:
-        if len(tss) == 1:
-            return [constant_model(kind, features)]
-        return [model for ts, seed in zip(tss, seeds)
-                for model in _fit(kind, params, features, [ts], [seed])]
+    except NoRankableGroup as exc:
+        bad = set(exc.sets)
+        keep = [j for j in range(len(tss)) if j not in bad]
+        models = iter(FITTERS[kind]([tss[j] for j in keep],
+                                    [with_seed(params, seeds[j]) for j in keep]) if keep else [])
+        return [constant_model(kind, features) if j in bad else next(models)
+                for j in range(len(tss))]
 
 
-def _replay_group(group: list[_Pending], coded: _Coded, cfg: ReplayConfig,
-                  budgets: list[float]) -> list[list[CycleOutcome]]:
-    """Fit the trainable windows of ``group`` in one call, then rank and
-    replay each cycle at each budget.
+def _fit_group(group: list[tuple[int, _EvalCycle]],
+               cfg: ReplayConfig) -> list[tuple[int, _EvalCycle]]:
+    """The cycles of ``group`` (each with the index of its unit), their
+    trainable windows fitted in one call, their training sets dropped.
 
-    A cycle's ``wall_train_seconds`` is the time its window's features took
-    plus a share of the call's wall time, in proportion to its training rows
-    among the windows the call did not degrade."""
+    A cycle's ``wall_train`` gains a share of the call's wall time, in
+    proportion to its training rows among the windows the call did not
+    degrade."""
     kind = cfg.ranker
-    fitted = [p for p in group if p.ts is not None]
+    fitted = [p for _, p in group if p.ts is not None]
     models, shares = [], []
     if fitted:
         t0 = time.perf_counter()
         models = _fit(kind, cfg.params, cfg.features, [p.ts for p in fitted],
-                      [mix_seed(cfg.base_seed, "fit", p.cycle.cycle_id) for p in fitted])
+                      [p.seed for p in fitted])
         fit_s = time.perf_counter() - t0
         rows = [0 if m.degenerate else p.ts.n_examples for p, m in zip(fitted, models)]
         shares = [fit_s * r / (sum(rows) or 1) for r in rows]
     results = zip(models, shares)
-    too_small = constant_model(kind, cfg.features) if kind.trains else None
-    return [_rank_at(p, *(next(results) if p.ts is not None else (too_small, 0.0)),
-                     coded, cfg, budgets)
-            for p in group]
+    too_small = constant_model(kind, cfg.features)
+    out = []
+    for u, p in group:
+        model, share = next(results) if p.ts is not None else (too_small, 0.0)
+        out.append((u, p._replace(
+            ts=None, model=model, wall_train=p.wall_train + share,
+            train_units=_train_units(kind, cfg.params, p.ts, model.degenerate))))
+    return out
 
 
-def _rank_at(p: _Pending, model: Model | None, wall_fit: float, coded: _Coded,
-             cfg: ReplayConfig, budgets: list[float]) -> list[CycleOutcome]:
-    """Rank the cycle of ``p`` with ``model`` (None for a ranker that does
+def _eval_positions(h: TestHistory, cfg: ReplayConfig) -> range:
+    """The positions of a walk's eval cycles: the last ``eval_fraction`` of
+    the history, capped so at least one prior cycle always exists."""
+    n = h.n_cycles
+    return range(n - min(int(math.ceil(cfg.eval_fraction * n)), n - 1), n)
+
+
+def _fitted_cycles(h: TestHistory,
+                   cfgs: list[ReplayConfig]) -> Iterator[tuple[int, _EvalCycle]]:
+    """Each eval cycle of the walks of ``cfgs``, in order, with the index of
+    its walk, ready to rank.  The walks share one ranker, its params and
+    the features.  A ranker that trains fits consecutive windows, across
+    the walks, in one call while their training rows total at most
+    ``_STACK_ROWS`` (a window over it is fitted alone)."""
+    group, rows = [], 0
+    for u, cfg in enumerate(cfgs):
+        positions = _eval_positions(h, cfg)
+        for pos, prior in zip(positions, history_prefixes(h, positions)):
+            window = slice_recent(prior, cfg.history_fraction)
+            n = training_rows(window) if cfg.ranker.trains else 0
+            if group and rows + n > _STACK_ROWS:
+                # fitted, and its training sets dropped, before the next
+                # window's features are built
+                fitted, group, rows = _fit_group(group, cfgs[0]), [], 0
+                yield from fitted
+            p = _prepare(prior, window, h.cycles[pos], h.codes[pos], cfg)
+            if not cfg.ranker.trains:
+                yield u, p
+                continue
+            group.append((u, p))
+            rows += n
+    if group:
+        yield from _fit_group(group, cfgs[0])
+
+
+def fit_walks(h: TestHistory, cfgs: list[ReplayConfig]) -> list[Iterator[_EvalCycle]]:
+    """The eval cycles of the walks of ``cfgs`` (one ranker, its params and
+    the features; any history fractions and seeds), fitted in groups across
+    the walks, as one iterator per walk: hand it to
+    :func:`walk_forward_budgets` as ``cycles``.  Each model is the one its
+    walk alone would fit, and a walk's cycles are freed once it has ranked
+    them.  A history too short to replay raises before anything is fitted."""
+    check_history_length(h)
+    per_walk: list[list[_EvalCycle]] = [[] for _ in cfgs]
+    for u, p in _fitted_cycles(h, cfgs):
+        per_walk[u].append(p)
+    return [iter(cycles) for cycles in per_walk]
+
+
+def _rank_at(p: _EvalCycle, coded: _Coded, cfg: ReplayConfig,
+             budgets: list[float]) -> list[CycleOutcome]:
+    """Rank the cycle of ``p`` with its model (None for a ranker that does
     not train) and replay it at each budget."""
     kind = cfg.ranker
     params = cfg.params
     window, codes = p.window, p.codes
     rank_seed = mix_seed(cfg.base_seed, "rank", p.cycle.cycle_id)
-    wall_train = p.wall_features + wall_fit
-    degenerate = bool(model is not None and model.degenerate)
-    train_units = _train_units(kind, params, p.ts, degenerate) if kind.trains else 0
+    degenerate = bool(p.model is not None and p.model.degenerate)
 
     # a test the prior never ran has a code past its registry
     means = p.prior.means
@@ -336,15 +405,14 @@ def _rank_at(p: _Pending, model: Model | None, wall_fit: float, coded: _Coded,
         failing = coded.failing[window.lo:window.hi][::-1]
         scores = rocket_priorities(failing, len(coded.id_ranks), params)[codes]
     else:
-        rows = feature_matrix(window, codes, cfg.features, p.arrays)
-        scores = score_matrix(model, rows)
+        scores = score_matrix(p.model, p.rows)
     ranking, order = rank_with_tie_break(coded.ids[codes], scores, durations,
                                          coded.id_ranks[codes])
     wall_rank = time.perf_counter() - t0
 
     rank_units = _rank_units(kind, params, len(codes), window.n_cycles,
                              cfg.features.dimension)
-    train_s = train_units / NOMINAL_OPS_PER_SECOND
+    train_s = p.train_units / NOMINAL_OPS_PER_SECOND
     rank_s = rank_units / NOMINAL_OPS_PER_SECOND
 
     failed = p.cycle.failed[order]
@@ -376,7 +444,7 @@ def _rank_at(p: _Pending, model: Model | None, wall_fit: float, coded: _Coded,
             train_seconds=train_s,
             rank_seconds=rank_s,
             degenerate=degenerate,
-            wall_train_seconds=wall_train,
+            wall_train_seconds=p.wall_train,
             wall_rank_seconds=wall_rank,
         ))
     return outcomes
@@ -389,8 +457,18 @@ def replay_cycle(h: TestHistory, c: int, cfg: ReplayConfig) -> CycleOutcome:
         raise IndexError(f"cycle position {c} out of range")
     if c == 0:
         raise NoPriorHistory("cycle has no preceding history to train on")
-    pending = _prepare(history_prefix(h, c), h.cycles[c], h.codes[c], cfg)
-    return _replay_group([pending], _coded(h, cfg.ranker, c), cfg, [cfg.budget_s])[0][0]
+    return _replay_alone(h, c, _coded(h, cfg.ranker, c), cfg, [cfg.budget_s])[0]
+
+
+def _replay_alone(h: TestHistory, pos: int, coded: _Coded, cfg: ReplayConfig,
+                  budgets: list[float]) -> list[CycleOutcome]:
+    """Replay cycle position ``pos``, its window fitted in a call of its own."""
+    prior = history_prefix(h, pos)
+    p = _prepare(prior, slice_recent(prior, cfg.history_fraction), h.cycles[pos], h.codes[pos],
+                 cfg)
+    if cfg.ranker.trains:
+        [(_, p)] = _fit_group([(0, p)], cfg)
+    return _rank_at(p, coded, cfg, budgets)
 
 
 # --- worker processes -----------------------------------------------------------
@@ -439,8 +517,7 @@ def default_workers(n_tasks: int, cpus: int) -> int:
 def _replay_in_worker(pos: int) -> list[CycleOutcome]:
     """Replay cycle position ``pos`` of the walk this worker holds."""
     h, coded, cfg, budgets = pool_state()
-    pending = _prepare(history_prefix(h, pos), h.cycles[pos], h.codes[pos], cfg)
-    return _replay_group([pending], coded, cfg, budgets)[0]
+    return _replay_alone(h, pos, coded, cfg, budgets)
 
 
 def check_history_length(h: TestHistory) -> None:
@@ -450,7 +527,8 @@ def check_history_length(h: TestHistory) -> None:
 
 
 def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig, budgets: list[float],
-                         workers: int | None = None) -> list[list[CycleOutcome]]:
+                         workers: int | None = None,
+                         cycles: Iterator[_EvalCycle] | None = None) -> list[list[CycleOutcome]]:
     """Replay the evaluation cycles once per budget, sharing each cycle's
     trained model and ranking across budgets (training is budget-independent,
     which also makes detected-fault sets nested across growing budgets).
@@ -462,7 +540,9 @@ def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig, budgets: list[float]
     itself a pool worker; the outcomes are the serial walk's either way.
     ``workers=None`` starts one process per eval cycle while there is at
     most one more cycle than usable CPUs, else one per usable CPU
-    (:func:`default_workers`).
+    (:func:`default_workers`).  ``cycles``, this walk's iterator from
+    :func:`fit_walks`, are ranked and replayed as they are, in this
+    process.
     """
     if not budgets:
         raise ValueError("budgets must not be empty")
@@ -471,28 +551,18 @@ def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig, budgets: list[float]
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     check_history_length(h)
-    n = h.n_cycles
-    n_eval = min(int(math.ceil(cfg.eval_fraction * n)), n - 1)
-    positions = range(n - n_eval, n)
-    coded = _coded(h, cfg.ranker, n - 1)
+    positions = _eval_positions(h, cfg)
+    coded = _coded(h, cfg.ranker, h.n_cycles - 1)
     if workers is None:
-        workers = default_workers(n_eval, usable_cpus())
-    if (cfg.ranker.trains and n_eval > 1 and workers > 1
+        workers = default_workers(len(positions), usable_cpus())
+    if (cycles is None and cfg.ranker.trains and len(positions) > 1 and workers > 1
             and not multiprocessing.current_process().daemon):
         per_cycle = pool_map(_replay_in_worker, list(positions), workers,
                              (h, coded, cfg, budgets))
     else:
-        per_cycle, group, rows = [], [], 0
-        for pos, prior in zip(positions, history_prefixes(h, positions)):
-            pending = _prepare(prior, h.cycles[pos], h.codes[pos], cfg)
-            n = pending.ts.n_examples if pending.ts is not None else 0
-            # a ranker that does not train has nothing to fit together
-            if group and (rows + n > _STACK_ROWS or not cfg.ranker.trains):
-                per_cycle += _replay_group(group, coded, cfg, budgets)
-                group, rows = [], 0
-            group.append(pending)
-            rows += n
-        per_cycle += _replay_group(group, coded, cfg, budgets)
+        if cycles is None:
+            cycles = (p for _, p in _fitted_cycles(h, [cfg]))
+        per_cycle = [_rank_at(p, coded, cfg, budgets) for p in cycles]
     return [list(outcomes) for outcomes in zip(*per_cycle)]
 
 

@@ -1,6 +1,9 @@
 import argparse
+import ast
 import json
+import math
 import multiprocessing
+import os
 from dataclasses import fields, replace
 
 import pytest
@@ -16,10 +19,13 @@ from testprio.bench import (
     select_best_history,
 )
 from testprio.cli import _grid_spec_from_args
-from testprio.errors import IncompleteGrid
+from testprio.domain import history_prefixes, slice_recent
+from testprio.errors import HistoryTooShort, IncompleteGrid
+from testprio.features import training_rows
 from testprio.ingest import SyntheticSpec, generate_synthetic, parse_canonical
 from testprio.metrics import AggregateSummary
 from testprio.rankers import (
+    FITTERS,
     AnnParams,
     GbdtParams,
     LrnParams,
@@ -169,6 +175,94 @@ def _fake_result(apfd_by_h):
         budgets_s=budgets, eval_fraction=0.2, base_seed=0, cells=cells,
         provenance={},
     )
+
+
+def _log(directory, *record):
+    """Append ``record`` to this process's log under ``directory`` (pool
+    workers are forked with the spies in place and write their own)."""
+    with open(directory / f"{os.getpid()}.log", "a") as f:
+        f.write(repr(record) + "\n")
+
+
+def _logged(directory) -> list:
+    return [ast.literal_eval(line) for path in sorted(directory.glob("*.log"))
+            for line in path.read_text().splitlines()]
+
+
+class TestObservationPoints:
+    """perfbench measures a grid through ``walk_forward_budgets`` (one call
+    per (ranker, H) unit, with that unit's config), ``bench._run_unit``
+    (one per unit) and ``FITTERS``."""
+
+    @staticmethod
+    def _units(spec):
+        return sorted(
+            (kind.value, spec.history_fractions[h], mix_seed(spec.base_seed, kind.value, h))
+            for kind, _ in spec.rankers
+            for h in (range(len(spec.history_fractions)) if kind.history_dependent else [0]))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_walk_and_one_unit_call_per_unit(self, workers, monkeypatch, tmp_path,
+                                                 grid_result):
+        walk, unit = bench.walk_forward_budgets, bench._run_unit
+        spec = _light_spec()
+
+        def walk_spy(history, cfg, budgets, *args, **kwargs):
+            params = dict(spec.rankers)[cfg.ranker]
+            _log(tmp_path, "walk", cfg.ranker.value, cfg.history_fraction, cfg.base_seed,
+                 cfg.eval_fraction == spec.eval_fraction and cfg.params == params
+                 and cfg.features == spec.features and cfg.budget_s == budgets[-1],
+                 len(budgets))
+            return walk(history, cfg, budgets, *args, **kwargs)
+
+        def unit_spy(history, spec, budgets, kind, params, h_idx, *args):
+            _log(tmp_path, "unit", kind.value, h_idx)
+            return unit(history, spec, budgets, kind, params, h_idx, *args)
+
+        monkeypatch.setattr(bench, "walk_forward_budgets", walk_spy)
+        monkeypatch.setattr(bench, "_run_unit", unit_spy)
+        assert run_grid(_tiny_history(), spec, workers=workers).cells == grid_result.cells
+        logged = _logged(tmp_path)
+        walks = sorted(r[1:4] for r in logged if r[0] == "walk")
+        assert walks == self._units(spec)
+        assert all(r[4] and r[5] == 5 for r in logged if r[0] == "walk")
+        units = sorted(r[1:] for r in logged if r[0] == "unit")
+        assert units == sorted((kind, spec.history_fractions.index(h)) for kind, h, _ in walks)
+
+    def test_short_history_raises_before_any_fit(self, monkeypatch):
+        spec = SyntheticSpec(n_tests=5, n_cycles=4, base_failure_prob=0.3, persistence=0.5,
+                             flip_prob=0.1)
+        monkeypatch.setitem(FITTERS, RankerKind.SVM, lambda *_: pytest.fail("a window was fitted"))
+        with pytest.raises(HistoryTooShort):
+            run_grid(generate_synthetic(spec, 1), _light_spec())
+
+    @pytest.mark.parametrize("kind", [RankerKind.SVM, RankerKind.ANN, RankerKind.GBDT])
+    def test_serial_grid_fits_each_capped_group_in_one_call(self, kind, monkeypatch):
+        h, spec, cap = _tiny_history(), _light_spec(), 700
+        # every eval window of the kind, largest history first, packed in
+        # order under the cap; too-small windows have no rows to fit
+        groups, rows = [[]], 0
+        n = h.n_cycles
+        for frac in spec.history_fractions[::-1]:
+            for prior in history_prefixes(h, range(n - math.ceil(spec.eval_fraction * n), n)):
+                window = slice_recent(prior, frac)
+                k = training_rows(window)
+                if groups[-1] and rows + k > cap:
+                    groups.append([])
+                    rows = 0
+                if window.n_cycles > 1:
+                    groups[-1].append(k)
+                rows += k
+        calls, fit = [], FITTERS[kind]
+
+        def spy(tss, params):
+            calls.append([ts.n_examples for ts in tss])
+            return fit(tss, params)
+
+        monkeypatch.setitem(FITTERS, kind, spy)
+        monkeypatch.setattr(replay, "_STACK_ROWS", cap)
+        run_grid(h, spec)
+        assert calls == groups and len(groups) > 2
 
 
 class TestSelectBestHistory:

@@ -18,14 +18,17 @@ from testprio.rankers import (
     AnnParams,
     LrnParams,
     RankerKind,
+    SvmParams,
     ann_loss_and_grads,
     fit_ann,
     fit_lambdarank,
+    fit_svm,
     lambdarank_cost_and_grads,
     score_matrix,
     serialize_model,
     with_seed,
 )
+from testprio.rankers import nets
 from testprio.rankers.base import _stable_sigmoid, class_weights
 from testprio.rankers.nets import (
     _SELECT_ROWS,
@@ -36,7 +39,9 @@ from testprio.rankers.nets import (
     _ideal_dcg,
     _init_flat,
     _layer_views,
+    _rankable_groups,
     _ranks_matrix,
+    _run_lambdas,
     _unstack,
 )
 from testprio.errors import NoRankableGroup
@@ -248,38 +253,112 @@ class TestStackedFits:
     def _bytes(models):
         return [serialize_model(m) for m in models]
 
+    HPS = {
+        RankerKind.SVM: SvmParams(epochs=3, batch_size=BATCH),
+        RankerKind.ANN: AnnParams(hidden1=6, hidden2=3, epochs=3, batch_size=BATCH, restarts=2),
+        RankerKind.LRN: LrnParams(hidden1=6, hidden2=3, epochs=3, restarts=2),
+    }
+
     @pytest.mark.parametrize("F", [1, 2, 3, 4])
-    @pytest.mark.parametrize("kind", [RankerKind.ANN, RankerKind.LRN])
+    @pytest.mark.parametrize("kind", [RankerKind.SVM, RankerKind.ANN, RankerKind.LRN])
     def test_stacked_fits_equal_lone_fits(self, kind, F):
-        hp = (AnnParams(hidden1=6, hidden2=3, epochs=3, batch_size=self.BATCH, restarts=2)
-              if kind is RankerKind.ANN else
-              LrnParams(hidden1=6, hidden2=3, epochs=3, restarts=2))
         tss = self._sets(F)
-        ps = [with_seed(hp, 40 + j) for j in range(F)]
+        ps = [with_seed(self.HPS[kind], 40 + j) for j in range(F)]
         alone = [FITTERS[kind]([ts], [p])[0] for ts, p in zip(tss, ps)]
         assert self._bytes(FITTERS[kind](tss, ps)) == self._bytes(alone)
 
-    def test_single_class_set_among_stacked_ann_fits(self):
+    @pytest.mark.parametrize("kind", [RankerKind.SVM, RankerKind.ANN])
+    def test_single_class_set_among_stacked_fits(self, kind):
         tss = self._sets(3)
         tss[1] = toy_training_set(np.ones((7, 4)), np.zeros(7))
-        ps = [AnnParams(epochs=2, restarts=2, seed=s) for s in (1, 2, 3)]
-        models = fit_ann(tss, ps)
+        ps = [with_seed(self.HPS[kind], s) for s in (1, 2, 3)]
+        models = FITTERS[kind](tss, ps)
         assert [m.degenerate for m in models] == [False, True, False]
         assert self._bytes(models) == self._bytes(
-            [fit_ann([ts], [p])[0] for ts, p in zip(tss, ps)])
+            [FITTERS[kind]([ts], [p])[0] for ts, p in zip(tss, ps)])
 
-    def test_unrankable_set_fails_the_lrn_call(self):
-        tss = self._sets(2) + [toy_training_set(np.ones((5, 4)), np.zeros(5))]
-        with pytest.raises(NoRankableGroup):
-            fit_lambdarank(tss, [LrnParams(seed=s) for s in (1, 2, 3)])
+    def test_unrankable_sets_fail_the_lrn_call_and_are_named(self):
+        unrankable = toy_training_set(np.ones((5, 4)), np.zeros(5))
+        tss = [unrankable] + self._sets(2) + [unrankable]
+        with pytest.raises(NoRankableGroup) as exc:
+            fit_lambdarank(tss, [LrnParams(seed=s) for s in range(4)])
+        assert exc.value.sets == (0, 3)
 
-    @pytest.mark.parametrize("other", [AnnParams(seed=1, epochs=3), AnnParams(seed=1, restarts=2)])
+    def test_lrn_groups_of_one_shape_share_a_lambda_pass(self, monkeypatch):
+        # five fits whose groups all have width 6 and one or two failures:
+        # at each step the groups with one failure count take one pass
+        passes = []
+        stacked = nets._stacked_lambdas
+        monkeypatch.setattr(nets, "_stacked_lambdas",
+                            lambda s, *rest: passes.append(len(s)) or stacked(s, *rest))
+        tss = []
+        for j in range(5):
+            rng = np.random.default_rng(50 + j)
+            y = np.zeros(36)
+            y[np.arange(0, 36, 6) + rng.integers(0, 6, 6)] = 1.0
+            y[np.arange(3, 36, 12)] = 1.0
+            tss.append(toy_training_set(rng.normal(size=(36, 4)), y,
+                                        groups=np.arange(36) // 6))
+        ps = [with_seed(self.HPS[RankerKind.LRN], 60 + j) for j in range(5)]
+        alone = [fit_lambdarank([ts], [p])[0] for ts, p in zip(tss, ps)]
+        passes.clear()
+        assert self._bytes(fit_lambdarank(tss, ps)) == self._bytes(alone)
+        assert passes and max(passes) > 2
+
+    @pytest.mark.parametrize("other", [
+        AnnParams(seed=1, epochs=3), AnnParams(seed=1, restarts=2),
+        SvmParams(seed=1, l2=1e-3), SvmParams(seed=1, batch_size=8)])
     def test_fits_must_differ_only_in_seed(self, other):
+        kind = RankerKind.ANN if isinstance(other, AnnParams) else RankerKind.SVM
         with pytest.raises(ValueError):
-            fit_ann(self._sets(2), [AnnParams(seed=0), other])
+            FITTERS[kind](self._sets(2), [type(other)(seed=0), other])
 
     def test_empty_call_fits_nothing(self):
-        assert fit_ann([], []) == [] and fit_lambdarank([], []) == []
+        assert fit_ann([], []) == [] and fit_lambdarank([], []) == [] and fit_svm([], []) == []
+
+    def test_stacked_matmul_equals_each_fits_own(self):
+        # fit_svm takes every fit's margins in one stacked matmul; each must
+        # be the bits of that fit's own matrix-vector product
+        rng = np.random.default_rng(31)
+        for _ in range(3000):
+            c, m, d = rng.integers(1, 8), rng.integers(1, 80), rng.integers(1, 12)
+            Xb, w = rng.normal(size=(c, m, d)), rng.normal(size=(c, d)) * 10.0 ** rng.integers(-3, 4)
+            stacked = np.matmul(Xb, w[..., None])[..., 0]
+            assert all(np.array_equal(stacked[k], Xb[k] @ w[k]) for k in range(c))
+
+
+class TestLambdaSummationOrder:
+    """One lambda pass over several groups gives each group the bits that
+    ``_group_lambdas`` gives it alone: both sums over pairs run in its
+    order, whatever the widths, failure counts and restarts."""
+
+    @staticmethod
+    def _run(rng, m, R):
+        """A run of groups of width m with mixed failure counts, and their
+        scores: some tied, some far enough apart that exp overflows."""
+        k = int(rng.integers(2, 7))
+        y = np.zeros(k * m)
+        for i in range(k):
+            y[i * m + rng.choice(m, int(rng.integers(1, min(3, m - 1) + 1)), replace=False)] = 1.0
+        ts = toy_training_set(np.zeros((k * m, 2)), y, groups=np.arange(k * m) // m)
+        s = rng.normal(size=(k, R, m)) * rng.choice([1.0, 50.0, 900.0])
+        s[rng.random(s.shape) < 0.3] = 0.25  # ties
+        return _rankable_groups(ts, 0, R), s
+
+    @pytest.mark.parametrize("R", [1, 2, 3, 4])
+    def test_one_pass_equals_each_groups_own(self, R):
+        rng = np.random.default_rng(R)
+        for _ in range(150):
+            m = int(rng.integers(3, 51))
+            run, s = self._run(rng, m, R)
+            sigma, gains = float(rng.choice([1.0, 2.5])), _gains(m + int(rng.integers(0, 5)))
+            dz = np.full(s.shape, np.nan)
+            with np.errstate(over="ignore"):
+                _run_lambdas(s, run, sigma, gains, dz)
+                for i, (_, _, pos, neg, idcg, _) in enumerate(run):
+                    alone = _group_lambdas(s[i], pos, neg, sigma, idcg, gains)[0]
+                    assert np.array_equal(dz[i], alone)
+                    assert np.array_equal(np.signbit(dz[i]), np.signbit(alone))
 
 
 class TestTrainingAppliesCheckedGradient:
@@ -395,7 +474,7 @@ def _peak_bytes(fn) -> int:
 
 class TestFitMemory:
     """Fit buffers scale with a block or the widest group, not with the row
-    count or the number of group widths."""
+    count or the number of group widths; row orders are int32."""
 
     def test_ann_fit_does_not_hold_activations_for_every_row(self):
         rng = np.random.default_rng(19)
@@ -418,6 +497,29 @@ class TestFitMemory:
         batch_net = _peak_bytes(lambda: _Net(F, hp.restarts, hp.batch_size, sizes))
         peak = _peak_bytes(lambda: fit_ann(tss, [with_seed(hp, s) for s in range(F)]))
         assert peak < batch_net + select_net / 2
+
+    @pytest.mark.parametrize("kind", [RankerKind.ANN, RankerKind.SVM])
+    def test_stacked_fit_over_seven_windows_holds_int32_row_orders(self, kind):
+        # one large window and six of two rows: the shuffled row orders span
+        # fits x restarts x the largest window's rows, so they outweigh the
+        # stacked rows, and at int64 they alone would break the bound
+        rng = np.random.default_rng(37)
+        n = 20_000
+        tss = [toy_training_set(rng.normal(size=(n, 1)), np.arange(n) % 9 == 0)] + [
+            toy_training_set(rng.normal(size=(2, 1)), [1.0, 0.0]) for _ in range(6)]
+        hp = (AnnParams(hidden1=2, hidden2=2, epochs=1, restarts=4)
+              if kind is RankerKind.ANN else SvmParams(epochs=1))
+        R = getattr(hp, "restarts", 1)
+
+        def fit():
+            FITTERS[kind](tss, [with_seed(hp, s) for s in range(len(tss))])
+
+        fit()  # numpy's one-time allocations stay out of the measured peak
+        orders = len(tss) * R * n * 4
+        rows = (n + 12) * 3 * 8  # the stacked X, labels and class weights
+        outputs = R * n * 8 if kind is RankerKind.ANN else 0  # the restart selection's
+        # and one shuffle's permutation
+        assert _peak_bytes(fit) < rows + 1.5 * orders + outputs + 8 * n
 
     def test_lrn_fit_holds_one_net_for_every_group_width(self):
         rng = np.random.default_rng(23)

@@ -291,20 +291,20 @@ def _fit_alone(fitter, ts):
 class TestSvm:
     def test_separable_set_reaches_full_training_accuracy(self):
         ts = _separable_set()
-        model = fit_svm(ts)
+        model = _fit_alone(fit_svm, ts)
         scores = score_matrix(model, ts.X)
         assert np.all((scores > 0) == (ts.y > 0.5))
 
     def test_single_class_degenerates(self):
         ts = toy_training_set(np.zeros((4, 2)), np.zeros(4))
-        model = fit_svm(ts)
+        model = _fit_alone(fit_svm, ts)
         assert model.degenerate
         assert score_matrix(model, np.zeros((2, 2))).tolist() == [0.0, 0.0]
 
     def test_duplicated_examples_keep_score_ordering(self):
         ts = _separable_set()
         doubled = toy_training_set(np.vstack([ts.X, ts.X]), np.concatenate([ts.y, ts.y]))
-        m1, m2 = fit_svm(ts), fit_svm(doubled)
+        m1, m2 = fit_svm([ts, doubled], [SvmParams(), SvmParams()])
         pos_probe = ts.X[ts.y > 0.5][0]
         neg_probe = ts.X[ts.y < 0.5][0]
         for m in (m1, m2):
@@ -312,13 +312,12 @@ class TestSvm:
 
     def test_deterministic_given_seed(self):
         ts = _separable_set()
-        a = fit_svm(ts, SvmParams(seed=5))
-        b = fit_svm(ts, SvmParams(seed=5))
+        a, b = fit_svm([ts, ts], [SvmParams(seed=5), SvmParams(seed=5)])
         assert serialize_model(a) == serialize_model(b)
 
     def test_positive_affine_scaling_preserves_order(self):
         ts = _separable_set()
-        m = fit_svm(ts)
+        m = _fit_alone(fit_svm, ts)
         payload = m.payload
         scaled = Model(kind=m.kind,
                        payload=SvmPayload(weights=2 * payload.weights,

@@ -1,14 +1,24 @@
 import math
 import multiprocessing
 import os
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from testprio import replay
-from testprio.domain import Cycle, history_prefixes, validate_history
+from testprio.domain import Cycle, history_prefixes, slice_recent, validate_history
 from testprio.errors import HistoryTooShort, NonPositiveBudget, NoPriorHistory
-from testprio.rankers import FITTERS, RankedTest, RankerKind, params_from_config
+from testprio.features import FeatureConfig, build_training_set
+from testprio.rankers import (
+    FITTERS,
+    RankedTest,
+    RankerKind,
+    params_from_config,
+    serialize_model,
+    with_seed,
+)
 from testprio.replay import (
     ReplayConfig,
     cut_by_budget,
@@ -537,10 +547,10 @@ class TestSerialWalkStacksFits:
         calls = _spy_fits(monkeypatch, kind)
         serial = walk_forward(h, cfg, workers=1)
         assert [o.degenerate for o in serial] == [True] * 5 + [False, True, False, False, True]
-        # one call for all five windows; lrn's fails on the two with no
-        # rankable group and is repeated one window per call
+        # one call for all five windows; lrn's fails naming the two with
+        # no rankable group, and the other three are fitted in one more call
         assert calls[0] == [6] * 5
-        assert len(calls) == (6 if kind is RankerKind.LRN else 1)
+        assert calls[1:] == ([[6] * 3] if kind is RankerKind.LRN else [])
         assert walk_forward(h, cfg, workers=2) == serial
         for pos, outcome in zip(range(10, 20), serial):
             assert replay_cycle(h, pos, cfg) == outcome
@@ -563,3 +573,74 @@ class TestSerialWalkStacksFits:
             assert max(map(len, calls)) == most
             assert all(sum(rows) <= cap or len(rows) == 1 for rows in calls)
         assert any(sum(rows) > cap for rows in calls)
+
+
+
+class TestFitWalks:
+    """The grid's fit helper: the windows of several walks fitted in groups,
+    each model the one its walk fits alone, and nothing held past its use."""
+
+    @staticmethod
+    def _cfgs(kind):
+        return [ReplayConfig(ranker=kind, budget_s=30.0, history_fraction=f,
+                             eval_fraction=0.1, base_seed=7 + i,
+                             params=params_from_config(kind, _EFFORT))
+                for i, f in enumerate((0.5, 0.3))]
+
+    @pytest.mark.parametrize("kind", [RankerKind.SVM, RankerKind.ANN, RankerKind.LRN])
+    def test_walks_on_fitted_cycles_equal_lone_walks(self, kind, monkeypatch):
+        h = churn_history(2)
+        cfgs = self._cfgs(kind)
+        alone = [walk_forward_budgets(h, cfg, [10.0, 30.0], workers=1) for cfg in cfgs]
+        calls = _spy_fits(monkeypatch, kind)
+        monkeypatch.setattr(replay, "_STACK_ROWS", 2400)
+        fitted = replay.fit_walks(h, cfgs)
+        # each walk's six windows in order, grouped under the cap; the
+        # second group spans both walks
+        assert calls == [[523, 546, 545, 565], [574, 597, 312, 335, 336], [332, 336, 359]]
+        assert [walk_forward_budgets(h, cfg, [10.0, 30.0], workers=1, cycles=cycles)
+                for cfg, cycles in zip(cfgs, fitted)] == alone
+        assert len(calls) == 3  # ranking fitted cycles fits nothing
+
+    def test_fit_helper_holds_no_window_arrays(self, monkeypatch):
+        built = []
+
+        class Tracked(replay._WindowArrays):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(weakref.ref(self))
+
+        def fit(tss, params):
+            # each window of the group has its training set and ranking rows
+            # by now, and none of their arrays is left
+            assert built and all(ref() is None for ref in built)
+            return svm(tss, params)
+
+        svm = FITTERS[RankerKind.SVM]
+        monkeypatch.setattr(replay, "_WindowArrays", Tracked)
+        monkeypatch.setitem(FITTERS, RankerKind.SVM, fit)
+        monkeypatch.setattr(replay, "_STACK_ROWS", 2400)
+        fitted = [list(cycles) for cycles in replay.fit_walks(
+            churn_history(2), self._cfgs(RankerKind.SVM))]
+        assert len(built) == 12
+        assert all(p.ts is None and p.rows is not None and p.model is not None
+                   for cycles in fitted for p in cycles)
+
+
+def test_an_unrankable_window_degrades_alone_in_one_more_call(monkeypatch):
+    kind = RankerKind.LRN
+    params = params_from_config(kind, _EFFORT)
+    h = churn_history(3)
+    tss = [build_training_set(slice_recent(prior, 0.3), FeatureConfig())
+           for prior in history_prefixes(h, range(40, 45))]
+    tss[2] = replace(tss[2], y=np.zeros_like(tss[2].y))
+    seeds = [11, 12, 13, 14, 15]
+    calls = _spy_fits(monkeypatch, kind)
+    models = replay._fit(kind, params, FeatureConfig(), tss, seeds)
+    # one failed call, then the other four in one (not one call each)
+    rows = [ts.n_examples for ts in tss]
+    assert calls == [rows, rows[:2] + rows[3:]]
+    assert [m.degenerate for m in models] == [False, False, True, False, False]
+    for j in (0, 1, 3, 4):
+        alone, = FITTERS[kind]([tss[j]], [with_seed(params, seeds[j])])
+        assert serialize_model(models[j]) == serialize_model(alone)
