@@ -93,13 +93,9 @@ class DimensionMismatch(TestPrioError):
 # --- rankers ------------------------------------------------------------------
 
 class NoRankableGroup(TestPrioError):
-    """No training group contains both a failing and a passing example.
-    ``sets`` are the positions, in a stacked fit's list of training sets,
-    of the sets that have no such group."""
-
-    def __init__(self, message: str, sets: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.sets = sets
+    """The LambdaRank gradient check was given a group without both a
+    failing and a passing example.  A fit never raises it: a training set
+    with no such group gets a flagged constant model."""
 
 
 class ModelFormatError(TestPrioError):

@@ -8,7 +8,10 @@ fit's restarts (seeded initializations) in lockstep as one stacked tensor
 computation: every tensor has leading axes (fit, restart), so one numpy
 call serves all F x R of them.  Each fit keeps its best restart: minimal
 final training error for the probability net, maximal training NDCG for
-the ranking net.  A single fit is the F = 1 case.
+the ranking net.  A single fit is the F = 1 case.  A set the net cannot
+train on (single-class for ``fit_ann``, no cycle group with both verdict
+classes for ``fit_lambdarank``) gets a flagged constant model in its place,
+and the others are fitted as if it were absent.
 
 The parameters live in one (F * R, P) buffer, a row of P parameters per
 (fit, restart), so the fits of a block [a, b) are its contiguous rows
@@ -19,17 +22,20 @@ group at that step has one width run as one call; a fit with another width
 (a remainder batch, fewer rows than ``batch_size``, an lrn group of another
 width) runs that step in its own call.  The lrn lambdas of a call's groups
 that also share a failure count are computed in one pass
-(:func:`_stacked_lambdas`), which sums over pairs in the order a lone
-group does.  A fit's layers do not depend on what it is stacked with: each
-restart's matmuls are separate BLAS calls on the same operands, and every
-other operation is elementwise or reduces within one restart.
+(:func:`_stacked_lambdas`), a lone group's in a pass of one; a group's
+lambdas do not depend on the groups in its pass.  A fit's layers do not
+depend on what it is stacked with: each restart's matmuls are separate
+BLAS calls on the same operands, and every other operation is elementwise
+or reduces within one restart.
 
 One buffered pass, :class:`_Net`, computes every forward and backward here:
 the minibatch steps of ``fit_ann``, the per-group steps of
 ``fit_lambdarank``, the final loss / NDCG selection, and the one-parameter-set
 ``ann_loss_and_grads`` / ``lambdarank_cost_and_grads``.  Each caller turns
-the raw output into its own output gradient (sigmoid-MSE or lambdas), so the
-finite-difference gradient checks exercise the same code that trains.
+the raw output into its own output gradient, sigmoid-MSE (:func:`_mse_grad`)
+or lambdas (:func:`_stacked_lambdas`), and the gradient checks call the
+same two functions, so the finite-difference checks exercise the code that
+trains.
 
 A call allocates one buffer set, for its widest pass over all its fits, and
 runs every narrower pass on contiguous prefix views of it (:meth:`_Net.rows`).
@@ -66,6 +72,7 @@ from .base import (
     _stable_sigmoid,
     _stacked_rows,
     class_weights,
+    constant_model,
 )
 
 Params = list[tuple[np.ndarray, np.ndarray]]  # [(W, b), ...], leading axes (fit, restart)
@@ -354,77 +361,55 @@ def _ideal_dcg(n_pos: int) -> float:
     return float(_gains(n_pos).sum())
 
 
-def _group_lambdas(s: np.ndarray, pos: np.ndarray, neg: np.ndarray,
-                   sigma: float, idcg: float, gains: np.ndarray,
-                   frozen_delta: np.ndarray | None = None):
-    """dCost/dscore (R, m) for one group with stacked scores s (R, m);
-    ``gains`` is ``_gains(k)`` for some k >= m.  Callers ignore overflow in
-    ``exp``: a lambda whose exponent overflows is -0.0, as it should be.
-
-    Summation order: ``g[:, pos]`` is laid out with the restarts innermost,
-    so for R > 1 the (R, P, N) pair arrays have strides (8, 8 N R, 8 R)
-    and both sums over pairs add one pair after another; for R = 1 they
-    are C-ordered and the sum over N is numpy's pairwise sum.  That order
-    fixes the bits of every lambda, and :func:`_stacked_lambdas` keeps it."""
-    if frozen_delta is None:
-        g = gains[_ranks_matrix(s) - 1]
-        delta = np.abs(g[:, pos][:, :, None] - g[:, neg][:, None, :]) / idcg
-    else:
-        delta = frozen_delta
-    sdiff = s[:, pos][:, :, None] - s[:, neg][:, None, :]
-    lam = -sigma * delta / (1.0 + np.exp(sigma * sdiff))
-    dc = np.zeros(s.shape)
-    dc[:, pos] = np.add.reduce(lam, axis=2)
-    dc[:, neg] = -np.add.reduce(lam, axis=1)
-    return dc, delta, sdiff
-
-
 def _stacked_lambdas(s: np.ndarray, take: np.ndarray, n_pos: int, sigma: float,
-                     idcg: float, gains: np.ndarray) -> np.ndarray:
-    """:func:`_group_lambdas` (k, R, m) of k groups of one width m and one
-    positive count P in one pass; s (k, R, m) are their scores and take
-    (k, m, R) their pair takes (:func:`_rankable_groups`).
+                     idcg: float, gains: np.ndarray, frozen_delta: np.ndarray | None = None):
+    """The lambdas dCost/dscore (k, R, m) of k groups of one width m and one
+    positive count P in one pass, and the |dNDCG| weights and score
+    differences (k, P, N, R) of their (positive, negative) pairs; s (k, R, m)
+    are their scores, take (k, m, R) their pair takes
+    (:func:`_rankable_groups`), and ``gains`` is ``_gains(w)`` for some
+    w >= m.  ``frozen_delta`` holds the weights fixed instead of taking them
+    from the scores' ranking.  Callers ignore overflow in ``exp``: a lambda
+    whose exponent overflows is -0.0, as it should be.
 
-    The pair arrays are (k, P, N, R), restarts innermost, which is the
-    memory order of ``_group_lambdas``' own (R, P, N) arrays; so both sums
-    over pairs run in its order and every lambda is bit for bit its own."""
+    Summation order: the pair arrays have the restarts innermost, so for
+    R > 1 both sums over pairs add one pair after another, and for R = 1
+    the sum over negatives is numpy's pairwise sum.  Each group's lambdas
+    do not depend on the groups it shares the pass with."""
     k, R, m = s.shape
     take = take + (np.arange(k) * (R * m))[:, None, None]
-    g = gains[_ranks_matrix(s) - 1]
-    st, gt = s.reshape(-1)[take], g.reshape(-1)[take]  # (k, m, R), positives first
-    delta = np.abs(gt[:, :n_pos, None] - gt[:, None, n_pos:]) / idcg
+    st = s.reshape(-1)[take]  # (k, m, R), positives first
+    if frozen_delta is None:
+        gt = gains[_ranks_matrix(s) - 1].reshape(-1)[take]
+        delta = np.abs(gt[:, :n_pos, None] - gt[:, None, n_pos:]) / idcg
+    else:
+        delta = frozen_delta
     sdiff = st[:, :n_pos, None] - st[:, None, n_pos:]
     lam = -sigma * delta / (1.0 + np.exp(sigma * sdiff))
     dc = np.empty(s.size)
     dc[take[:, :n_pos]] = np.add.reduce(lam, axis=2)
     dc[take[:, n_pos:]] = -np.add.reduce(lam, axis=1)
-    return dc.reshape(s.shape)
+    return dc.reshape(s.shape), delta, sdiff
 
 
 def _run_lambdas(s: np.ndarray, run: list[tuple], sigma: float, gains: np.ndarray,
                  dz: np.ndarray) -> None:
     """dz (c, R, m) = the lambdas of the c groups of ``run``, of one width m,
-    for their scores s (c, R, m).  The groups that share a positive count
-    take one :func:`_stacked_lambdas` pass; a group whose count no other
-    shares takes :func:`_group_lambdas`."""
+    for their scores s (c, R, m): one :func:`_stacked_lambdas` pass per
+    positive count."""
     by_count: dict[int, list[int]] = {}
     for i, (_, _, pos, *_) in enumerate(run):
         by_count.setdefault(len(pos), []).append(i)
     for n_pos, idx in by_count.items():
-        if len(idx) == 1:
-            i = idx[0]
-            _, _, pos, neg, idcg, _ = run[i]
-            dz[i] = _group_lambdas(s[i], pos, neg, sigma, idcg, gains)[0]
-        else:
-            idcg = run[idx[0]][4]  # one positive count, one ideal DCG
-            takes = np.stack([run[i][5] for i in idx])
-            dz[idx] = _stacked_lambdas(s[idx], takes, n_pos, sigma, idcg, gains)
+        idcg = run[idx[0]][3]  # one positive count, one ideal DCG
+        takes = np.stack([run[i][4] for i in idx])
+        dz[idx] = _stacked_lambdas(s[idx], takes, n_pos, sigma, idcg, gains)[0]
 
 
-def _rankable_groups(ts: TrainingSet, lo: int, R: int) -> list[tuple]:
-    """(first row, width, positives, negatives, ideal DCG, pair take) of each
-    cycle group of ``ts`` holding both verdict classes; rows count from
-    ``lo``.  The pair take (m, R) holds the flat positions in the group's
+def _rankable_groups(ts: TrainingSet, R: int) -> list[tuple]:
+    """(first row, width, positives, ideal DCG, pair take) of each cycle
+    group of ``ts`` holding both verdict classes; rows count from the set's
+    first.  The pair take (m, R) holds the flat positions in the group's
     (R, m) scores of its positives and then its negatives, restarts
     innermost."""
     groups = []
@@ -434,32 +419,31 @@ def _rankable_groups(ts: TrainingSet, lo: int, R: int) -> list[tuple]:
         if len(pos) and len(neg):
             m = sl.stop - sl.start
             take = np.concatenate([pos, neg])[:, None] + np.arange(R) * m
-            groups.append((lo + sl.start, m, pos, neg, _ideal_dcg(len(pos)), take))
+            groups.append((sl.start, m, pos, _ideal_dcg(len(pos)), take))
     return groups
 
 
 def fit_lambdarank(tss: Sequence[TrainingSet], hps: Sequence[LrnParams]) -> list[Model]:
     """One linear-output net per training set, trained with pairwise lambda
     gradients per cycle group; groups lacking a failing or a passing example
-    are skipped.  If a set has no other group, :class:`NoRankableGroup` is
-    raised before anything is trained, naming every such set.  A fit's
-    restarts differ in initialization and share its per-epoch group order;
-    the restart with the best final training NDCG wins."""
+    are skipped, and a set with no other group gets a constant model.  A
+    fit's restarts differ in initialization and share its per-epoch group
+    order; the restart with the best final training NDCG wins."""
     if not tss:
         return []
     hp = _shared(tss, hps)
-    ns = [ts.n_examples for ts in tss]
-    starts = np.cumsum([0, *ns[:-1]])
-    groups = [_rankable_groups(ts, int(lo), hp.restarts) for ts, lo in zip(tss, starts)]
-    unrankable = tuple(j for j, gs in enumerate(groups) if not gs)
-    if unrankable:
-        raise NoRankableGroup("no cycle group contains both verdict classes", unrankable)
-    fits = sorted(range(len(tss)), key=lambda j: -len(groups[j]))
-    groups = [groups[j] for j in fits]
+    groups = [_rankable_groups(ts, hp.restarts) for ts in tss]
+    # unlike the other fitters' constants, without the set's stats: an
+    # unrankable lrn window has always degraded to zero mean and unit std
+    models = [None if gs else constant_model(RankerKind.LRN, ts.config)
+              for ts, gs in zip(tss, groups)]
+    fits = sorted((j for j, gs in enumerate(groups) if gs), key=lambda j: -len(groups[j]))
+    if not fits:
+        return models
 
-    X = np.empty((sum(ns), tss[0].dimension))
-    for ts, lo, n in zip(tss, starts, ns):
-        ts.standardized(out=X[lo:lo + n])
+    X, _, starts = _stacked_rows(tss, fits)
+    groups = [[(lo + first, *rest) for first, *rest in groups[j]]
+              for j, lo in zip(fits, starts)]
     d = X.shape[1]
     F, R = len(fits), hp.restarts
     sizes = (d, hp.hidden1, hp.hidden2, 1)
@@ -485,12 +469,11 @@ def fit_lambdarank(tss: Sequence[TrainingSet], hps: Sequence[LrnParams]) -> list
                     run_net.backward(params, Xg, dzg)
                     _sgd_step(block, run_net.flat_grads, hp.learning_rate)
 
-    models = [None] * F
     for k, (j, gs) in enumerate(zip(fits, groups)):
         # mean training NDCG per restart
         params = _layer_views(flat[k * R:(k + 1) * R], R, sizes)
         ndcg = np.zeros(R)
-        for lo, m, pos, _, idcg, _ in gs:
+        for lo, m, pos, idcg, _ in gs:
             s = net.rows(m, 1).forward(params, X[None, None, lo:lo + m])[0, ..., 0]
             ndcg += gains[_ranks_matrix(s)[:, pos] - 1].sum(axis=1) / idcg
         best = int(np.argmax(ndcg))
@@ -515,14 +498,14 @@ def lambdarank_cost_and_grads(layers, X: np.ndarray, y: np.ndarray,
     neg = np.flatnonzero(y < 0.5)
     if not len(pos) or not len(neg):
         raise NoRankableGroup("gradient check group needs both classes")
-    idcg = _ideal_dcg(len(pos))
+    take = np.concatenate([pos, neg])[None, :, None]  # the group's pair take, k = R = 1
 
     params, net = _one_restart(layers, len(y))
     X1 = X[None, None]
-    s = net.forward(params, X1)[0, ..., 0]
+    s = net.forward(params, X1)[..., 0]
     with np.errstate(over="ignore"):
-        dc, delta, sdiff = _group_lambdas(s, pos, neg, sigma, idcg, _gains(len(y)),
-                                          frozen_delta)
+        dc, delta, sdiff = _stacked_lambdas(s, take, len(pos), sigma, _ideal_dcg(len(pos)),
+                                            _gains(len(y)), frozen_delta)
     cost = float((delta * np.logaddexp(0.0, -sigma * sdiff)).sum())
-    grads = net.backward(params, X1, dc[None, ..., None])
+    grads = net.backward(params, X1, dc[..., None])
     return cost, [(dW[0, 0], db[0, 0, 0]) for dW, db in grads], delta

@@ -31,24 +31,30 @@ Worker processes: a walk whose ranker trains replays its eval cycles on a
 process pool (``workers``), one task per cycle position.  By default it
 starts one process per eval cycle while there is at most one more eval
 cycle than usable CPUs, so a lone last fit does not run while the other
-CPUs idle, and one per usable CPU beyond that.  Each task cuts its own
-prior with ``history_prefix``, whose registry sums equal the serial walk's
-bit for bit, so outcomes do not depend on the worker count.  Pool workers
-are daemonic and so never fan a walk out again.
+CPUs idle, and one per usable CPU beyond that.  Each task replays its
+position through the serial walk's own path (``_fitted_cycles``, given that
+one position), whose prior's registry sums are the serial walk's bit for
+bit, so outcomes do not depend on the worker count.  Pool workers are
+daemonic and so never fan a walk out again.
 
-Stacked fits: a serial walk builds each eval cycle's window and training
-set in order and fits consecutive cycles together, in one ``FITTERS`` call,
-while their training rows total at most ``_STACK_ROWS`` (a window over it is
-fitted alone); a group is fitted before the next window's features are
-built.  A fitted cycle keeps only what ranking needs (its feature rows,
-model, modeled train units and wall-time share): its training set and
-window arrays are gone.  ``svm``, ``ann`` and ``lrn`` train such a list as
-one stacked computation, and every model is bit for bit the one its window
-gets alone, so the grouping changes no outcome.  :func:`fit_walks` groups
-the windows of several walks of one ranker the same way (the serial grid
-fits each trained ranker's windows across its history fractions so), and
-:func:`walk_forward_budgets` then only ranks a walk's fitted cycles.  Pool
-tasks and ``replay_cycle`` fit a list of one.
+Stacked fits: every eval cycle is prepared, fitted and handed to ranking
+by ``_fitted_cycles``, given a list of walks and each one's eval positions.
+It builds each eval cycle's window and training set in order and fits
+consecutive cycles together, in one ``FITTERS`` call, while their training
+rows total at most ``_STACK_ROWS`` (a window over it is fitted alone); a
+group is fitted before the next window's features are built.  A fitted
+cycle keeps only what ranking needs (its feature rows, model, modeled
+train units and wall-time share): its training set and window arrays are
+gone.  ``svm``, ``ann`` and ``lrn`` train such a list as one stacked
+computation, and every model is bit for bit the one its window gets alone,
+so the grouping changes no outcome.  A window its fitter cannot train on
+(single-class, or for ``lrn`` no cycle group with both verdict classes)
+gets a flagged constant model from that fitter, in the same call.
+:func:`fit_walks` groups the windows of several walks of one ranker the
+same way (the serial grid fits each trained ranker's windows across its
+history fractions so), and :func:`walk_forward_budgets` then only ranks a
+walk's fitted cycles.  A pool task and ``replay_cycle`` hand it a single
+position, so their window is fitted in a call of its own.
 
 Timing: ``train_seconds`` / ``rank_seconds`` are a deterministic work-based
 cost model (counted arithmetic operations divided by a nominal op rate), so
@@ -69,7 +75,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,16 +83,10 @@ from .domain import (
     Cycle,
     HistoryWindow,
     TestHistory,
-    history_prefix,
     history_prefixes,
     slice_recent,
 )
-from .errors import (
-    HistoryTooShort,
-    NoPriorHistory,
-    NoRankableGroup,
-    WindowTooSmall,
-)
+from .errors import HistoryTooShort, NoPriorHistory, WindowTooSmall
 from .features import (
     FeatureConfig,
     TrainingSet,
@@ -288,23 +288,6 @@ def _prepare(prior: TestHistory, window: HistoryWindow, cycle: Cycle, codes: np.
                       wall_train=time.perf_counter() - t0)
 
 
-def _fit(kind: RankerKind, params: RankerParams, features: FeatureConfig,
-         tss: list[TrainingSet], seeds: list[int]) -> list[Model]:
-    """One model per training set, from one ``FITTERS`` call.  A set with no
-    rankable group fails the whole call before anything is trained, and the
-    error names every such set: those degrade to a flagged constant model,
-    and the others are fitted again in one call."""
-    try:
-        return FITTERS[kind](tss, [with_seed(params, seed) for seed in seeds])
-    except NoRankableGroup as exc:
-        bad = set(exc.sets)
-        keep = [j for j in range(len(tss)) if j not in bad]
-        models = iter(FITTERS[kind]([tss[j] for j in keep],
-                                    [with_seed(params, seeds[j]) for j in keep]) if keep else [])
-        return [constant_model(kind, features) if j in bad else next(models)
-                for j in range(len(tss))]
-
-
 def _fit_group(group: list[tuple[int, _EvalCycle]],
                cfg: ReplayConfig) -> list[tuple[int, _EvalCycle]]:
     """The cycles of ``group`` (each with the index of its unit), their
@@ -318,8 +301,8 @@ def _fit_group(group: list[tuple[int, _EvalCycle]],
     models, shares = [], []
     if fitted:
         t0 = time.perf_counter()
-        models = _fit(kind, cfg.params, cfg.features, [p.ts for p in fitted],
-                      [p.seed for p in fitted])
+        models = FITTERS[kind]([p.ts for p in fitted],
+                               [with_seed(cfg.params, p.seed) for p in fitted])
         fit_s = time.perf_counter() - t0
         rows = [0 if m.degenerate else p.ts.n_examples for p, m in zip(fitted, models)]
         shares = [fit_s * r / (sum(rows) or 1) for r in rows]
@@ -341,17 +324,17 @@ def _eval_positions(h: TestHistory, cfg: ReplayConfig) -> range:
     return range(n - min(int(math.ceil(cfg.eval_fraction * n)), n - 1), n)
 
 
-def _fitted_cycles(h: TestHistory,
-                   cfgs: list[ReplayConfig]) -> Iterator[tuple[int, _EvalCycle]]:
-    """Each eval cycle of the walks of ``cfgs``, in order, with the index of
-    its walk, ready to rank.  The walks share one ranker, its params and
-    the features.  A ranker that trains fits consecutive windows, across
-    the walks, in one call while their training rows total at most
-    ``_STACK_ROWS`` (a window over it is fitted alone)."""
+def _fitted_cycles(h: TestHistory, cfgs: list[ReplayConfig],
+                   positions: list[Sequence[int]]) -> Iterator[tuple[int, _EvalCycle]]:
+    """The cycles at ``positions[u]`` (increasing) of each walk u of
+    ``cfgs``, in order, with the index of their walk, ready to rank.  The
+    walks share one ranker, its params and the features.  A ranker that
+    trains fits consecutive windows, across the walks, in one call while
+    their training rows total at most ``_STACK_ROWS`` (a window over it is
+    fitted alone)."""
     group, rows = [], 0
-    for u, cfg in enumerate(cfgs):
-        positions = _eval_positions(h, cfg)
-        for pos, prior in zip(positions, history_prefixes(h, positions)):
+    for u, (cfg, walk) in enumerate(zip(cfgs, positions, strict=True)):
+        for pos, prior in zip(walk, history_prefixes(h, walk)):
             window = slice_recent(prior, cfg.history_fraction)
             n = training_rows(window) if cfg.ranker.trains else 0
             if group and rows + n > _STACK_ROWS:
@@ -375,10 +358,14 @@ def fit_walks(h: TestHistory, cfgs: list[ReplayConfig]) -> list[Iterator[_EvalCy
     the walks, as one iterator per walk: hand it to
     :func:`walk_forward_budgets` as ``cycles``.  Each model is the one its
     walk alone would fit, and a walk's cycles are freed once it has ranked
-    them.  A history too short to replay raises before anything is fitted."""
+    them.  A history too short to replay, or walks that differ in ranker,
+    params (beyond their seed) or features, raise before anything is
+    fitted."""
     check_history_length(h)
+    if len({(c.ranker, with_seed(c.params, 0), c.features) for c in cfgs}) > 1:
+        raise ValueError("walks fitted together must share a ranker, its params and the features")
     per_walk: list[list[_EvalCycle]] = [[] for _ in cfgs]
-    for u, p in _fitted_cycles(h, cfgs):
+    for u, p in _fitted_cycles(h, cfgs, [_eval_positions(h, c) for c in cfgs]):
         per_walk[u].append(p)
     return [iter(cycles) for cycles in per_walk]
 
@@ -457,18 +444,8 @@ def replay_cycle(h: TestHistory, c: int, cfg: ReplayConfig) -> CycleOutcome:
         raise IndexError(f"cycle position {c} out of range")
     if c == 0:
         raise NoPriorHistory("cycle has no preceding history to train on")
-    return _replay_alone(h, c, _coded(h, cfg.ranker, c), cfg, [cfg.budget_s])[0]
-
-
-def _replay_alone(h: TestHistory, pos: int, coded: _Coded, cfg: ReplayConfig,
-                  budgets: list[float]) -> list[CycleOutcome]:
-    """Replay cycle position ``pos``, its window fitted in a call of its own."""
-    prior = history_prefix(h, pos)
-    p = _prepare(prior, slice_recent(prior, cfg.history_fraction), h.cycles[pos], h.codes[pos],
-                 cfg)
-    if cfg.ranker.trains:
-        [(_, p)] = _fit_group([(0, p)], cfg)
-    return _rank_at(p, coded, cfg, budgets)
+    [(_, p)] = _fitted_cycles(h, [cfg], [[c]])
+    return _rank_at(p, _coded(h, cfg.ranker, c), cfg, [cfg.budget_s])[0]
 
 
 # --- worker processes -----------------------------------------------------------
@@ -517,7 +494,8 @@ def default_workers(n_tasks: int, cpus: int) -> int:
 def _replay_in_worker(pos: int) -> list[CycleOutcome]:
     """Replay cycle position ``pos`` of the walk this worker holds."""
     h, coded, cfg, budgets = pool_state()
-    return _replay_alone(h, pos, coded, cfg, budgets)
+    [(_, p)] = _fitted_cycles(h, [cfg], [[pos]])
+    return _rank_at(p, coded, cfg, budgets)
 
 
 def check_history_length(h: TestHistory) -> None:
@@ -561,7 +539,7 @@ def walk_forward_budgets(h: TestHistory, cfg: ReplayConfig, budgets: list[float]
                              (h, coded, cfg, budgets))
     else:
         if cycles is None:
-            cycles = (p for _, p in _fitted_cycles(h, [cfg]))
+            cycles = (p for _, p in _fitted_cycles(h, [cfg], [positions]))
         per_cycle = [_rank_at(p, coded, cfg, budgets) for p in cycles]
     return [list(outcomes) for outcomes in zip(*per_cycle)]
 

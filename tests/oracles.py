@@ -8,7 +8,9 @@ module and validates cycle by cycle; the program reads the columns with
 numpy's C parser and validates them in vectorized passes.  The replay
 oracle ranks an evaluated cycle test by test, from dicts keyed by test id,
 and replays it with running-sum loops; the program ranks on registry codes
-and reads cumulative sums.
+and reads cumulative sums.  The lambda oracle computes one cycle group's
+LambdaRank lambdas from its own (restart, positive, negative) pair arrays;
+the program computes a pass of groups at once from their pair takes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from testprio.errors import (
     EmptyHistory,
     MalformedRow,
     NonPositiveDuration,
-    NoRankableGroup,
     UnknownVerdictToken,
     WindowTooSmall,
 )
@@ -34,6 +35,7 @@ from testprio.ingest import CANONICAL_HEADER
 from testprio.metrics import CycleMetrics, apfd, napfd
 from testprio.rankers import (FITTERS, RankedTest, RankerKind, constant_model, score_matrix,
                               with_seed)
+from testprio.rankers.nets import _ranks_matrix
 from testprio.seeding import mix_seed
 
 
@@ -208,7 +210,7 @@ def replay_ranking(prior: TestHistory, cycle: Cycle, cfg) -> tuple[RankedTest, .
         try:
             model = FITTERS[cfg.ranker]([build_training_set(window, cfg.features)], [with_seed(
                 cfg.params, mix_seed(cfg.base_seed, "fit", cycle.cycle_id))])[0]
-        except (WindowTooSmall, NoRankableGroup):
+        except WindowTooSmall:
             model = constant_model(cfg.ranker, cfg.features)
         rows = np.zeros((len(ids), cfg.features.dimension))
         for i, tid in enumerate(ids):
@@ -265,3 +267,28 @@ def replay_budget(entries, cycle: Cycle, budget: float):
         faults_detected=len(detected),
     )
     return executed, elapsed, detected, metrics
+
+
+def _group_lambdas(s: np.ndarray, pos: np.ndarray, neg: np.ndarray,
+                   sigma: float, idcg: float, gains: np.ndarray,
+                   frozen_delta: np.ndarray | None = None):
+    """dCost/dscore (R, m) for one group with stacked scores s (R, m);
+    ``gains`` is ``_gains(k)`` for some k >= m.  Callers ignore overflow in
+    ``exp``: a lambda whose exponent overflows is -0.0, as it should be.
+
+    Summation order: ``g[:, pos]`` is laid out with the restarts innermost,
+    so for R > 1 the (R, P, N) pair arrays have strides (8, 8 N R, 8 R)
+    and both sums over pairs add one pair after another; for R = 1 they
+    are C-ordered and the sum over N is numpy's pairwise sum.  That order
+    fixes the bits of every lambda, and :func:`_stacked_lambdas` keeps it."""
+    if frozen_delta is None:
+        g = gains[_ranks_matrix(s) - 1]
+        delta = np.abs(g[:, pos][:, :, None] - g[:, neg][:, None, :]) / idcg
+    else:
+        delta = frozen_delta
+    sdiff = s[:, pos][:, :, None] - s[:, neg][:, None, :]
+    lam = -sigma * delta / (1.0 + np.exp(sigma * sdiff))
+    dc = np.zeros(s.shape)
+    dc[:, pos] = np.add.reduce(lam, axis=2)
+    dc[:, neg] = -np.add.reduce(lam, axis=1)
+    return dc, delta, sdiff

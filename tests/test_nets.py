@@ -20,6 +20,7 @@ from testprio.rankers import (
     RankerKind,
     SvmParams,
     ann_loss_and_grads,
+    constant_model,
     fit_ann,
     fit_lambdarank,
     fit_svm,
@@ -35,18 +36,18 @@ from testprio.rankers.nets import (
     _Net,
     _forward_blocks,
     _gains,
-    _group_lambdas,
     _ideal_dcg,
     _init_flat,
     _layer_views,
     _rankable_groups,
     _ranks_matrix,
     _run_lambdas,
+    _stacked_lambdas,
     _unstack,
 )
-from testprio.errors import NoRankableGroup
 
 from .conftest import toy_training_set
+from .oracles import _group_lambdas
 
 STEP = 1e-5
 REL_TOL = 1e-4
@@ -180,14 +181,30 @@ class TestLambdaGradients:
     def test_lambda_sign_at_equal_scores(self):
         # analytic oracle: s_i == s_j gives lambda_ij = -0.5 |dNDCG|; descent
         # then pushes the relevant score up and the irrelevant one down
-        s = np.zeros((1, 2))
-        pos, neg = np.array([0]), np.array([1])
+        s = np.zeros((1, 1, 2))  # one group, one restart
+        take = np.array([0, 1])[None, :, None]  # the positive, then the negative
         idcg = _ideal_dcg(1)
-        dc, delta, _ = _group_lambdas(s, pos, neg, sigma=1.0, idcg=idcg, gains=_gains(2))
+        dc, delta, _ = _stacked_lambdas(s, take, 1, sigma=1.0, idcg=idcg, gains=_gains(2))
         expected = abs(1.0 / np.log2(2.0) - 1.0 / np.log2(3.0)) / idcg
-        assert dc[0, 0] == pytest.approx(-0.5 * expected)
-        assert dc[0, 1] == pytest.approx(+0.5 * expected)
-        assert delta[0, 0, 0] == pytest.approx(expected)
+        assert dc[0, 0, 0] == pytest.approx(-0.5 * expected)
+        assert dc[0, 0, 1] == pytest.approx(+0.5 * expected)
+        assert delta[0, 0, 0, 0] == pytest.approx(expected)
+
+    def test_the_check_and_a_lone_group_run_the_stacked_pass(self, monkeypatch):
+        # the gradient the checks verify comes from the pass that trains,
+        # also for a fit whose every step has a lone group
+        passes = []
+        stacked = nets._stacked_lambdas
+        monkeypatch.setattr(nets, "_stacked_lambdas",
+                            lambda s, *rest, **kw: passes.append(s.shape) or stacked(s, *rest, **kw))
+        rng = np.random.default_rng(3)
+        X, y = rng.normal(size=(6, 4)), np.array([1.0, 0, 0, 1, 0, 0])
+        lambdarank_cost_and_grads(_random_layers(rng, (4, 5, 3, 1)), X, y)
+        assert passes == [(1, 1, 6)]
+        passes.clear()
+        fit_lambdarank([toy_training_set(X, y)], [LrnParams(hidden1=5, hidden2=3, epochs=2,
+                                                            restarts=2)])
+        assert passes == [(1, 2, 6)] * 2
 
 
 class TestLambdaTraining:
@@ -222,9 +239,16 @@ class TestLambdaTraining:
         probes = rng.normal(size=(8, 3))
         assert np.array_equal(score_matrix(lone, probes), score_matrix(both, probes))
 
-    def test_no_rankable_group_raises(self):
-        with pytest.raises(NoRankableGroup):
-            fit_lambdarank([toy_training_set(np.zeros((4, 2)), np.zeros(4))], [LrnParams()])
+    def test_no_rankable_group_degenerates(self):
+        # the constant model of an unrankable set: zero mean and unit std,
+        # not the set's own standardization
+        ts = toy_training_set(np.arange(8.0).reshape(4, 2), np.zeros(4))  # stats not 0 / 1
+        model, = fit_lambdarank([ts], [LrnParams()])
+        assert model.degenerate
+        d = ts.config.dimension
+        assert np.array_equal(model.stats.mean, np.zeros(d))
+        assert np.array_equal(model.stats.std, np.ones(d))
+        assert serialize_model(model) == serialize_model(constant_model(RankerKind.LRN, ts.config))
 
     def test_ranks_tie_break_by_index(self):
         ranks = _ranks_matrix(np.array([[0.5, 0.9, 0.5]]))
@@ -277,12 +301,15 @@ class TestStackedFits:
         assert self._bytes(models) == self._bytes(
             [FITTERS[kind]([ts], [p])[0] for ts, p in zip(tss, ps)])
 
-    def test_unrankable_sets_fail_the_lrn_call_and_are_named(self):
+    def test_unrankable_sets_degrade_in_the_lrn_call(self):
         unrankable = toy_training_set(np.ones((5, 4)), np.zeros(5))
         tss = [unrankable] + self._sets(2) + [unrankable]
-        with pytest.raises(NoRankableGroup) as exc:
-            fit_lambdarank(tss, [LrnParams(seed=s) for s in range(4)])
-        assert exc.value.sets == (0, 3)
+        ps = [with_seed(self.HPS[RankerKind.LRN], s) for s in range(4)]
+        models = fit_lambdarank(tss, ps)
+        assert [m.degenerate for m in models] == [True, False, False, True]
+        constant = serialize_model(constant_model(RankerKind.LRN, unrankable.config))
+        assert self._bytes(models) == [constant] + self._bytes(
+            [fit_lambdarank([ts], [p])[0] for ts, p in zip(tss[1:3], ps[1:3])]) + [constant]
 
     def test_lrn_groups_of_one_shape_share_a_lambda_pass(self, monkeypatch):
         # five fits whose groups all have width 6 and one or two failures:
@@ -290,7 +317,7 @@ class TestStackedFits:
         passes = []
         stacked = nets._stacked_lambdas
         monkeypatch.setattr(nets, "_stacked_lambdas",
-                            lambda s, *rest: passes.append(len(s)) or stacked(s, *rest))
+                            lambda s, *rest, **kw: passes.append(len(s)) or stacked(s, *rest, **kw))
         tss = []
         for j in range(5):
             rng = np.random.default_rng(50 + j)
@@ -328,37 +355,44 @@ class TestStackedFits:
 
 
 class TestLambdaSummationOrder:
-    """One lambda pass over several groups gives each group the bits that
-    ``_group_lambdas`` gives it alone: both sums over pairs run in its
-    order, whatever the widths, failure counts and restarts."""
+    """One lambda pass over one group or several gives each group the bits
+    that the oracle ``_group_lambdas`` gives it alone: both sums over pairs
+    run in its order, whatever the widths, failure counts and restarts."""
 
     @staticmethod
-    def _run(rng, m, R):
-        """A run of groups of width m with mixed failure counts, and their
+    def _run(rng, m, R, k):
+        """A run of k groups of width m with mixed failure counts, and their
         scores: some tied, some far enough apart that exp overflows."""
-        k = int(rng.integers(2, 7))
         y = np.zeros(k * m)
         for i in range(k):
             y[i * m + rng.choice(m, int(rng.integers(1, min(3, m - 1) + 1)), replace=False)] = 1.0
         ts = toy_training_set(np.zeros((k * m, 2)), y, groups=np.arange(k * m) // m)
         s = rng.normal(size=(k, R, m)) * rng.choice([1.0, 50.0, 900.0])
         s[rng.random(s.shape) < 0.3] = 0.25  # ties
-        return _rankable_groups(ts, 0, R), s
+        return _rankable_groups(ts, R), s
 
-    @pytest.mark.parametrize("R", [1, 2, 3, 4])
-    def test_one_pass_equals_each_groups_own(self, R):
-        rng = np.random.default_rng(R)
+    def _check(self, seed, R, groups):
+        rng = np.random.default_rng(seed)
         for _ in range(150):
             m = int(rng.integers(3, 51))
-            run, s = self._run(rng, m, R)
+            run, s = self._run(rng, m, R, groups(rng))
             sigma, gains = float(rng.choice([1.0, 2.5])), _gains(m + int(rng.integers(0, 5)))
             dz = np.full(s.shape, np.nan)
             with np.errstate(over="ignore"):
                 _run_lambdas(s, run, sigma, gains, dz)
-                for i, (_, _, pos, neg, idcg, _) in enumerate(run):
+                for i, (_, _, pos, idcg, _) in enumerate(run):
+                    neg = np.setdiff1d(np.arange(m), pos)
                     alone = _group_lambdas(s[i], pos, neg, sigma, idcg, gains)[0]
                     assert np.array_equal(dz[i], alone)
                     assert np.array_equal(np.signbit(dz[i]), np.signbit(alone))
+
+    @pytest.mark.parametrize("R", [1, 2, 3, 4])
+    def test_one_pass_equals_each_groups_own(self, R):
+        self._check(R, R, lambda rng: int(rng.integers(2, 7)))
+
+    @pytest.mark.parametrize("R", [1, 2, 3, 4])
+    def test_a_lone_groups_pass_equals_its_own(self, R):
+        self._check(100 + R, R, lambda rng: 1)
 
 
 class TestTrainingAppliesCheckedGradient:

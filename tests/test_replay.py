@@ -10,11 +10,12 @@ import pytest
 from testprio import replay
 from testprio.domain import Cycle, history_prefixes, slice_recent, validate_history
 from testprio.errors import HistoryTooShort, NonPositiveBudget, NoPriorHistory
-from testprio.features import FeatureConfig, build_training_set
+from testprio.features import FeatureConfig
 from testprio.rankers import (
     FITTERS,
     RankedTest,
     RankerKind,
+    constant_model,
     params_from_config,
     serialize_model,
     with_seed,
@@ -547,10 +548,9 @@ class TestSerialWalkStacksFits:
         calls = _spy_fits(monkeypatch, kind)
         serial = walk_forward(h, cfg, workers=1)
         assert [o.degenerate for o in serial] == [True] * 5 + [False, True, False, False, True]
-        # one call for all five windows; lrn's fails naming the two with
-        # no rankable group, and the other three are fitted in one more call
-        assert calls[0] == [6] * 5
-        assert calls[1:] == ([[6] * 3] if kind is RankerKind.LRN else [])
+        # one call for all five windows, which degrades the two it cannot
+        # train on (single-class, so for lrn no rankable group)
+        assert calls == [[6] * 5]
         assert walk_forward(h, cfg, workers=2) == serial
         for pos, outcome in zip(range(10, 20), serial):
             assert replay_cycle(h, pos, cfg) == outcome
@@ -602,6 +602,27 @@ class TestFitWalks:
                 for cfg, cycles in zip(cfgs, fitted)] == alone
         assert len(calls) == 3  # ranking fitted cycles fits nothing
 
+    @pytest.mark.parametrize("change", [
+        {"params": params_from_config(RankerKind.SVM, {"svm.epochs": "40"})},
+        {"ranker": RankerKind.ANN, "params": None},
+        {"features": FeatureConfig(decay=0.5)},
+    ])
+    def test_walks_that_fit_differently_raise(self, change, monkeypatch):
+        # every window is fitted with the first walk's ranker, params and
+        # features, so a walk that differs would get another walk's models
+        first = self._cfgs(RankerKind.SVM)[0]  # svm at 5 epochs
+        monkeypatch.setitem(FITTERS, RankerKind.SVM, lambda *_: pytest.fail("a window was fitted"))
+        with pytest.raises(ValueError, match="share a ranker"):
+            replay.fit_walks(churn_history(2), [first, replace(first, **change)])
+
+    def test_walks_may_differ_in_param_seeds(self):
+        h = churn_history(2)
+        first, second = self._cfgs(RankerKind.SVM)
+        second = replace(second, params=with_seed(second.params, 99))
+        fitted = replay.fit_walks(h, [first, second])
+        assert (walk_forward_budgets(h, second, [30.0], workers=1, cycles=fitted[1])
+                == walk_forward_budgets(h, second, [30.0], workers=1))
+
     def test_fit_helper_holds_no_window_arrays(self, monkeypatch):
         built = []
 
@@ -627,20 +648,24 @@ class TestFitWalks:
                    for cycles in fitted for p in cycles)
 
 
-def test_an_unrankable_window_degrades_alone_in_one_more_call(monkeypatch):
+def test_an_unrankable_window_degrades_alone_in_the_same_call(monkeypatch):
     kind = RankerKind.LRN
-    params = params_from_config(kind, _EFFORT)
+    cfg = ReplayConfig(ranker=kind, budget_s=30.0, history_fraction=0.3, base_seed=7,
+                       params=params_from_config(kind, _EFFORT))
     h = churn_history(3)
-    tss = [build_training_set(slice_recent(prior, 0.3), FeatureConfig())
-           for prior in history_prefixes(h, range(40, 45))]
-    tss[2] = replace(tss[2], y=np.zeros_like(tss[2].y))
-    seeds = [11, 12, 13, 14, 15]
+    group = [(0, replay._prepare(prior, slice_recent(prior, 0.3), h.cycles[pos], h.codes[pos],
+                                 cfg))
+             for pos, prior in zip(range(40, 45), history_prefixes(h, range(40, 45)))]
+    ts = group[2][1].ts
+    group[2] = (0, group[2][1]._replace(ts=replace(ts, y=np.zeros_like(ts.y))))
+    tss = [p.ts for _, p in group]
     calls = _spy_fits(monkeypatch, kind)
-    models = replay._fit(kind, params, FeatureConfig(), tss, seeds)
-    # one failed call, then the other four in one (not one call each)
-    rows = [ts.n_examples for ts in tss]
-    assert calls == [rows, rows[:2] + rows[3:]]
+    models = [p.model for _, p in replay._fit_group(group, cfg)]
+    # one call for all five windows, as for the other kinds: the constant
+    # model a too-small window gets, and the others' lone fits
+    assert calls == [[ts.n_examples for ts in tss]]
     assert [m.degenerate for m in models] == [False, False, True, False, False]
+    assert serialize_model(models[2]) == serialize_model(constant_model(kind, cfg.features))
     for j in (0, 1, 3, 4):
-        alone, = FITTERS[kind]([tss[j]], [with_seed(params, seeds[j])])
+        alone, = FITTERS[kind]([tss[j]], [with_seed(cfg.params, group[j][1].seed)])
         assert serialize_model(models[j]) == serialize_model(alone)
